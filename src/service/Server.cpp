@@ -40,6 +40,12 @@ const char *const KnownBackends[] = {
 const char *const KnownMappers[] = {"qlosure", "sabre", "qmap", "cirq",
                                     "tket"};
 
+/// Byte budget of the raw-text alias cache. An alias costs ~200 bytes
+/// and pays only while its result is cached, so this holds ~20k texts:
+/// more than the default result cache keeps for all but the smallest
+/// circuits.
+constexpr size_t AliasCacheBytes = 4ull << 20;
+
 bool isKnown(const char *const *Names, size_t Count,
              const std::string &Name) {
   for (size_t I = 0; I < Count; ++I)
@@ -90,6 +96,25 @@ RouteStats statsFromCached(const CachedResult &Cached) {
   Stats.Verified = Cached.Verified;
   Stats.SuccessProbability = Cached.SuccessProbability;
   return Stats;
+}
+
+/// \p Route minus its QASM source, which only triage ever reads: a
+/// pipelined connection can park hundreds of jobs in the queue, and each
+/// must not pin (or even transiently copy) megabytes of dead text.
+RouteRequest withoutQasm(const RouteRequest &Route) {
+  RouteRequest Params;
+  Params.Mapper = Route.Mapper;
+  Params.Backend = Route.Backend;
+  Params.Bidirectional = Route.Bidirectional;
+  Params.ErrorAware = Route.ErrorAware;
+  Params.Affine = Route.Affine;
+  Params.CalibrationSeed = Route.CalibrationSeed;
+  Params.IncludeQasm = Route.IncludeQasm;
+  Params.TimeoutMs = Route.TimeoutMs;
+  Params.Progress = Route.Progress;
+  Params.Trace = Route.Trace;
+  Params.TraceId = Route.TraceId;
+  return Params;
 }
 
 /// A leader-failure outcome for the followers coalesced onto it: the
@@ -296,7 +321,8 @@ Server::Server(ServerOptions Options)
       Contexts(CacheOptions{this->Options.CacheShards,
                             this->Options.ContextCacheBytes}),
       Results(CacheOptions{this->Options.CacheShards,
-                           this->Options.ResultCacheBytes}) {}
+                           this->Options.ResultCacheBytes}),
+      Aliases(CacheOptions{this->Options.CacheShards, AliasCacheBytes}) {}
 
 Server::~Server() {
   requestStop();
@@ -701,6 +727,79 @@ Server::lookupBackend(const std::string &Name, bool ErrorAware,
   return Pooled;
 }
 
+std::shared_ptr<const Server::PooledBackend>
+Server::admit(Connection &Conn, const char *Op, const Request &Req) {
+  const RouteRequest &Route = Req.Route;
+  if (Stopping.load()) {
+    sendError(Conn, Op, Req.Id, errc::ShuttingDown, "server is shutting down");
+    return nullptr;
+  }
+  if (!Req.Id.empty() && Conn.idInFlight(Req.Id)) {
+    sendError(Conn, Op, Req.Id, errc::BadRequest,
+              formatString("id \"%s\" is already in flight on this "
+                           "connection",
+                           Req.Id.c_str()));
+    return nullptr;
+  }
+  if (!isKnown(KnownMappers, sizeof(KnownMappers) / sizeof(KnownMappers[0]),
+               Route.Mapper)) {
+    sendError(Conn, Op, Req.Id, errc::UnknownMapper,
+              formatString("unknown mapper \"%s\"", Route.Mapper.c_str()));
+    return nullptr;
+  }
+  std::shared_ptr<const PooledBackend> Backend =
+      lookupBackend(Route.Backend, Route.ErrorAware, Route.CalibrationSeed);
+  if (!Backend)
+    sendError(Conn, Op, Req.Id, errc::UnknownBackend,
+              formatString("unknown backend \"%s\"", Route.Backend.c_str()));
+  return Backend;
+}
+
+Server::Triage Server::triage(const std::string &Qasm,
+                              const PooledBackend &Backend,
+                              const RouteRequest &Params, Trace *T) {
+  Triage Out;
+  CacheKey Alias;
+  std::shared_ptr<const ResultAlias> Aliased;
+  {
+    ScopedSpan Span(T, "alias_lookup");
+    Alias = aliasKey(Qasm, Backend.Fingerprint, Params);
+    Aliased = Aliases.lookup(Alias);
+  }
+  if (Aliased && (Out.Cached = lookupResult(Aliased->Result)))
+    return Out;
+
+  {
+    ScopedSpan Span(T, "import_qasm");
+    qasm::ImportResult Imported = qasm::importQasm(Qasm, "request");
+    if (!Imported.succeeded()) {
+      Out.ErrorCode = errc::BadQasm;
+      Out.ErrorMessage = std::move(Imported.Error);
+      return Out;
+    }
+    Out.Logical = std::make_shared<Circuit>(
+        Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates());
+  }
+  if (Out.Logical->numQubits() > Backend.Graph->numQubits()) {
+    Out.ErrorCode = errc::TooLarge;
+    Out.ErrorMessage = formatString(
+        "circuit has %u qubits but %s only has %u", Out.Logical->numQubits(),
+        Params.Backend.c_str(), Backend.Graph->numQubits());
+    return Out;
+  }
+  Out.CircuitFp = fingerprint(*Out.Logical);
+  Out.ResultKey = resultKey(Out.CircuitFp, Backend.Fingerprint, Params);
+  // The alias is recorded before the result exists, so a repeat that
+  // arrives while this circuit routes finds its result once it lands.
+  if (!Aliased)
+    Aliases.insertValue(
+        Alias, std::make_shared<ResultAlias>(ResultAlias{Out.ResultKey}));
+  // An alias that named this very key has already missed it above.
+  if (!Aliased || Aliased->Result != Out.ResultKey)
+    Out.Cached = lookupResult(Out.ResultKey);
+  return Out;
+}
+
 void Server::handleRoute(const std::shared_ptr<Connection> &Conn,
                          const Request &Req) {
   const RouteRequest &Route = Req.Route;
@@ -717,79 +816,30 @@ void Server::handleRoute(const std::shared_ptr<Connection> &Conn,
     std::lock_guard<std::mutex> Lock(CounterMu);
     ++Counters.RouteRequests;
   }
-  if (Stopping.load()) {
-    sendError(*Conn, "route", Req.Id, errc::ShuttingDown,
-              "server is shutting down");
+  std::shared_ptr<const PooledBackend> Backend = admit(*Conn, "route", Req);
+  if (!Backend)
     return;
-  }
-  if (!Req.Id.empty() && Conn->idInFlight(Req.Id)) {
-    sendError(*Conn, "route", Req.Id, errc::BadRequest,
-              formatString("id \"%s\" is already in flight on this "
-                           "connection",
-                           Req.Id.c_str()));
-    return;
-  }
-  if (!isKnown(KnownMappers, sizeof(KnownMappers) / sizeof(KnownMappers[0]),
-               Route.Mapper)) {
-    sendError(*Conn, "route", Req.Id, errc::UnknownMapper,
-              formatString("unknown mapper \"%s\"", Route.Mapper.c_str()));
-    return;
-  }
-  std::shared_ptr<const PooledBackend> Backend =
-      lookupBackend(Route.Backend, Route.ErrorAware, Route.CalibrationSeed);
-  if (!Backend) {
-    sendError(*Conn, "route", Req.Id, errc::UnknownBackend,
-              formatString("unknown backend \"%s\"", Route.Backend.c_str()));
-    return;
-  }
 
-  int ImportSpan = T ? T->begin("import_qasm") : -1;
-  qasm::ImportResult Imported = qasm::importQasm(Route.Qasm, "request");
-  if (!Imported.succeeded()) {
-    sendError(*Conn, "route", Req.Id, errc::BadQasm, Imported.Error);
+  Triage Item = triage(Route.Qasm, *Backend, Route, T.get());
+  if (Item.ErrorCode) {
+    sendError(*Conn, "route", Req.Id, Item.ErrorCode, Item.ErrorMessage);
     return;
   }
-  auto Logical = std::make_shared<Circuit>(
-      Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates());
-  if (T)
-    T->end(ImportSpan);
-  if (Logical->numQubits() > Backend->Graph->numQubits()) {
-    sendError(*Conn, "route", Req.Id, errc::TooLarge,
-              formatString("circuit has %u qubits but %s only has %u",
-                           Logical->numQubits(), Route.Backend.c_str(),
-                           Backend->Graph->numQubits()));
-    return;
-  }
-
-  uint64_t CircuitFp = fingerprint(*Logical);
-  uint64_t MapperConfigFp = hashCombine(
-      fingerprintString(Route.Mapper),
-      (Route.Affine ? 4u : 0u) | (Route.Bidirectional ? 2u : 0u) |
-          (Route.ErrorAware ? 1u : 0u));
-  CacheKey ResultKey{CircuitFp, Backend->Fingerprint, MapperConfigFp};
-
-  if (auto Cached = lookupResult(ResultKey)) {
-    RouteStats Stats = statsFromCached(*Cached);
+  if (Item.Cached) {
     const auto Now = Trace::Clock::now();
     Histos.Route.recordNs(spanNs(ReqStart, Now));
+    json::Value TraceJson;
     if (T) {
       T->addNs("result_cache_hit", T->sinceEpochNs(Now), 0);
-      json::Value TraceJson = T->toJson(Now);
-      Conn->send(formatRouteResponse(Req.Id, Route.Mapper, Route.Backend,
-                                     Stats,
-                                     /*ContextCacheHit=*/false,
-                                     /*ResultCacheHit=*/true,
-                                     Cached->RoutedQasm, Route.IncludeQasm,
-                                     &TraceJson));
-    } else {
-      Conn->send(formatRouteResponse(Req.Id, Route.Mapper, Route.Backend,
-                                     Stats,
-                                     /*ContextCacheHit=*/false,
-                                     /*ResultCacheHit=*/true,
-                                     Cached->RoutedQasm, Route.IncludeQasm));
+      TraceJson = T->toJson(Now);
     }
+    Conn->send(formatRouteResponse(
+        Req.Id, Route.Mapper, Route.Backend, statsFromCached(*Item.Cached),
+        /*ContextCacheHit=*/false, /*ResultCacheHit=*/true,
+        Item.Cached->RoutedQasm, Route.IncludeQasm, T ? &TraceJson : nullptr));
     return;
   }
+  const CacheKey ResultKey = Item.ResultKey;
 
   auto Deadline =
       requestDeadline(Route.TimeoutMs, Options.DefaultTimeoutSeconds);
@@ -839,25 +889,10 @@ void Server::handleRoute(const std::shared_ptr<Connection> &Conn,
   // path below also completes the flight (delivering any followers that
   // coalesced onto it meanwhile).
 
-  // Everything the worker needs, captured by value / shared ownership:
-  // the parsed circuit, the pooled backend, the connection writer, and
-  // the request parameters — minus the raw QASM source, which only the
-  // import above ever reads: a pipelined connection can park hundreds of
-  // jobs in the queue, and each must not pin (or even transiently copy)
-  // megabytes of dead text.
-  RouteRequest Params;
-  Params.Mapper = Route.Mapper;
-  Params.Backend = Route.Backend;
-  Params.Bidirectional = Route.Bidirectional;
-  Params.ErrorAware = Route.ErrorAware;
-  Params.Affine = Route.Affine;
-  Params.CalibrationSeed = Route.CalibrationSeed;
-  Params.IncludeQasm = Route.IncludeQasm;
-  Params.TimeoutMs = Route.TimeoutMs;
-  Params.Progress = Route.Progress;
-
-  // Queue wait is measured from here (just before submission) to worker
-  // pickup.
+  // The worker captures everything by value or shared ownership: the
+  // triaged circuit, the pooled backend, the connection writer, and the
+  // request parameters minus the raw QASM source. Queue wait is measured
+  // from here (just before submission) to worker pickup.
   const auto SubmitTime = Trace::Clock::now();
 
   SchedulerJob Job;
@@ -872,8 +907,8 @@ void Server::handleRoute(const std::shared_ptr<Connection> &Conn,
     sendError(*Conn, "route", Id, errc::DeadlineExceeded,
               "deadline passed before a worker picked the request up");
   };
-  Job.Run = [this, Conn, Logical, Backend, Route = std::move(Params),
-             Id = Req.Id, CircuitFp, ResultKey, T, ReqStart,
+  Job.Run = [this, Conn, Item = std::move(Item), Backend,
+             Route = withoutQasm(Route), Id = Req.Id, ResultKey, T, ReqStart,
              SubmitTime](RoutingScratch &Scratch, CancellationToken &Cancel) {
     const auto Pickup = Trace::Clock::now();
     Histos.QueueWait.recordNs(spanNs(SubmitTime, Pickup));
@@ -886,7 +921,7 @@ void Server::handleRoute(const std::shared_ptr<Connection> &Conn,
       // main routing pass — after the bidirectional derive passes, which
       // route the circuit internally and would otherwise exhaust the
       // throttle (and mislead the client) before the real route begins.
-      size_t Step = std::max<size_t>(Logical->size() / 20, 256);
+      size_t Step = std::max<size_t>(Item.Logical->size() / 20, 256);
       BeforeRoute = [&Cancel, Conn, Id, Step] {
         Cancel.enableProgress(
             [Conn, Id](size_t Done, size_t Total) {
@@ -895,9 +930,8 @@ void Server::handleRoute(const std::shared_ptr<Connection> &Conn,
             Step);
       };
     }
-    RouteOutcome Out = executeRoute(Logical, Backend, Route, CircuitFp,
-                                    ResultKey, Scratch, Cancel, BeforeRoute,
-                                    T.get());
+    RouteOutcome Out = executeRoute(Item, Backend, Route, Scratch, Cancel,
+                                    BeforeRoute, T.get());
     const auto Done = Trace::Clock::now();
     Histos.Route.recordNs(spanNs(ReqStart, Done));
     double TotalMs = spanNs(ReqStart, Done) / 1e6;
@@ -957,10 +991,9 @@ void Server::handleRoute(const std::shared_ptr<Connection> &Conn,
 }
 
 Server::RouteOutcome
-Server::executeRoute(const std::shared_ptr<Circuit> &Logical,
+Server::executeRoute(const Triage &Item,
                      const std::shared_ptr<const PooledBackend> &Backend,
-                     const RouteRequest &Params, uint64_t CircuitFp,
-                     const CacheKey &ResultKey, RoutingScratch &Scratch,
+                     const RouteRequest &Params, RoutingScratch &Scratch,
                      CancellationToken &Cancel,
                      const std::function<void()> &BeforeRoute, Trace *T) {
   RouteOutcome Out;
@@ -968,17 +1001,18 @@ Server::executeRoute(const std::shared_ptr<Circuit> &Logical,
     Out.Cancelled = true;
     return Out;
   }
+  const Circuit &Logical = *Item.Logical;
   std::unique_ptr<Router> Mapper =
       makeServiceRouter(Params.Mapper, Params.ErrorAware, Params.Affine);
   RoutingContextOptions CtxOptions = Mapper->contextOptions();
-  CacheKey ContextKey{CircuitFp, Backend->Fingerprint,
+  CacheKey ContextKey{Item.CircuitFp, Backend->Fingerprint,
                       fingerprint(CtxOptions)};
   const auto CtxStart = Trace::Clock::now();
   int CtxSpan = T ? T->begin("context_build") : -1;
   auto Bundle = Contexts.getOrBuild(
       ContextKey,
       [&] {
-        return CachedContext::build(*Logical, *Backend->Graph, CtxOptions,
+        return CachedContext::build(Logical, *Backend->Graph, CtxOptions,
                                     /*WarmWeights=*/true, T);
       },
       &Out.ContextHit);
@@ -1042,10 +1076,10 @@ Server::executeRoute(const std::shared_ptr<Circuit> &Logical,
     ScopedSpan PrintSpan(T, "print_qasm");
     Cached->RoutedQasm = qasm::printQasm(Result.Routed);
   }
-  Cached->LogicalGates = Logical->size();
+  Cached->LogicalGates = Logical.size();
   Cached->RoutedGates = Result.Routed.size();
   Cached->Swaps = Result.NumSwaps;
-  Cached->DepthBefore = Logical->depth();
+  Cached->DepthBefore = Logical.depth();
   Cached->DepthAfter = Result.Routed.depth();
   Cached->MappingSeconds = Result.MappingSeconds;
   Cached->TimedOut = Result.TimedOut;
@@ -1054,21 +1088,13 @@ Server::executeRoute(const std::shared_ptr<Circuit> &Logical,
     Cached->SuccessProbability =
         estimateSuccessProbability(Result.Routed, Ctx.hardware());
 
-  Out.Stats.LogicalGates = Cached->LogicalGates;
-  Out.Stats.RoutedGates = Cached->RoutedGates;
-  Out.Stats.Swaps = Cached->Swaps;
-  Out.Stats.DepthBefore = Cached->DepthBefore;
-  Out.Stats.DepthAfter = Cached->DepthAfter;
-  Out.Stats.MappingSeconds = Cached->MappingSeconds;
-  Out.Stats.TimedOut = Cached->TimedOut;
-  Out.Stats.Verified = true;
-  Out.Stats.SuccessProbability = Cached->SuccessProbability;
-  Out.Cached = Results.insertValue(ResultKey, std::move(Cached));
+  Out.Stats = statsFromCached(*Cached);
+  Out.Cached = Results.insertValue(Item.ResultKey, std::move(Cached));
   // Persist the routed result. Failures are counted in the store's own
   // stats and never fail the request — durability is an optimization,
   // not a correctness requirement.
   if (Store)
-    Store->put(ResultKey, *Out.Cached);
+    Store->put(Item.ResultKey, *Out.Cached);
   return Out;
 }
 
@@ -1131,31 +1157,9 @@ void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
     ++Counters.BatchRequests;
     Counters.BatchItems += Req.Items.size();
   }
-  if (Stopping.load()) {
-    sendError(*Conn, "batch", Req.Id, errc::ShuttingDown,
-              "server is shutting down");
+  std::shared_ptr<const PooledBackend> Backend = admit(*Conn, "batch", Req);
+  if (!Backend)
     return;
-  }
-  if (Conn->idInFlight(Req.Id)) {
-    sendError(*Conn, "batch", Req.Id, errc::BadRequest,
-              formatString("id \"%s\" is already in flight on this "
-                           "connection",
-                           Req.Id.c_str()));
-    return;
-  }
-  if (!isKnown(KnownMappers, sizeof(KnownMappers) / sizeof(KnownMappers[0]),
-               Route.Mapper)) {
-    sendError(*Conn, "batch", Req.Id, errc::UnknownMapper,
-              formatString("unknown mapper \"%s\"", Route.Mapper.c_str()));
-    return;
-  }
-  std::shared_ptr<const PooledBackend> Backend =
-      lookupBackend(Route.Backend, Route.ErrorAware, Route.CalibrationSeed);
-  if (!Backend) {
-    sendError(*Conn, "batch", Req.Id, errc::UnknownBackend,
-              formatString("unknown backend \"%s\"", Route.Backend.c_str()));
-    return;
-  }
 
   const size_t Total = Req.Items.size();
   auto Batch = std::make_shared<BatchState>();
@@ -1173,18 +1177,8 @@ void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
       requestDeadline(Route.TimeoutMs, Options.DefaultTimeoutSeconds);
 
   // Shared per-item parameters; progress streaming is a `route` feature
-  // (a batch already streams one frame per item).
-  RouteRequest Params;
-  Params.Mapper = Route.Mapper;
-  Params.Backend = Route.Backend;
-  Params.Bidirectional = Route.Bidirectional;
-  Params.ErrorAware = Route.ErrorAware;
-  Params.Affine = Route.Affine;
-  Params.CalibrationSeed = Route.CalibrationSeed;
-  Params.IncludeQasm = Route.IncludeQasm;
-  Params.TimeoutMs = Route.TimeoutMs;
-  Params.Trace = Route.Trace;
-  Params.TraceId = Route.TraceId;
+  // (a batch already streams one frame per item), so it is ignored here.
+  const RouteRequest Params = withoutQasm(Route);
 
   // Per-item queue wait (and each item trace's epoch) is anchored at
   // batch arrival: items genuinely wait while earlier ones are triaged.
@@ -1192,16 +1186,9 @@ void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
 
   // Triage every item before anything is enqueued or any frame is sent:
   // the submission below is all-or-nothing, and a rejected batch must
-  // emit no item frames at all.
-  struct InlineFailure {
-    size_t Index;
-    const char *Code;
-    std::string Message;
-  };
-  struct InlineHit {
-    size_t Index;
-    std::shared_ptr<const CachedResult> Cached;
-  };
+  // emit no item frames at all. Items that triage answers by itself (a
+  // cached result or an error) are reported after that decision.
+  std::vector<std::pair<size_t, Triage>> Inline;
   // An item whose key matches a flight already in the air (a foreign
   // request's route, or an earlier identical item of this same batch).
   // It must not route again — but it also must not attach yet: a foreign
@@ -1210,13 +1197,9 @@ void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
   // no item frames. Candidates are resolved only after submission.
   struct CoalesceCandidate {
     size_t Index;
-    std::shared_ptr<Circuit> Logical;
-    uint64_t CircuitFp;
-    CacheKey ResultKey;
+    Triage Item;
     std::shared_ptr<JobTicket> Ticket;
   };
-  std::vector<InlineFailure> Failures;
-  std::vector<InlineHit> Hits;
   std::vector<CoalesceCandidate> Candidates;
   std::vector<SchedulerJob> Jobs;
   std::vector<size_t> JobIndex; // Jobs[J] routes item JobIndex[J].
@@ -1225,8 +1208,8 @@ void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
   // Builds the scheduler job for an item that leads its flight. Every
   // terminal path completes the flight (delivering any followers) before
   // reporting through this batch's own frames.
-  auto MakeLeaderJob = [&](size_t I, std::shared_ptr<Circuit> Logical,
-                           uint64_t CircuitFp, CacheKey ResultKey) {
+  auto MakeLeaderJob = [&](size_t I, const Triage &Item) {
+    const CacheKey ResultKey = Item.ResultKey;
     SchedulerJob Job;
     Job.Deadline = Deadline;
     Job.OnExpired = [this, Batch, I, ResultKey] {
@@ -1240,9 +1223,9 @@ void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
           "deadline passed before a worker picked the item up"));
       finishBatchItem(Batch, I, errc::DeadlineExceeded);
     };
-    Job.Run = [this, Batch, I, Logical, Backend, Params, CircuitFp,
-               ResultKey, BatchStart](RoutingScratch &Scratch,
-                                      CancellationToken &Cancel) {
+    Job.Run = [this, Batch, I, Item, Backend, Params, ResultKey,
+               BatchStart](RoutingScratch &Scratch,
+                           CancellationToken &Cancel) {
       const auto Pickup = Trace::Clock::now();
       Histos.QueueWait.recordNs(spanNs(BatchStart, Pickup));
       std::unique_ptr<Trace> T;
@@ -1256,9 +1239,8 @@ void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
                  BatchStart);
         T->add("queue_wait", BatchStart, Pickup);
       }
-      RouteOutcome Out =
-          executeRoute(Logical, Backend, Params, CircuitFp, ResultKey,
-                       Scratch, Cancel, nullptr, T.get());
+      RouteOutcome Out = executeRoute(Item, Backend, Params, Scratch, Cancel,
+                                      nullptr, T.get());
       const auto Done = Trace::Clock::now();
       Histos.BatchItem.recordNs(spanNs(Pickup, Done));
       double TotalMs = spanNs(BatchStart, Done) / 1e6;
@@ -1312,30 +1294,9 @@ void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
   };
 
   for (size_t I = 0; I < Total; ++I) {
-    qasm::ImportResult Imported =
-        qasm::importQasm(Req.Items[I].Qasm, "request");
-    if (!Imported.succeeded()) {
-      Failures.push_back({I, errc::BadQasm, Imported.Error});
-      continue;
-    }
-    auto Logical = std::make_shared<Circuit>(
-        Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates());
-    if (Logical->numQubits() > Backend->Graph->numQubits()) {
-      Failures.push_back(
-          {I, errc::TooLarge,
-           formatString("circuit has %u qubits but %s only has %u",
-                        Logical->numQubits(), Route.Backend.c_str(),
-                        Backend->Graph->numQubits())});
-      continue;
-    }
-    uint64_t CircuitFp = fingerprint(*Logical);
-    uint64_t MapperConfigFp = hashCombine(
-        fingerprintString(Route.Mapper),
-        (Route.Affine ? 4u : 0u) | (Route.Bidirectional ? 2u : 0u) |
-            (Route.ErrorAware ? 1u : 0u));
-    CacheKey ResultKey{CircuitFp, Backend->Fingerprint, MapperConfigFp};
-    if (auto Cached = lookupResult(ResultKey)) {
-      Hits.push_back({I, std::move(Cached)});
+    Triage Item = triage(Req.Items[I].Qasm, *Backend, Params, nullptr);
+    if (Item.ErrorCode || Item.Cached) {
+      Inline.emplace_back(I, std::move(Item));
       continue;
     }
     // Leading is claimed *now*, with a fresh pre-made ticket, so that a
@@ -1343,13 +1304,12 @@ void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
     // instead of routing twice. The flights are unwound (completeByLeader)
     // if the submission below is rejected.
     auto Ticket = std::make_shared<JobTicket>();
-    if (Inflight->lead(ResultKey, Ticket)) {
-      Jobs.push_back(MakeLeaderJob(I, Logical, CircuitFp, ResultKey));
+    if (Inflight->lead(Item.ResultKey, Ticket)) {
+      Jobs.push_back(MakeLeaderJob(I, Item));
       JobIndex.push_back(I);
       LeaderTickets.push_back(std::move(Ticket));
     } else {
-      Candidates.push_back(
-          {I, std::move(Logical), CircuitFp, ResultKey, std::move(Ticket)});
+      Candidates.push_back({I, std::move(Item), std::move(Ticket)});
     }
   }
 
@@ -1413,7 +1373,7 @@ void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
             IncludeQasm, /*TraceJson=*/nullptr, /*Coalesced=*/true));
         finishBatchItem(Batch, I, "ok");
       };
-      if (Inflight->tryAttach(C.ResultKey, std::move(F))) {
+      if (Inflight->tryAttach(C.Item.ResultKey, std::move(F))) {
         {
           std::lock_guard<std::mutex> Lock(CounterMu);
           ++Counters.Coalesced;
@@ -1421,19 +1381,12 @@ void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
         Batch->Tickets.emplace_back(C.Ticket, C.Index);
         break;
       }
-      if (auto Cached = lookupResult(C.ResultKey)) {
-        RouteStats Stats = statsFromCached(*Cached);
-        Conn->send(formatBatchItemResult(
-            Req.Id, C.Index, Batch->Names[C.Index], Route.Mapper,
-            Route.Backend, Stats, /*ContextCacheHit=*/false,
-            /*ResultCacheHit=*/true, Cached->RoutedQasm, Route.IncludeQasm));
-        finishBatchItem(Batch, C.Index, "ok");
+      if ((C.Item.Cached = lookupResult(C.Item.ResultKey))) {
+        Inline.emplace_back(C.Index, std::move(C.Item));
         break;
       }
-      if (Inflight->lead(C.ResultKey, C.Ticket)) {
-        if (!Workers->trySubmit(
-                MakeLeaderJob(C.Index, C.Logical, C.CircuitFp, C.ResultKey),
-                C.Ticket)) {
+      if (Inflight->lead(C.Item.ResultKey, C.Ticket)) {
+        if (!Workers->trySubmit(MakeLeaderJob(C.Index, C.Item), C.Ticket)) {
           const char *Code =
               Stopping.load() ? errc::ShuttingDown : errc::QueueFull;
           const char *Message = Stopping.load()
@@ -1458,29 +1411,18 @@ void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
   // Inline outcomes go out only now, after the all-or-nothing decision.
   // Workers may already be streaming their items — fine; the summary
   // still waits for these, because their countdown slots are ours.
-  for (const InlineHit &Hit : Hits) {
-    RouteStats Stats;
-    Stats.LogicalGates = Hit.Cached->LogicalGates;
-    Stats.RoutedGates = Hit.Cached->RoutedGates;
-    Stats.Swaps = Hit.Cached->Swaps;
-    Stats.DepthBefore = Hit.Cached->DepthBefore;
-    Stats.DepthAfter = Hit.Cached->DepthAfter;
-    Stats.MappingSeconds = Hit.Cached->MappingSeconds;
-    Stats.TimedOut = Hit.Cached->TimedOut;
-    Stats.Verified = Hit.Cached->Verified;
-    Stats.SuccessProbability = Hit.Cached->SuccessProbability;
+  for (const auto &[Index, Item] : Inline) {
+    if (Item.ErrorCode) {
+      Conn->send(formatBatchItemError(Req.Id, Index, Batch->Names[Index],
+                                      Item.ErrorCode, Item.ErrorMessage));
+      finishBatchItem(Batch, Index, Item.ErrorCode);
+      continue;
+    }
     Conn->send(formatBatchItemResult(
-        Req.Id, Hit.Index, Batch->Names[Hit.Index], Route.Mapper,
-        Route.Backend, Stats, /*ContextCacheHit=*/false,
-        /*ResultCacheHit=*/true, Hit.Cached->RoutedQasm,
-        Route.IncludeQasm));
-    finishBatchItem(Batch, Hit.Index, "ok");
-  }
-  for (const InlineFailure &Failure : Failures) {
-    Conn->send(formatBatchItemError(Req.Id, Failure.Index,
-                                    Batch->Names[Failure.Index],
-                                    Failure.Code, Failure.Message));
-    finishBatchItem(Batch, Failure.Index, Failure.Code);
+        Req.Id, Index, Batch->Names[Index], Route.Mapper, Route.Backend,
+        statsFromCached(*Item.Cached), /*ContextCacheHit=*/false,
+        /*ResultCacheHit=*/true, Item.Cached->RoutedQasm, Route.IncludeQasm));
+    finishBatchItem(Batch, Index, "ok");
   }
 }
 
@@ -1528,6 +1470,7 @@ json::Value Server::statsJson() const {
           cacheStatsJson(Contexts.stats(), Options.ContextCacheBytes));
   Doc.set("result_cache",
           cacheStatsJson(Results.stats(), Options.ResultCacheBytes));
+  Doc.set("alias_cache", cacheStatsJson(Aliases.stats(), AliasCacheBytes));
   if (Store) {
     StoreStats SS = Store->stats();
     json::Value St = json::Value::object();

@@ -20,10 +20,12 @@
 /// responses out of order and one slow route never head-of-line-blocks
 /// the rest of the stream.
 ///
-/// Request path for `route`:
+/// Request path for `route` (a `batch` runs the same triage per item):
 ///
-///   connection thread: parse line -> validate mapper/backend -> import
-///   QASM -> fingerprint -> result-cache lookup (hit: respond now) ->
+///   connection thread: parse line -> validate mapper/backend -> triage:
+///   alias lookup on the raw QASM text (an aliased result-cache hit
+///   responds now, without importing) -> import QASM -> fingerprint ->
+///   record the alias -> result-cache lookup (hit: respond now) ->
 ///   register the job ticket under its id -> trySubmit (full queue:
 ///   `queue_full`) -> **keep reading** (no wait).
 ///
@@ -107,7 +109,8 @@ struct ServerOptions {
   unsigned Workers = 0;
   /// Bounded scheduler queue; overflow answers `queue_full`.
   size_t QueueCapacity = 256;
-  /// Byte budgets and stripe count of the two caches.
+  /// Byte budgets of the context and result caches, and the stripe count
+  /// of every cache.
   size_t ContextCacheBytes = 256ull << 20;
   size_t ResultCacheBytes = 64ull << 20;
   size_t CacheShards = 8;
@@ -217,6 +220,7 @@ public:
   ServerCounters counters() const;
   CacheStats contextCacheStats() const { return Contexts.stats(); }
   CacheStats resultCacheStats() const { return Results.stats(); }
+  CacheStats aliasCacheStats() const { return Aliases.stats(); }
 
 private:
   struct PooledBackend {
@@ -239,6 +243,17 @@ private:
   /// `batch` items. Defined in Server.cpp.
   struct RouteOutcome;
 
+  /// What triage() decided for one circuit: a cached result, a protocol
+  /// error, or the imported circuit and its keys for routing.
+  struct Triage {
+    std::shared_ptr<const CachedResult> Cached;
+    const char *ErrorCode = nullptr;
+    std::string ErrorMessage;
+    std::shared_ptr<Circuit> Logical;
+    uint64_t CircuitFp = 0;
+    CacheKey ResultKey;
+  };
+
   void acceptLoop();
   void connectionLoop(std::shared_ptr<Connection> Conn, size_t Slot);
   void teardown();
@@ -257,6 +272,21 @@ private:
   void handleCancel(const std::shared_ptr<Connection> &Conn,
                     const Request &Req);
 
+  /// The admission checks `route` and `batch` share: not shutting down,
+  /// id not in flight, known mapper, known backend. Returns the pooled
+  /// backend, or sends the error (as op \p Op) and returns nullptr.
+  std::shared_ptr<const PooledBackend> admit(Connection &Conn, const char *Op,
+                                             const Request &Req);
+
+  /// Triage of one circuit, shared by `route` and every `batch` item.
+  /// The raw text's alias comes first: when it names a result that is
+  /// still cached, the circuit is never imported. Otherwise the text is
+  /// imported and keyed, its alias recorded, and the result cache (then
+  /// the durable store) consulted under the parsed key. \p T, when
+  /// non-null, receives the alias_lookup and import_qasm spans.
+  Triage triage(const std::string &Qasm, const PooledBackend &Backend,
+                const RouteRequest &Params, Trace *T);
+
   /// The mapper/context/route/verify/cache core every routed request runs
   /// on a worker thread; `route` and `batch` items differ only in how
   /// they report the outcome. \p BeforeRoute, when set, runs right before
@@ -266,10 +296,9 @@ private:
   /// (context_build, initial_mapping, routing_loop, verify, print_qasm)
   /// and is installed as the scratch's trace sink around the mapper call.
   /// Phase latencies are recorded into Histos regardless of tracing.
-  RouteOutcome executeRoute(const std::shared_ptr<Circuit> &Logical,
+  RouteOutcome executeRoute(const Triage &Item,
                             const std::shared_ptr<const PooledBackend> &Backend,
-                            const RouteRequest &Params, uint64_t CircuitFp,
-                            const CacheKey &ResultKey, RoutingScratch &Scratch,
+                            const RouteRequest &Params, RoutingScratch &Scratch,
                             CancellationToken &Cancel,
                             const std::function<void()> &BeforeRoute,
                             Trace *T = nullptr);
@@ -308,6 +337,8 @@ private:
   std::unique_ptr<Scheduler> Workers;
   ContextCache Contexts;
   ResultCache Results;
+  /// Raw-text aliases of result keys (see service/RequestKey.h).
+  AliasCache Aliases;
   /// The durable tier behind Results (nullptr when StorePath is empty).
   std::unique_ptr<ResultStore> Store;
   /// Single-flight coalescing of identical routed requests.

@@ -64,16 +64,6 @@ int HashRing::pick(uint64_t Key, const std::vector<char> &Alive) const {
   return -1;
 }
 
-uint64_t service::shardKeyForRequest(const Request &Req) {
-  uint64_t Key = fingerprintString(Req.Route.Backend);
-  if (Req.TheOp == Op::Batch) {
-    for (const BatchItem &Item : Req.Items)
-      Key = hashCombine(Key, fingerprintString(Item.Qasm));
-    return Key;
-  }
-  return hashCombine(Key, fingerprintString(Req.Route.Qasm));
-}
-
 //===----------------------------------------------------------------------===//
 // Connection: client writer + per-shard upstreams + in-flight table
 //===----------------------------------------------------------------------===//
@@ -1022,7 +1012,10 @@ void RouterServer::retryLoop() {
         });
     auto Now = std::chrono::steady_clock::now();
     if (Soonest->Due > Now) {
-      RetryCv.wait_until(Lock, Soonest->Due);
+      // By value: wait_until reads its deadline again after waking, when
+      // a push while the lock was released may have moved the queue.
+      const auto Due = Soonest->Due;
+      RetryCv.wait_until(Lock, Due);
       continue;
     }
     PendingRetry R = std::move(*Soonest);

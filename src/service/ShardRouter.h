@@ -51,6 +51,7 @@
 
 #include "service/Histogram.h"
 #include "service/Protocol.h"
+#include "service/RequestKey.h"
 #include "service/Transport.h"
 #include "support/Error.h"
 #include "support/Timer.h"
@@ -244,11 +245,6 @@ private:
   std::mutex TeardownMu;
   bool TornDown = false;
 };
-
-/// The sharding key: a stable fingerprint of the raw QASM text(s) and
-/// the backend name — computed on the untouched request so the router
-/// never needs to import the circuit. Exposed for tests.
-uint64_t shardKeyForRequest(const Request &Req);
 
 } // namespace service
 } // namespace qlosure

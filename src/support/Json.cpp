@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 using namespace qlosure;
 using namespace qlosure::json;
@@ -34,8 +35,53 @@ const Value *Value::get(const std::string &Key) const {
   return nullptr;
 }
 
+namespace {
+
+/// True for a character a JSON string carries verbatim, in both
+/// directions: everything but the quote, the backslash and controls.
+bool isPlainStringChar(unsigned char C) {
+  return C >= 0x20 && C != '"' && C != '\\';
+}
+
+/// The first character in [P, End) that is not plain, or End. Routed
+/// programs are hundreds of kilobytes with one escape per line, so the
+/// scan tests eight bytes per step: a byte is flagged when it is below
+/// 0x20 or equals '"' or '\\' (the bit tricks can also flag bytes *after*
+/// a flagged one, never before, so the lowest flag is exact).
+const char *findNonPlain(const char *P, const char *End) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  constexpr uint64_t Ones = 0x0101010101010101ULL;
+  constexpr uint64_t Highs = 0x8080808080808080ULL;
+  while (End - P >= 8) {
+    uint64_t W;
+    std::memcpy(&W, P, sizeof(W));
+    uint64_t Quote = W ^ (Ones * '"');
+    uint64_t Slash = W ^ (Ones * '\\');
+    uint64_t Flags = (((W - Ones * 0x20) & ~W) | ((Quote - Ones) & ~Quote) |
+                      ((Slash - Ones) & ~Slash)) &
+                     Highs;
+    if (Flags)
+      return P + __builtin_ctzll(Flags) / 8;
+    P += 8;
+  }
+#endif
+  while (P != End && isPlainStringChar(static_cast<unsigned char>(*P)))
+    ++P;
+  return P;
+}
+
+} // namespace
+
 void json::escapeString(const std::string &Text, std::string &Out) {
-  for (unsigned char C : Text) {
+  const char *P = Text.data();
+  const char *const End = P + Text.size();
+  while (true) {
+    const char *Run = findNonPlain(P, End);
+    Out.append(P, Run);
+    if (Run == End)
+      return;
+    unsigned char C = static_cast<unsigned char>(*Run);
+    P = Run + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -59,10 +105,7 @@ void json::escapeString(const std::string &Text, std::string &Out) {
       Out += "\\f";
       break;
     default:
-      if (C < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += static_cast<char>(C);
+      Out += formatString("\\u%04x", C);
     }
   }
 }
@@ -190,7 +233,12 @@ private:
   bool parseString(std::string &Out) {
     if (!consume('"'))
       return fail("expected '\"'");
+    const char *const Begin = Text.data();
+    const char *const End = Begin + Text.size();
     while (true) {
+      const char *Run = findNonPlain(Begin + Pos, End);
+      Out.append(Begin + Pos, Run);
+      Pos = static_cast<size_t>(Run - Begin);
       if (Pos >= Text.size())
         return fail("unterminated string");
       unsigned char C = Text[Pos++];
@@ -198,10 +246,6 @@ private:
         return true;
       if (C < 0x20)
         return fail("raw control character in string");
-      if (C != '\\') {
-        Out += static_cast<char>(C);
-        continue;
-      }
       if (Pos >= Text.size())
         return fail("unterminated escape");
       char E = Text[Pos++];

@@ -32,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <chrono>
@@ -187,6 +188,27 @@ TEST(JsonTest, UnicodeEscapesDecodeToUtf8) {
   json::ParseResult Result = json::parse("\"\\u00e9\\u20ac\"");
   ASSERT_TRUE(Result.Ok) << Result.Error;
   EXPECT_EQ(Result.V.asString(), "\xC3\xA9\xE2\x82\xAC");
+}
+
+TEST(JsonTest, StringsRoundTripWithEscapesAtEveryOffset) {
+  // The string scanners read eight bytes per step: every character that
+  // needs an escape must be found at every position within a word, next
+  // to plain ASCII and to bytes above 0x7F.
+  const std::string Specials = std::string("\"\\\n\r\t\b\f\x01\x1f", 9);
+  for (char Special : Specials)
+    for (size_t Offset = 0; Offset < 20; ++Offset) {
+      std::string Text(Offset, 'a');
+      Text += Special;
+      Text += "\xC3\xA9 tail ";
+      Text += Special;
+      json::Value Doc = json::Value::object();
+      Doc.set("s", Text);
+      std::string Line = Doc.dump();
+      EXPECT_EQ(Line.find('\n'), std::string::npos);
+      json::ParseResult Back = json::parse(Line);
+      ASSERT_TRUE(Back.Ok) << Back.Error;
+      EXPECT_EQ(Back.V.get("s")->asString(), Text) << "offset " << Offset;
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -1701,7 +1723,8 @@ TEST(ResultStoreServiceTest, WarmResultsSurviveRestart) {
 
     std::string StatsLine;
     ASSERT_TRUE(Conn.request("{\"op\":\"stats\"}", StatsLine).ok());
-    const json::Value *Store = parseResponse(StatsLine).get("store");
+    const json::Value StatsDoc = parseResponse(StatsLine);
+    const json::Value *Store = StatsDoc.get("store");
     ASSERT_NE(Store, nullptr) << StatsLine;
     EXPECT_GE(Store->get("records")->asNumber(), 1);
     EXPECT_GE(Store->get("hits")->asNumber(), 1);
@@ -1709,4 +1732,195 @@ TEST(ResultStoreServiceTest, WarmResultsSurviveRestart) {
     Waiter.join();
   }
   std::remove(StorePath.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Request keys and the raw-text alias tier
+//===----------------------------------------------------------------------===//
+
+TEST(RequestKeyTest, AliasKeySeparatesEveryRoutingInput) {
+  const std::string Qasm = sampleQasm();
+  RouteRequest Params;
+  const CacheKey Base = aliasKey(Qasm, /*BackendFp=*/7, Params);
+  EXPECT_EQ(aliasKey(Qasm, 7, Params), Base);
+  EXPECT_NE(aliasKey(Qasm + " ", 7, Params), Base);
+  EXPECT_NE(aliasKey(Qasm, 8, Params), Base);
+
+  std::vector<RouteRequest> Variants(4, Params);
+  Variants[0].Mapper = "sabre";
+  Variants[1].Affine = true;
+  Variants[2].Bidirectional = true;
+  Variants[3].ErrorAware = true;
+  for (const RouteRequest &V : Variants)
+    EXPECT_NE(aliasKey(Qasm, 7, V), Base);
+
+  // Fields that do not change the routed program share one alias.
+  RouteRequest Cosmetic = Params;
+  Cosmetic.IncludeQasm = false;
+  Cosmetic.TimeoutMs = 5;
+  Cosmetic.Progress = true;
+  Cosmetic.Trace = true;
+  EXPECT_EQ(aliasKey(Qasm, 7, Cosmetic), Base);
+
+  // An alias and a result key differ only in their circuit half.
+  const CacheKey Result = resultKey(/*CircuitFp=*/123, 7, Params);
+  EXPECT_EQ(Result.BackendFp, Base.BackendFp);
+  EXPECT_EQ(Result.ConfigFp, Base.ConfigFp);
+}
+
+TEST(RequestKeyTest, RawTextFingerprintSeesEveryByteAndTheLength) {
+  const std::string Text(37, 'x');
+  const uint64_t Base = rawTextFingerprint(Text);
+  for (size_t I = 0; I < Text.size(); ++I) {
+    std::string Flipped = Text;
+    Flipped[I] = 'y';
+    EXPECT_NE(rawTextFingerprint(Flipped), Base) << "byte " << I;
+  }
+  EXPECT_NE(rawTextFingerprint(Text + std::string(1, '\0')), Base);
+  EXPECT_NE(rawTextFingerprint(""), rawTextFingerprint(std::string(1, '\0')));
+}
+
+TEST(RequestKeyTest, OneItemBatchShardsWithItsRoute) {
+  Request Route;
+  Route.TheOp = Op::Route;
+  Route.Route.Backend = "aspen16";
+  Route.Route.Qasm = sampleQasm();
+  Request Batch;
+  Batch.TheOp = Op::Batch;
+  Batch.Route.Backend = "aspen16";
+  Batch.Items.resize(1);
+  Batch.Items[0].Qasm = sampleQasm();
+  EXPECT_EQ(shardKeyForRequest(Batch), shardKeyForRequest(Route));
+}
+
+TEST(AliasTest, RepeatedBytesSkipImportAndAnswerLikeTheParsedKey) {
+  ServerFixture Fixture(2);
+  Client Conn = Fixture.connect();
+  const std::string Qasm = sampleQasm();
+
+  std::string Cold, Aliased, Reparsed;
+  ASSERT_TRUE(Conn.request(routeRequest(Qasm).dump(), Cold).ok());
+  ASSERT_TRUE(Conn.request(routeRequest(Qasm).dump(), Aliased).ok());
+  // The same circuit in other bytes misses the alias and finds the
+  // result under its parsed key.
+  ASSERT_TRUE(Conn.request(routeRequest(Qasm + "// same circuit\n").dump(),
+                           Reparsed)
+                  .ok());
+  const json::Value ColdDoc = parseResponse(Cold);
+  const json::Value AliasedDoc = parseResponse(Aliased);
+  ASSERT_TRUE(responseOk(ColdDoc)) << Cold;
+  ASSERT_TRUE(responseOk(AliasedDoc)) << Aliased;
+  EXPECT_FALSE(ColdDoc.get("result_cache_hit")->asBool());
+  EXPECT_TRUE(AliasedDoc.get("result_cache_hit")->asBool());
+  EXPECT_EQ(AliasedDoc.get("qasm")->asString(),
+            ColdDoc.get("qasm")->asString());
+  EXPECT_EQ(Aliased, Reparsed) << "both hit paths answer the same bytes";
+
+  std::string StatsLine;
+  ASSERT_TRUE(Conn.request("{\"op\":\"stats\"}", StatsLine).ok());
+  const json::Value Stats = parseResponse(StatsLine);
+  const json::Value *Alias = Stats.get("alias_cache");
+  ASSERT_NE(Alias, nullptr) << StatsLine;
+  EXPECT_EQ(Alias->get("hits")->asNumber(), 1);
+  EXPECT_EQ(Alias->get("misses")->asNumber(), 2);
+  EXPECT_EQ(Alias->get("entries")->asNumber(), 2);
+  EXPECT_EQ(Stats.get("result_cache")->get("hits")->asNumber(), 2);
+  EXPECT_EQ(Stats.get("result_cache")->get("misses")->asNumber(), 1);
+  EXPECT_EQ(Stats.get("scheduler")->get("submitted")->asNumber(), 1);
+}
+
+TEST(AliasTest, TracedAliasHitRecordsNoImport) {
+  ServerFixture Fixture(1);
+  Client Conn = Fixture.connect();
+  json::Value Req = routeRequest(sampleQasm());
+  Req.set("trace", true);
+  auto SpanNames = [&Conn, &Req]() {
+    std::string Line;
+    EXPECT_TRUE(Conn.request(Req.dump(), Line).ok());
+    std::vector<std::string> Names;
+    const json::Value Doc = parseResponse(Line);
+    const json::Value *T = Doc.get("trace");
+    EXPECT_NE(T, nullptr) << Line;
+    if (T)
+      for (const json::Value &S : T->get("spans")->items())
+        Names.push_back(S.get("name")->asString());
+    return Names;
+  };
+  auto Has = [](const std::vector<std::string> &Names, const char *Name) {
+    return std::find(Names.begin(), Names.end(), Name) != Names.end();
+  };
+  const std::vector<std::string> Cold = SpanNames();
+  EXPECT_TRUE(Has(Cold, "alias_lookup"));
+  EXPECT_TRUE(Has(Cold, "import_qasm"));
+  const std::vector<std::string> Warm = SpanNames();
+  EXPECT_TRUE(Has(Warm, "alias_lookup"));
+  EXPECT_TRUE(Has(Warm, "result_cache_hit"));
+  EXPECT_FALSE(Has(Warm, "import_qasm"));
+}
+
+TEST(AliasTest, BatchItemsAndRoutesShareAliases) {
+  ServerFixture Fixture(2);
+  Client Conn = Fixture.connect();
+  const std::string Other = sampleQasm() + "h q[1];\n";
+  auto RunBatch = [&Conn](const std::string &Id, const std::string &Qasm) {
+    std::vector<std::string> Frames;
+    std::string Summary;
+    EXPECT_TRUE(Conn.sendLine(batchRequest(Id, {{"x", Qasm}}).dump()).ok());
+    EXPECT_TRUE(Conn.recvResponseFor(
+                        Id, Summary,
+                        [&](const std::string &L) { Frames.push_back(L); },
+                        "batch")
+                    .ok());
+    EXPECT_TRUE(responseOk(parseResponse(Summary))) << Summary;
+    EXPECT_EQ(Frames.size(), 1u);
+    return Frames.empty() ? json::Value() : parseResponse(Frames[0]);
+  };
+
+  // A route's alias serves a batch item...
+  std::string Routed;
+  ASSERT_TRUE(Conn.request(routeRequest(sampleQasm()).dump(), Routed).ok());
+  const json::Value Item = RunBatch("b1", sampleQasm());
+  ASSERT_NE(Item.get("result_cache_hit"), nullptr) << Item.dump();
+  EXPECT_TRUE(Item.get("result_cache_hit")->asBool());
+  EXPECT_EQ(Item.get("qasm")->asString(),
+            parseResponse(Routed).get("qasm")->asString());
+
+  // ...and a batch item's alias serves a route.
+  RunBatch("b2", Other);
+  std::string Again;
+  ASSERT_TRUE(Conn.request(routeRequest(Other).dump(), Again).ok());
+  EXPECT_TRUE(parseResponse(Again).get("result_cache_hit")->asBool()) << Again;
+  EXPECT_EQ(Fixture.Daemon->aliasCacheStats().Hits, 2u);
+}
+
+TEST(AliasTest, AliasOfAnEvictedResultRoutesAgain) {
+  ServerOptions Opts;
+  Opts.Listen = testSocketPath();
+  Opts.Workers = 1;
+  Opts.DefaultTimeoutSeconds = 30;
+  Opts.CacheShards = 1;
+  Opts.ResultCacheBytes = 1; // Keeps only the newest result.
+  Server Daemon(Opts);
+  ASSERT_TRUE(Daemon.start().ok());
+  std::thread Waiter([&] { Daemon.wait(); });
+  Client Conn;
+  ASSERT_TRUE(Conn.connect(Daemon.boundAddress(), 5.0).ok());
+
+  const std::string A = sampleQasm();
+  const std::string B = sampleQasm() + "cx q[3],q[4];\n";
+  std::string First, Evictor, Again;
+  ASSERT_TRUE(Conn.request(routeRequest(A).dump(), First).ok());
+  ASSERT_TRUE(Conn.request(routeRequest(B).dump(), Evictor).ok());
+  ASSERT_TRUE(Conn.request(routeRequest(A).dump(), Again).ok());
+  const json::Value AgainDoc = parseResponse(Again);
+  ASSERT_TRUE(responseOk(AgainDoc)) << Again;
+  EXPECT_FALSE(AgainDoc.get("result_cache_hit")->asBool())
+      << "the aliased result was evicted, so the circuit routes again";
+  EXPECT_EQ(AgainDoc.get("qasm")->asString(),
+            parseResponse(First).get("qasm")->asString());
+  EXPECT_EQ(Daemon.aliasCacheStats().Hits, 1u);
+  // One miss per request: the alias hit's miss is not counted twice.
+  EXPECT_EQ(Daemon.resultCacheStats().Misses, 3u);
+  Daemon.requestStop();
+  Waiter.join();
 }
