@@ -11,6 +11,39 @@
 using namespace qlosure;
 using namespace qlosure::qasm;
 
+std::optional<double> qasm::applyUnary(std::string_view Op, double V) {
+  if (Op == "-")
+    return -V;
+  if (Op == "sin")
+    return std::sin(V);
+  if (Op == "cos")
+    return std::cos(V);
+  if (Op == "tan")
+    return std::tan(V);
+  if (Op == "exp")
+    return std::exp(V);
+  if (Op == "ln")
+    return std::log(V);
+  if (Op == "sqrt")
+    return std::sqrt(V);
+  return std::nullopt;
+}
+
+std::optional<double> qasm::applyBinary(std::string_view Op, double L,
+                                        double R) {
+  if (Op == "+")
+    return L + R;
+  if (Op == "-")
+    return L - R;
+  if (Op == "*")
+    return L * R;
+  if (Op == "/")
+    return L / R;
+  if (Op == "^")
+    return std::pow(L, R);
+  return std::nullopt;
+}
+
 std::optional<double>
 Expr::evaluate(const std::map<std::string, double> &ParamValues) const {
   switch (NodeKind) {
@@ -28,51 +61,15 @@ Expr::evaluate(const std::map<std::string, double> &ParamValues) const {
     auto V = Lhs->evaluate(ParamValues);
     if (!V)
       return std::nullopt;
-    if (Name == "-")
-      return -*V;
-    if (Name == "sin")
-      return std::sin(*V);
-    if (Name == "cos")
-      return std::cos(*V);
-    if (Name == "tan")
-      return std::tan(*V);
-    if (Name == "exp")
-      return std::exp(*V);
-    if (Name == "ln")
-      return std::log(*V);
-    if (Name == "sqrt")
-      return std::sqrt(*V);
-    return std::nullopt;
+    return applyUnary(Name, *V);
   }
   case Kind::Binary: {
     auto L = Lhs->evaluate(ParamValues);
     auto R = Rhs->evaluate(ParamValues);
     if (!L || !R)
       return std::nullopt;
-    if (Name == "+")
-      return *L + *R;
-    if (Name == "-")
-      return *L - *R;
-    if (Name == "*")
-      return *L * *R;
-    if (Name == "/")
-      return *L / *R;
-    if (Name == "^")
-      return std::pow(*L, *R);
-    return std::nullopt;
+    return applyBinary(Name, *L, *R);
   }
   }
   return std::nullopt;
-}
-
-std::unique_ptr<Expr> Expr::clone() const {
-  auto Copy = std::make_unique<Expr>();
-  Copy->NodeKind = NodeKind;
-  Copy->Number = Number;
-  Copy->Name = Name;
-  if (Lhs)
-    Copy->Lhs = Lhs->clone();
-  if (Rhs)
-    Copy->Rhs = Rhs->clone();
-  return Copy;
 }

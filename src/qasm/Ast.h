@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qlosure {
@@ -43,9 +44,15 @@ struct Expr {
   /// std::nullopt on an unbound parameter or an unknown function.
   std::optional<double>
   evaluate(const std::map<std::string, double> &ParamValues) const;
-
-  std::unique_ptr<Expr> clone() const;
 };
+
+/// Applies a unary operator or function ("-", "sin", "cos", "tan", "exp",
+/// "ln", "sqrt") to \p V; std::nullopt for any other name.
+std::optional<double> applyUnary(std::string_view Op, double V);
+
+/// Applies a binary operator ("+", "-", "*", "/", "^"); std::nullopt for
+/// any other.
+std::optional<double> applyBinary(std::string_view Op, double L, double R);
 
 /// A register reference: whole register ("q") or one element ("q[3]").
 struct Argument {

@@ -1,4 +1,4 @@
-//===- qasm/Importer.cpp - AST to circuit IR conversion ------------------------===//
+//===- qasm/Importer.cpp - OpenQASM 2.0 to circuit IR --------------------------===//
 //
 // Part of the Qlosure project. Distributed under the MIT license.
 //
@@ -6,13 +6,18 @@
 
 #include "qasm/Importer.h"
 
+#include "qasm/Grammar.h"
 #include "qasm/Parser.h"
 #include "support/StringUtils.h"
 
+#include <cmath>
+#include <deque>
 #include <map>
+#include <unordered_map>
 
 using namespace qlosure;
 using namespace qlosure::qasm;
+using namespace qlosure::qasm::detail;
 
 namespace {
 
@@ -23,8 +28,12 @@ struct BuiltinGate {
   unsigned NumQubits;
 };
 
-const std::map<std::string, BuiltinGate> &builtinGates() {
-  static const std::map<std::string, BuiltinGate> Table = {
+const BuiltinGate *findBuiltin(std::string_view Name) {
+  struct Entry {
+    std::string_view Name;
+    BuiltinGate Gate;
+  };
+  static constexpr Entry Table[] = {
       {"id", {GateKind::I, 0, 1}},      {"x", {GateKind::X, 0, 1}},
       {"y", {GateKind::Y, 0, 1}},       {"z", {GateKind::Z, 0, 1}},
       {"h", {GateKind::H, 0, 1}},       {"s", {GateKind::S, 0, 1}},
@@ -41,255 +50,391 @@ const std::map<std::string, BuiltinGate> &builtinGates() {
       {"cy", {GateKind::CY, 0, 2}},     {"swap", {GateKind::Swap, 0, 2}},
       {"ccx", {GateKind::CCX, 0, 3}},   {"cswap", {GateKind::CSwap, 0, 3}},
   };
-  return Table;
+  for (const Entry &E : Table)
+    if (E.Name == Name)
+      return &E.Gate;
+  return nullptr;
 }
 
-class ImporterImpl {
+/// One resolved argument: Count consecutive qubits from First. A single
+/// qubit (q[i], or a one-qubit register) has Count 1; a wider register
+/// broadcasts.
+struct Operand {
+  int32_t First = 0;
+  uint32_t Count = 1;
+
+  int32_t at(size_t B) const {
+    return Count == 1 ? First : First + static_cast<int32_t>(B);
+  }
+};
+
+using FormalQubits = std::map<std::string, int32_t>;
+using FormalParams = std::map<std::string, double>;
+
+/// The lowering both import paths share: the register and gate tables,
+/// argument resolution, broadcasting, the gate checks and user-gate
+/// inlining. A failing call leaves its message in Error.
+class Lowering {
 public:
-  explicit ImporterImpl(const Program &Prog) : Prog(Prog) {}
-
-  ImportResult run(const std::string &Name) {
-    // Pass 1: collect registers and user gate definitions.
-    unsigned NextQubit = 0;
-    for (const Statement &Stmt : Prog.Statements) {
-      if (Stmt.StmtKind == Statement::Kind::Reg) {
-        if (Stmt.Reg.IsQuantum) {
-          if (QregBase.count(Stmt.Reg.Name))
-            return fail("duplicate qreg '" + Stmt.Reg.Name + "'");
-          QregBase[Stmt.Reg.Name] = NextQubit;
-          QregSize[Stmt.Reg.Name] = Stmt.Reg.Size;
-          NextQubit += Stmt.Reg.Size;
-        }
-        continue;
-      }
-      if (Stmt.StmtKind == Statement::Kind::Gate) {
-        if (Stmt.Gate.IsOpaque)
-          return fail("opaque gate '" + Stmt.Gate.Name +
-                      "' has no definition to inline");
-        UserGates[Stmt.Gate.Name] = &Stmt.Gate;
-      }
-    }
-
-    Circuit Circ(NextQubit, Name);
-
-    // Pass 2: lower statements in order.
-    for (const Statement &Stmt : Prog.Statements) {
-      switch (Stmt.StmtKind) {
-      case Statement::Kind::Reg:
-      case Statement::Kind::Gate:
-        break;
-      case Statement::Kind::Call:
-        if (!lowerCall(Circ, Stmt.Call, {}, {}))
-          return fail(ErrorMessage);
-        break;
-      case Statement::Kind::Measure: {
-        auto Qubits = resolveArg(Stmt.Measure.Src);
-        if (!Qubits)
-          return fail(ErrorMessage);
-        for (int32_t Q : *Qubits)
-          Circ.addGate(Gate(GateKind::Measure, Q));
-        break;
-      }
-      case Statement::Kind::Barrier: {
-        for (const Argument &Arg : Stmt.Barrier.Args) {
-          auto Qubits = resolveArg(Arg);
-          if (!Qubits)
-            return fail(ErrorMessage);
-          for (int32_t Q : *Qubits)
-            Circ.addGate(Gate(GateKind::Barrier, Q));
-        }
-        break;
-      }
-      case Statement::Kind::Reset:
-        // Reset is non-unitary; for mapping purposes it behaves like a
-        // single-qubit op, but we simply ignore it (QASMBench circuits do
-        // not depend on it for routing).
-        break;
-      }
-    }
-
-    ImportResult Result;
-    Result.Circ = std::move(Circ);
-    return Result;
+  bool declareQreg(std::string_view Name, uint32_t Size) {
+    if (!Qregs.try_emplace(Name, Qreg{NumQubits, Size}).second)
+      return fail("duplicate qreg '" + std::string(Name) + "'");
+    NumQubits += Size;
+    return true;
   }
 
-private:
-  ImportResult fail(const std::string &Message) {
-    ImportResult Result;
-    Result.Error = Message;
-    return Result;
+  const GateDef *findGate(std::string_view Name) const {
+    auto It = UserGates.find(Name);
+    return It == UserGates.end() ? nullptr : It->second;
   }
 
-  bool setError(const std::string &Message) {
-    if (ErrorMessage.empty())
-      ErrorMessage = Message;
-    return false;
+  void defineGate(const GateDef &Def) { UserGates[Def.Name] = &Def; }
+
+  bool checkParam(const std::optional<double> &Value, std::string_view Name,
+                  unsigned Line) {
+    if (!Value)
+      return fail(formatString("line %u: cannot evaluate parameter of '%s'",
+                               Line, std::string(Name).c_str()));
+    if (!std::isfinite(*Value))
+      return fail(formatString("line %u: parameter of '%s' is not finite",
+                               Line, std::string(Name).c_str()));
+    return true;
   }
 
-  /// Resolves a top-level argument to flat qubit indices (1 for q[i],
-  /// register-size many for a bare register).
-  std::optional<std::vector<int32_t>> resolveArg(const Argument &Arg) {
-    auto BaseIt = QregBase.find(Arg.Reg);
-    if (BaseIt == QregBase.end()) {
-      setError("unknown quantum register '" + Arg.Reg + "'");
-      return std::nullopt;
+  /// Resolves a register reference outside any gate body.
+  bool resolve(std::string_view Reg, bool HasIndex, uint32_t Index,
+               Operand &Out) {
+    auto It = Qregs.find(Reg);
+    if (It == Qregs.end())
+      return fail("unknown quantum register '" + std::string(Reg) + "'");
+    const Qreg &R = It->second;
+    if (!HasIndex) {
+      Out = {static_cast<int32_t>(R.Base), R.Size};
+      return true;
     }
-    unsigned Base = BaseIt->second;
-    unsigned Size = QregSize[Arg.Reg];
-    std::vector<int32_t> Qubits;
-    if (Arg.Index) {
-      if (*Arg.Index >= Size) {
-        setError(formatString("index %u out of range for register %s[%u]",
-                              *Arg.Index, Arg.Reg.c_str(), Size));
-        return std::nullopt;
-      }
-      Qubits.push_back(static_cast<int32_t>(Base + *Arg.Index));
-    } else {
-      for (unsigned I = 0; I < Size; ++I)
-        Qubits.push_back(static_cast<int32_t>(Base + I));
-    }
-    return Qubits;
+    if (Index >= R.Size)
+      return fail(formatString("index %u out of range for register %s[%u]",
+                               Index, std::string(Reg).c_str(), R.Size));
+    Out = {static_cast<int32_t>(R.Base + Index), 1};
+    return true;
   }
 
-  /// Lowers one gate call. Inside user-gate bodies, \p FormalQubits binds
-  /// formal qubit names to flat indices and \p ParamValues binds formal
-  /// parameters.
-  bool lowerCall(Circuit &Circ, const GateCall &Call,
-                 const std::map<std::string, int32_t> &FormalQubits,
-                 const std::map<std::string, double> &ParamValues,
-                 unsigned Depth = 0) {
+  /// Folds one resolved argument of a call into its broadcast \p Width.
+  bool addOperand(const Operand &Op, size_t &Width, std::string_view Name,
+                  unsigned Line) {
+    if (Op.Count == 0)
+      return fail(formatString("line %u: empty register operand in '%s'",
+                               Line, std::string(Name).c_str()));
+    if (Op.Count > 1) {
+      if (Width != 1 && Width != Op.Count)
+        return fail(formatString("line %u: mismatched broadcast widths in '%s'",
+                                 Line, std::string(Name).c_str()));
+      Width = Op.Count;
+    }
+    return true;
+  }
+
+  /// Emits a call whose parameters are evaluated and whose arguments are
+  /// resolved, once per broadcast element.
+  bool emit(std::string_view Name, unsigned Line, const double *Params,
+            size_t NumParams, const Operand *Ops, size_t NumOps, size_t Width,
+            unsigned Depth) {
+    const BuiltinGate *Builtin = findBuiltin(Name);
+    for (size_t B = 0; B < Width; ++B) {
+      bool Ok = Builtin ? emitBuiltin(*Builtin, Name, Line, Params, NumParams,
+                                      Ops, NumOps, B)
+                        : inlineUserGate(Name, Line, Params, NumParams, Ops,
+                                         NumOps, B, Depth);
+      if (!Ok)
+        return false;
+    }
+    return true;
+  }
+
+  /// Lowers a call from the AST: a top-level call of a parsed Program
+  /// (no formals bound), or a statement of a user gate body.
+  bool lowerCall(const GateCall &Call, const FormalQubits &Formals,
+                 const FormalParams &ParamValues, unsigned Depth) {
     if (Depth > 64)
-      return setError("user gate expansion too deep (recursive definition?)");
-
-    // Evaluate parameters once.
+      return fail("user gate expansion too deep (recursive definition?)");
     std::vector<double> Params;
     Params.reserve(Call.Params.size());
     for (const auto &E : Call.Params) {
-      auto V = E->evaluate(ParamValues);
-      if (!V)
-        return setError(formatString(
-            "line %u: cannot evaluate parameter of '%s'", Call.Line,
-            Call.Name.c_str()));
+      std::optional<double> V = E->evaluate(ParamValues);
+      if (!checkParam(V, Call.Name, Call.Line))
+        return false;
       Params.push_back(*V);
     }
-
-    // Resolve each argument to one or more flat qubits (broadcasting).
-    std::vector<std::vector<int32_t>> ArgQubits;
-    size_t BroadcastWidth = 1;
+    std::vector<Operand> Ops;
+    Ops.reserve(Call.Args.size());
+    size_t Width = 1;
     for (const Argument &Arg : Call.Args) {
+      Operand Op;
       // Inside a body, bare identifiers are formals.
-      if (!FormalQubits.empty() && !Arg.Index) {
-        auto It = FormalQubits.find(Arg.Reg);
-        if (It == FormalQubits.end())
-          return setError("unknown formal qubit '" + Arg.Reg + "' in gate '" +
-                          Call.Name + "'");
-        ArgQubits.push_back({It->second});
-        continue;
-      }
-      auto Qubits = resolveArg(Arg);
-      if (!Qubits)
+      if (!Formals.empty() && !Arg.Index) {
+        auto It = Formals.find(Arg.Reg);
+        if (It == Formals.end())
+          return fail("unknown formal qubit '" + Arg.Reg + "' in gate '" +
+                      Call.Name + "'");
+        Op.First = It->second;
+      } else if (!resolve(Arg.Reg, Arg.Index.has_value(),
+                          Arg.Index.value_or(0), Op)) {
         return false;
-      if (Qubits->size() > 1) {
-        if (BroadcastWidth != 1 && BroadcastWidth != Qubits->size())
-          return setError(formatString(
-              "line %u: mismatched broadcast widths in '%s'", Call.Line,
-              Call.Name.c_str()));
-        BroadcastWidth = Qubits->size();
       }
-      ArgQubits.push_back(std::move(*Qubits));
+      if (!addOperand(Op, Width, Call.Name, Call.Line))
+        return false;
+      Ops.push_back(Op);
     }
+    return emit(Call.Name, Call.Line, Params.data(), Params.size(),
+                Ops.data(), Ops.size(), Width, Depth);
+  }
 
-    for (size_t B = 0; B < BroadcastWidth; ++B) {
-      std::vector<int32_t> Operands;
-      Operands.reserve(ArgQubits.size());
-      for (const auto &Qubits : ArgQubits)
-        Operands.push_back(Qubits.size() == 1 ? Qubits[0] : Qubits[B]);
-      if (!emitOne(Circ, Call, Params, Operands, Depth))
-        return false;
-    }
+  /// Lowers `measure Src -> ...`, or one argument of a barrier.
+  bool lowerEach(GateKind Kind, std::string_view Reg, bool HasIndex,
+                 uint32_t Index) {
+    Operand Op;
+    if (!resolve(Reg, HasIndex, Index, Op))
+      return false;
+    for (uint32_t I = 0; I < Op.Count; ++I)
+      Gates.push_back(Gate(Kind, Op.First + static_cast<int32_t>(I)));
     return true;
   }
 
-  bool emitOne(Circuit &Circ, const GateCall &Call,
-               const std::vector<double> &Params,
-               const std::vector<int32_t> &Operands, unsigned Depth) {
-    auto BI = builtinGates().find(Call.Name);
-    if (BI != builtinGates().end()) {
-      const BuiltinGate &B = BI->second;
-      if (Operands.size() != B.NumQubits)
-        return setError(formatString("line %u: '%s' expects %u qubits, got %zu",
-                                     Call.Line, Call.Name.c_str(), B.NumQubits,
-                                     Operands.size()));
-      if (Params.size() != B.NumParams)
-        return setError(formatString(
-            "line %u: '%s' expects %u parameters, got %zu", Call.Line,
-            Call.Name.c_str(), B.NumParams, Params.size()));
-      Gate G;
-      G.Kind = B.Kind;
-      for (size_t I = 0; I < Operands.size(); ++I)
-        G.Qubits[I] = Operands[I];
-      for (size_t I = 0; I < Params.size(); ++I)
-        G.Params[I] = Params[I];
-      // Distinct-operand check: delegate to the circuit's assertions but
-      // produce a recoverable error for user input.
-      for (size_t I = 0; I < Operands.size(); ++I)
-        for (size_t J = I + 1; J < Operands.size(); ++J)
-          if (Operands[I] == Operands[J])
-            return setError(formatString(
-                "line %u: repeated qubit operand in '%s'", Call.Line,
-                Call.Name.c_str()));
-      Circ.addGate(G);
+  std::vector<Gate> Gates;
+  uint32_t NumQubits = 0;
+  std::string Error;
+
+private:
+  struct Qreg {
+    uint32_t Base;
+    uint32_t Size;
+  };
+
+  bool fail(std::string Message) {
+    Error = std::move(Message);
+    return false;
+  }
+
+  bool emitBuiltin(const BuiltinGate &Builtin, std::string_view Name,
+                   unsigned Line, const double *Params, size_t NumParams,
+                   const Operand *Ops, size_t NumOps, size_t B) {
+    if (NumOps != Builtin.NumQubits)
+      return fail(formatString("line %u: '%s' expects %u qubits, got %zu",
+                               Line, std::string(Name).c_str(),
+                               Builtin.NumQubits, NumOps));
+    if (NumParams != Builtin.NumParams)
+      return fail(formatString("line %u: '%s' expects %u parameters, got %zu",
+                               Line, std::string(Name).c_str(),
+                               Builtin.NumParams, NumParams));
+    Gate G;
+    G.Kind = Builtin.Kind;
+    for (size_t I = 0; I < NumOps; ++I)
+      G.Qubits[I] = Ops[I].at(B);
+    for (size_t I = 0; I < NumParams; ++I)
+      G.Params[I] = Params[I];
+    for (size_t I = 0; I < NumOps; ++I)
+      for (size_t J = I + 1; J < NumOps; ++J)
+        if (G.Qubits[I] == G.Qubits[J])
+          return fail(formatString("line %u: repeated qubit operand in '%s'",
+                                   Line, std::string(Name).c_str()));
+    Gates.push_back(G);
+    return true;
+  }
+
+  bool inlineUserGate(std::string_view Name, unsigned Line,
+                      const double *Params, size_t NumParams,
+                      const Operand *Ops, size_t NumOps, size_t B,
+                      unsigned Depth) {
+    const GateDef *Def = findGate(Name);
+    if (!Def)
+      return fail(formatString("line %u: unknown gate '%s'", Line,
+                               std::string(Name).c_str()));
+    if (NumOps != Def->QubitNames.size())
+      return fail(formatString("line %u: '%s' expects %zu qubits, got %zu",
+                               Line, Def->Name.c_str(),
+                               Def->QubitNames.size(), NumOps));
+    if (NumParams != Def->ParamNames.size())
+      return fail(formatString("line %u: '%s' expects %zu parameters, got %zu",
+                               Line, Def->Name.c_str(),
+                               Def->ParamNames.size(), NumParams));
+    FormalQubits BodyQubits;
+    for (size_t I = 0; I < NumOps; ++I)
+      BodyQubits[Def->QubitNames[I]] = Ops[I].at(B);
+    FormalParams BodyParams;
+    for (size_t I = 0; I < NumParams; ++I)
+      BodyParams[Def->ParamNames[I]] = Params[I];
+    for (const GateCall &Inner : Def->Body)
+      if (!lowerCall(Inner, BodyQubits, BodyParams, Depth + 1))
+        return false;
+    return true;
+  }
+
+  std::unordered_map<std::string_view, Qreg> Qregs;
+  std::map<std::string, const GateDef *, std::less<>> UserGates;
+};
+
+ImportResult failure(std::string Message) {
+  ImportResult Result;
+  Result.Error = std::move(Message);
+  return Result;
+}
+
+ImportResult tooLarge(uint64_t NumQubits, unsigned MaxQubits) {
+  ImportResult Result =
+      failure(formatString("circuit declares %llu qubits, more than %u",
+                           static_cast<unsigned long long>(NumQubits),
+                           MaxQubits));
+  Result.TooLarge = true;
+  Result.NumQubits = static_cast<unsigned>(NumQubits);
+  return Result;
+}
+
+ImportResult success(Lowering &L, const std::string &Name) {
+  ImportResult Result;
+  Result.Circ.emplace(L.NumQubits, Name);
+  Result.Circ->gatesMutable() = std::move(L.Gates);
+  return Result;
+}
+
+/// importQasm's grammar sink: lowers each statement as soon as it parses.
+/// Every callback returns false at the first failure of any kind, which
+/// stops the parse.
+class StreamingSink {
+public:
+  using Builder = ValueBuilder;
+
+  explicit StreamingSink(unsigned MaxQubits) : MaxQubits(MaxQubits) {}
+
+  void version(std::string_view) {}
+  void include(std::string_view) {}
+
+  bool reg(bool IsQuantum, std::string_view Name, uint32_t Size) {
+    if (!IsQuantum)
       return true;
+    return uint64_t(L.NumQubits) + Size <= MaxQubits &&
+           L.declareQreg(Name, Size);
+  }
+
+  /// An opaque gate cannot be inlined, and a redefinition changes calls
+  /// already lowered.
+  bool gateDef(GateDef &&Def) {
+    if (Def.IsOpaque || L.findGate(Def.Name))
+      return false;
+    L.defineGate(Defs.emplace_back(std::move(Def)));
+    return true;
+  }
+
+  bool call(std::string_view Name, unsigned Line,
+            std::vector<std::optional<double>> &Values,
+            const std::vector<ArgRef> &Args) {
+    Params.clear();
+    for (const std::optional<double> &V : Values) {
+      if (!L.checkParam(V, Name, Line))
+        return false;
+      Params.push_back(*V);
     }
+    Ops.clear();
+    size_t Width = 1;
+    for (const ArgRef &A : Args) {
+      Operand Op;
+      if (!L.resolve(A.Reg, A.HasIndex, A.Index, Op) ||
+          !L.addOperand(Op, Width, Name, Line))
+        return false;
+      Ops.push_back(Op);
+    }
+    return L.emit(Name, Line, Params.data(), Params.size(), Ops.data(),
+                  Ops.size(), Width, 0);
+  }
 
-    auto UI = UserGates.find(Call.Name);
-    if (UI == UserGates.end())
-      return setError(formatString("line %u: unknown gate '%s'", Call.Line,
-                                   Call.Name.c_str()));
-    const GateDef &Def = *UI->second;
-    if (Operands.size() != Def.QubitNames.size())
-      return setError(formatString("line %u: '%s' expects %zu qubits, got %zu",
-                                   Call.Line, Call.Name.c_str(),
-                                   Def.QubitNames.size(), Operands.size()));
-    if (Params.size() != Def.ParamNames.size())
-      return setError(formatString(
-          "line %u: '%s' expects %zu parameters, got %zu", Call.Line,
-          Call.Name.c_str(), Def.ParamNames.size(), Params.size()));
+  bool measure(const ArgRef &Src, const ArgRef &) {
+    return L.lowerEach(GateKind::Measure, Src.Reg, Src.HasIndex, Src.Index);
+  }
 
-    std::map<std::string, int32_t> BodyQubits;
-    for (size_t I = 0; I < Operands.size(); ++I)
-      BodyQubits[Def.QubitNames[I]] = Operands[I];
-    std::map<std::string, double> BodyParams;
-    for (size_t I = 0; I < Params.size(); ++I)
-      BodyParams[Def.ParamNames[I]] = Params[I];
-
-    for (const GateCall &Inner : Def.Body)
-      if (!lowerCall(Circ, Inner, BodyQubits, BodyParams, Depth + 1))
+  bool barrier(const std::vector<ArgRef> &Args) {
+    for (const ArgRef &A : Args)
+      if (!L.lowerEach(GateKind::Barrier, A.Reg, A.HasIndex, A.Index))
         return false;
     return true;
   }
 
-  const Program &Prog;
-  std::map<std::string, unsigned> QregBase;
-  std::map<std::string, unsigned> QregSize;
-  std::map<std::string, const GateDef *> UserGates;
-  std::string ErrorMessage;
+  bool reset(const ArgRef &) { return true; }
+
+  ImportResult finish(const std::string &Name) { return success(L, Name); }
+
+private:
+  Lowering L;
+  std::deque<GateDef> Defs;
+  std::vector<double> Params;
+  std::vector<Operand> Ops;
+  unsigned MaxQubits;
 };
 
 } // namespace
 
-ImportResult qasm::importProgram(const Program &Prog,
-                                 const std::string &Name) {
-  return ImporterImpl(Prog).run(Name);
+ImportResult qasm::importProgram(const Program &Prog, const std::string &Name,
+                                 unsigned MaxQubits) {
+  uint64_t NumQubits = 0;
+  for (const Statement &Stmt : Prog.Statements)
+    if (Stmt.StmtKind == Statement::Kind::Reg && Stmt.Reg.IsQuantum)
+      NumQubits += Stmt.Reg.Size;
+  if (NumQubits > std::min(MaxQubits, MaxImportQubits))
+    return tooLarge(NumQubits, MaxQubits);
+
+  // Pass 1: collect registers and user gate definitions.
+  Lowering L;
+  for (const Statement &Stmt : Prog.Statements) {
+    if (Stmt.StmtKind == Statement::Kind::Reg && Stmt.Reg.IsQuantum &&
+        !L.declareQreg(Stmt.Reg.Name, Stmt.Reg.Size))
+      return failure(std::move(L.Error));
+    if (Stmt.StmtKind == Statement::Kind::Gate) {
+      if (Stmt.Gate.IsOpaque)
+        return failure("opaque gate '" + Stmt.Gate.Name +
+                       "' has no definition to inline");
+      L.defineGate(Stmt.Gate);
+    }
+  }
+
+  // Pass 2: lower statements in order. Reset is non-unitary and does not
+  // affect routing, so it is dropped.
+  for (const Statement &Stmt : Prog.Statements) {
+    bool Ok = true;
+    switch (Stmt.StmtKind) {
+    case Statement::Kind::Call:
+      Ok = L.lowerCall(Stmt.Call, {}, {}, 0);
+      break;
+    case Statement::Kind::Measure: {
+      const Argument &Src = Stmt.Measure.Src;
+      Ok = L.lowerEach(GateKind::Measure, Src.Reg, Src.Index.has_value(),
+                       Src.Index.value_or(0));
+      break;
+    }
+    case Statement::Kind::Barrier:
+      for (const Argument &Arg : Stmt.Barrier.Args)
+        if (Ok)
+          Ok = L.lowerEach(GateKind::Barrier, Arg.Reg, Arg.Index.has_value(),
+                           Arg.Index.value_or(0));
+      break;
+    default:
+      break;
+    }
+    if (!Ok)
+      return failure(std::move(L.Error));
+  }
+  return success(L, Name);
 }
 
-ImportResult qasm::importQasm(const std::string &Source,
-                              const std::string &Name) {
+ImportResult qasm::importQasm(std::string_view Source, const std::string &Name,
+                              unsigned MaxQubits) {
+  StreamingSink Sink(MaxQubits);
+  Grammar<StreamingSink> G(Source, Sink);
+  if (G.run())
+    return Sink.finish(Name);
+  if (!G.error().empty())
+    return failure(G.error());
+  // The sink stopped: the two-pass importer decides, since a later syntax
+  // error, declaration or redefinition can change the answer.
   ParseResult Parsed = parseQasm(Source);
-  if (!Parsed.succeeded()) {
-    ImportResult Result;
-    Result.Error = Parsed.Error;
-    return Result;
-  }
-  return importProgram(*Parsed.Prog, Name);
+  if (!Parsed.succeeded())
+    return failure(std::move(Parsed.Error));
+  return importProgram(*Parsed.Prog, Name, MaxQubits);
 }

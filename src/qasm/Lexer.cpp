@@ -6,189 +6,185 @@
 
 #include "qasm/Lexer.h"
 
-#include <cctype>
-
 using namespace qlosure;
 using namespace qlosure::qasm;
 
 namespace {
 
-class LexerImpl {
-public:
-  explicit LexerImpl(const std::string &Source) : Source(Source) {}
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
 
-  std::vector<Token> run() {
-    std::vector<Token> Tokens;
-    for (;;) {
-      Token T = next();
-      bool Done = T.is(TokenKind::EndOfFile) || T.is(TokenKind::Error);
-      Tokens.push_back(std::move(T));
-      if (Done)
-        break;
-    }
-    return Tokens;
-  }
+bool isIdentStart(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
 
-private:
-  char peek(size_t Ahead = 0) const {
-    return Pos + Ahead < Source.size() ? Source[Pos + Ahead] : '\0';
-  }
-
-  char advance() {
-    char C = Source[Pos++];
-    if (C == '\n') {
-      ++Line;
-      Column = 1;
-    } else {
-      ++Column;
-    }
-    return C;
-  }
-
-  void skipTrivia() {
-    for (;;) {
-      char C = peek();
-      if (C == ' ' || C == '\t' || C == '\r' || C == '\n') {
-        advance();
-        continue;
-      }
-      if (C == '/' && peek(1) == '/') {
-        while (peek() && peek() != '\n')
-          advance();
-        continue;
-      }
-      if (C == '/' && peek(1) == '*') {
-        advance();
-        advance();
-        while (peek() && !(peek() == '*' && peek(1) == '/'))
-          advance();
-        if (peek()) {
-          advance();
-          advance();
-        }
-        continue;
-      }
-      return;
-    }
-  }
-
-  Token make(TokenKind Kind, std::string Text, unsigned L, unsigned C) {
-    Token T;
-    T.Kind = Kind;
-    T.Text = std::move(Text);
-    T.Line = L;
-    T.Column = C;
-    return T;
-  }
-
-  Token next() {
-    skipTrivia();
-    unsigned L = Line, C = Column;
-    if (Pos >= Source.size())
-      return make(TokenKind::EndOfFile, "", L, C);
-
-    char Ch = peek();
-    if (std::isalpha(static_cast<unsigned char>(Ch)) || Ch == '_') {
-      std::string Text;
-      while (std::isalnum(static_cast<unsigned char>(peek())) ||
-             peek() == '_')
-        Text.push_back(advance());
-      return make(TokenKind::Identifier, std::move(Text), L, C);
-    }
-    if (std::isdigit(static_cast<unsigned char>(Ch)) ||
-        (Ch == '.' && std::isdigit(static_cast<unsigned char>(peek(1))))) {
-      std::string Text;
-      bool IsReal = false;
-      while (std::isdigit(static_cast<unsigned char>(peek())))
-        Text.push_back(advance());
-      if (peek() == '.') {
-        IsReal = true;
-        Text.push_back(advance());
-        while (std::isdigit(static_cast<unsigned char>(peek())))
-          Text.push_back(advance());
-      }
-      if (peek() == 'e' || peek() == 'E') {
-        IsReal = true;
-        Text.push_back(advance());
-        if (peek() == '+' || peek() == '-')
-          Text.push_back(advance());
-        // An exponent marker with no digits ("1e", "1e+", "2.5E-") is not
-        // a number std::stod can parse downstream; reject it here with a
-        // position instead of letting the parser throw.
-        if (!std::isdigit(static_cast<unsigned char>(peek())))
-          return make(TokenKind::Error,
-                      "malformed real literal '" + Text +
-                          "': exponent has no digits",
-                      L, C);
-        while (std::isdigit(static_cast<unsigned char>(peek())))
-          Text.push_back(advance());
-      }
-      return make(IsReal ? TokenKind::Real : TokenKind::Integer,
-                  std::move(Text), L, C);
-    }
-    if (Ch == '"') {
-      advance();
-      std::string Text;
-      while (peek() && peek() != '"')
-        Text.push_back(advance());
-      if (!peek())
-        return make(TokenKind::Error, "unterminated string literal", L, C);
-      advance();
-      return make(TokenKind::StringLiteral, std::move(Text), L, C);
-    }
-
-    advance();
-    switch (Ch) {
-    case '(':
-      return make(TokenKind::LParen, "(", L, C);
-    case ')':
-      return make(TokenKind::RParen, ")", L, C);
-    case '[':
-      return make(TokenKind::LBracket, "[", L, C);
-    case ']':
-      return make(TokenKind::RBracket, "]", L, C);
-    case '{':
-      return make(TokenKind::LBrace, "{", L, C);
-    case '}':
-      return make(TokenKind::RBrace, "}", L, C);
-    case ';':
-      return make(TokenKind::Semicolon, ";", L, C);
-    case ',':
-      return make(TokenKind::Comma, ",", L, C);
-    case '+':
-      return make(TokenKind::Plus, "+", L, C);
-    case '*':
-      return make(TokenKind::Star, "*", L, C);
-    case '/':
-      return make(TokenKind::Slash, "/", L, C);
-    case '^':
-      return make(TokenKind::Caret, "^", L, C);
-    case '-':
-      if (peek() == '>') {
-        advance();
-        return make(TokenKind::Arrow, "->", L, C);
-      }
-      return make(TokenKind::Minus, "-", L, C);
-    case '=':
-      if (peek() == '=') {
-        advance();
-        return make(TokenKind::Equals, "==", L, C);
-      }
-      return make(TokenKind::Error, "stray '='", L, C);
-    default:
-      return make(TokenKind::Error,
-                  std::string("unexpected character '") + Ch + "'", L, C);
-    }
-  }
-
-  const std::string &Source;
-  size_t Pos = 0;
-  unsigned Line = 1;
-  unsigned Column = 1;
-};
+bool isIdentChar(char C) { return isIdentStart(C) || isDigit(C); }
 
 } // namespace
 
-std::vector<Token> qasm::tokenize(const std::string &Source) {
-  return LexerImpl(Source).run();
+Lexer::Lexer(std::string_view Source)
+    : Cur(Source.data()), End(Source.data() + Source.size()),
+      LineStart(Source.data()) {
+  scan();
+}
+
+// A NUL byte ends a comment or string literal as the end of input does;
+// the scanner then reports it as an unexpected character.
+void Lexer::skipTrivia() {
+  for (;;) {
+    if (Cur == End)
+      return;
+    char C = *Cur;
+    if (C == '\n') {
+      ++Line;
+      LineStart = ++Cur;
+      continue;
+    }
+    if (C == ' ' || C == '\t' || C == '\r') {
+      ++Cur;
+      continue;
+    }
+    if (C != '/' || End - Cur < 2 || (Cur[1] != '/' && Cur[1] != '*'))
+      return;
+    if (Cur[1] == '/') {
+      while (Cur != End && *Cur != '\n' && *Cur != '\0')
+        ++Cur;
+      continue;
+    }
+    Cur += 2;
+    while (Cur != End && *Cur != '\0' &&
+           !(*Cur == '*' && End - Cur >= 2 && Cur[1] == '/')) {
+      if (*Cur == '\n') {
+        ++Line;
+        LineStart = Cur + 1;
+      }
+      ++Cur;
+    }
+    if (Cur != End && *Cur != '\0')
+      Cur += 2;
+  }
+}
+
+void Lexer::error(std::string Message) {
+  ErrorMessage = std::move(Message);
+  Current.Kind = TokenKind::Error;
+  Current.Text = ErrorMessage;
+}
+
+void Lexer::scan() {
+  skipTrivia();
+  const char *Start = Cur;
+  Current.Line = Line;
+  Current.Column = static_cast<unsigned>(Start - LineStart) + 1;
+  if (Cur == End) {
+    Current.Kind = TokenKind::EndOfFile;
+    Current.Text = {};
+    return;
+  }
+  auto token = [&](TokenKind Kind) {
+    Current.Kind = Kind;
+    Current.Text = std::string_view(Start, static_cast<size_t>(Cur - Start));
+  };
+
+  char Ch = *Cur;
+  if (isIdentStart(Ch)) {
+    ++Cur;
+    while (Cur != End && isIdentChar(*Cur))
+      ++Cur;
+    return token(TokenKind::Identifier);
+  }
+  if (isDigit(Ch) || (Ch == '.' && End - Cur >= 2 && isDigit(Cur[1]))) {
+    bool IsReal = false;
+    while (Cur != End && isDigit(*Cur))
+      ++Cur;
+    if (Cur != End && *Cur == '.') {
+      IsReal = true;
+      ++Cur;
+      while (Cur != End && isDigit(*Cur))
+        ++Cur;
+    }
+    if (Cur != End && (*Cur == 'e' || *Cur == 'E')) {
+      IsReal = true;
+      ++Cur;
+      if (Cur != End && (*Cur == '+' || *Cur == '-'))
+        ++Cur;
+      // An exponent marker with no digits ("1e", "1e+", "2.5E-") is not
+      // a number; reject it here with a position.
+      if (Cur == End || !isDigit(*Cur))
+        return error("malformed real literal '" +
+                         std::string(Start, static_cast<size_t>(Cur - Start)) +
+                         "': exponent has no digits");
+      while (Cur != End && isDigit(*Cur))
+        ++Cur;
+    }
+    return token(IsReal ? TokenKind::Real : TokenKind::Integer);
+  }
+  if (Ch == '"') {
+    const char *Body = ++Cur;
+    while (Cur != End && *Cur != '"' && *Cur != '\0') {
+      if (*Cur == '\n') {
+        ++Line;
+        LineStart = Cur + 1;
+      }
+      ++Cur;
+    }
+    if (Cur == End || *Cur == '\0')
+      return error("unterminated string literal");
+    Current.Kind = TokenKind::StringLiteral;
+    Current.Text = std::string_view(Body, static_cast<size_t>(Cur - Body));
+    ++Cur;
+    return;
+  }
+
+  ++Cur;
+  switch (Ch) {
+  case '(':
+    return token(TokenKind::LParen);
+  case ')':
+    return token(TokenKind::RParen);
+  case '[':
+    return token(TokenKind::LBracket);
+  case ']':
+    return token(TokenKind::RBracket);
+  case '{':
+    return token(TokenKind::LBrace);
+  case '}':
+    return token(TokenKind::RBrace);
+  case ';':
+    return token(TokenKind::Semicolon);
+  case ',':
+    return token(TokenKind::Comma);
+  case '+':
+    return token(TokenKind::Plus);
+  case '*':
+    return token(TokenKind::Star);
+  case '/':
+    return token(TokenKind::Slash);
+  case '^':
+    return token(TokenKind::Caret);
+  case '-':
+    if (Cur != End && *Cur == '>') {
+      ++Cur;
+      return token(TokenKind::Arrow);
+    }
+    return token(TokenKind::Minus);
+  case '=':
+    if (Cur != End && *Cur == '=') {
+      ++Cur;
+      return token(TokenKind::Equals);
+    }
+    return error("stray '='");
+  default:
+    return error(std::string("unexpected character '") + Ch + "'");
+  }
+}
+
+std::vector<Token> qasm::tokenize(std::string_view Source) {
+  std::vector<Token> Tokens;
+  Lexer Lex(Source);
+  for (;;) {
+    TokenView T = Lex.advance();
+    Tokens.push_back({T.Kind, std::string(T.Text), T.Line, T.Column});
+    if (T.is(TokenKind::EndOfFile) || T.is(TokenKind::Error))
+      return Tokens;
+  }
 }

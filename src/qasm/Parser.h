@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Recursive-descent parser for OpenQASM 2.0. Returns either a Program or a
-/// diagnostic with source position; the library never throws.
+/// Parses OpenQASM 2.0 into a Program AST, through the grammar importQasm
+/// also uses (qasm/Grammar.h). Returns either a Program or a diagnostic
+/// with source position; the library never throws.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 #include "qasm/Ast.h"
 
 #include <string>
+#include <string_view>
 
 namespace qlosure {
 namespace qasm {
@@ -30,7 +32,7 @@ struct ParseResult {
 
 /// Parses OpenQASM 2.0 source text. `include "qelib1.inc";` is recognized
 /// and recorded; the standard gates are built in, so no file access occurs.
-ParseResult parseQasm(const std::string &Source);
+ParseResult parseQasm(std::string_view Source);
 
 } // namespace qasm
 } // namespace qlosure

@@ -771,7 +771,17 @@ Server::Triage Server::triage(const std::string &Qasm,
 
   {
     ScopedSpan Span(T, "import_qasm");
-    qasm::ImportResult Imported = qasm::importQasm(Qasm, "request");
+    // The backend's size bounds the import, so an oversized declaration
+    // is refused before any gate is lowered.
+    qasm::ImportResult Imported =
+        qasm::importQasm(Qasm, "request", Backend.Graph->numQubits());
+    if (Imported.TooLarge) {
+      Out.ErrorCode = errc::TooLarge;
+      Out.ErrorMessage = formatString(
+          "circuit has %u qubits but %s only has %u", Imported.NumQubits,
+          Params.Backend.c_str(), Backend.Graph->numQubits());
+      return Out;
+    }
     if (!Imported.succeeded()) {
       Out.ErrorCode = errc::BadQasm;
       Out.ErrorMessage = std::move(Imported.Error);
@@ -779,13 +789,6 @@ Server::Triage Server::triage(const std::string &Qasm,
     }
     Out.Logical = std::make_shared<Circuit>(
         Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates());
-  }
-  if (Out.Logical->numQubits() > Backend.Graph->numQubits()) {
-    Out.ErrorCode = errc::TooLarge;
-    Out.ErrorMessage = formatString(
-        "circuit has %u qubits but %s only has %u", Out.Logical->numQubits(),
-        Params.Backend.c_str(), Backend.Graph->numQubits());
-    return Out;
   }
   Out.CircuitFp = fingerprint(*Out.Logical);
   Out.ResultKey = resultKey(Out.CircuitFp, Backend.Fingerprint, Params);

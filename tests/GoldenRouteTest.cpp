@@ -1,0 +1,188 @@
+//===- tests/GoldenRouteTest.cpp - Pinned routed-output digests -------------===//
+//
+// Part of the Qlosure project. Distributed under the MIT license.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Golden digests of routed output. Each case imports its input as QASM
+/// text, strips it the way the daemon does, routes it on sherbrooke from
+/// the identity placement, and checks (swaps, routed depth,
+/// fingerprintString(printQasm(routed))) against committed values. Any
+/// change to the frontend, a mapper or the printer that alters a routed
+/// response byte fails here. QMAP is left out: its wall-clock budget makes
+/// its output depend on machine load.
+///
+/// The printer renders angles with std::to_chars (general, precision 17);
+/// the last test checks that this matches printf's "%.17g" on a seeded
+/// sample of doubles, which is what keeps old and new output identical.
+///
+//===----------------------------------------------------------------------===//
+
+#include "baselines/RouterRegistry.h"
+#include "core/Qlosure.h"
+#include "qasm/Importer.h"
+#include "qasm/Printer.h"
+#include "route/RoutingContext.h"
+#include "support/Fingerprint.h"
+#include "support/Random.h"
+#include "topology/Backends.h"
+#include "workloads/QasmBench.h"
+#include "workloads/Structured.h"
+
+#include <gtest/gtest.h>
+
+#include <charconv>
+#include <cinttypes>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <sstream>
+
+using namespace qlosure;
+
+namespace {
+
+std::string readTestData(const char *File) {
+  std::ifstream In(std::string(QLOSURE_TEST_DATA_DIR) + "/" + File);
+  std::ostringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
+}
+
+/// The QASM text of each golden input, as a client would send it.
+std::string goldenInput(const std::string &Name) {
+  if (Name == "queko16")
+    return readTestData("queko-16qbt-d25-s42.qasm");
+  if (Name == "qft-kernel")
+    return qasm::printQasm(qftLikeKernel(16, 100));
+  return qasm::printQasm(makeQaoa(16, 10));
+}
+
+/// The mappers under test; "qlosure-affine" is qlosure as the daemon
+/// builds it for an `"affine":true` request.
+std::unique_ptr<Router> goldenMapper(const std::string &Name) {
+  if (Name != "qlosure-affine")
+    return makeRouterByName(Name);
+  QlosureOptions Opts;
+  Opts.AffineReplay = true;
+  Opts.UseDependencyWeights = false;
+  return std::make_unique<QlosureRouter>(Opts);
+}
+
+struct GoldenCase {
+  const char *Input;
+  const char *Mapper;
+  size_t Swaps;
+  size_t Depth;
+  uint64_t Digest;
+};
+
+const GoldenCase GoldenCases[] = {
+    {"queko16", "qlosure", 83, 57, 0xa41dfa0f2f63eb60ull},
+    {"queko16", "sabre", 83, 63, 0x5df21569a472598dull},
+    {"queko16", "cirq", 85, 63, 0x4b5faaca39de219full},
+    {"queko16", "tket", 103, 99, 0xbac2aee1b78e2ba4ull},
+    {"queko16", "qlosure-affine", 80, 85, 0x1f70f51b3e4e5219ull},
+    {"qft-kernel", "qlosure", 1595, 3475, 0xb4d8465846a55886ull},
+    {"qft-kernel", "sabre", 1604, 3474, 0xe7e253fbff3e90acull},
+    {"qft-kernel", "cirq", 1594, 3567, 0xa777d49c56be8548ull},
+    {"qft-kernel", "tket", 1594, 3567, 0xcc588d5e2fe2556cull},
+    {"qft-kernel", "qlosure-affine", 1595, 3475, 0xb4d8465846a55886ull},
+    {"qaoa", "qlosure", 205, 193, 0xcd259e2ba1884cadull},
+    {"qaoa", "sabre", 231, 198, 0x54123b6a2a0cf820ull},
+    {"qaoa", "cirq", 280, 245, 0x5ec60c0a6e07c292ull},
+    {"qaoa", "tket", 212, 205, 0x7aadb9f125d4eac7ull},
+    {"qaoa", "qlosure-affine", 200, 169, 0xaaf2cb9aa15513dcull},
+};
+
+} // namespace
+
+TEST(GoldenRouteTest, RoutedOutputMatchesCommittedDigests) {
+  CouplingGraph Hw = makeBackendByName("sherbrooke");
+  for (const GoldenCase &Case : GoldenCases) {
+    qasm::ImportResult Imported =
+        qasm::importQasm(goldenInput(Case.Input), "golden");
+    ASSERT_TRUE(Imported.succeeded()) << Case.Input << ": " << Imported.Error;
+    Circuit Logical =
+        Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates();
+    std::unique_ptr<Router> Mapper = goldenMapper(Case.Mapper);
+    RoutingContext Ctx =
+        RoutingContext::build(Logical, Hw, Mapper->contextOptions());
+    ASSERT_TRUE(Ctx.valid()) << Case.Input;
+    RoutingResult Result = Mapper->routeWithIdentity(Ctx);
+    size_t Depth = Result.Routed.depth();
+    uint64_t Digest = fingerprintString(qasm::printQasm(Result.Routed));
+    char Actual[160];
+    std::snprintf(Actual, sizeof(Actual),
+                  "{\"%s\", \"%s\", %zu, %zu, 0x%016" PRIx64 "ull},",
+                  Case.Input, Case.Mapper, Result.NumSwaps, Depth, Digest);
+    EXPECT_EQ(Result.NumSwaps, Case.Swaps) << Actual;
+    EXPECT_EQ(Depth, Case.Depth) << Actual;
+    EXPECT_EQ(Digest, Case.Digest) << Actual;
+  }
+}
+
+TEST(GoldenRouteTest, UnstrippedImportPrintsStably) {
+  // barriered_ghz.qasm keeps its creg, barrier and measures through
+  // import, so this pins the printer's non-unitary lines.
+  qasm::ImportResult Imported =
+      qasm::importQasm(readTestData("barriered_ghz.qasm"), "ghz");
+  ASSERT_TRUE(Imported.succeeded()) << Imported.Error;
+  EXPECT_EQ(qasm::printQasm(*Imported.Circ), "OPENQASM 2.0;\n"
+                                             "include \"qelib1.inc\";\n"
+                                             "qreg q[4];\n"
+                                             "creg c[4];\n"
+                                             "h q[0];\n"
+                                             "cx q[0],q[1];\n"
+                                             "cx q[1],q[2];\n"
+                                             "barrier q[0];\n"
+                                             "barrier q[1];\n"
+                                             "barrier q[2];\n"
+                                             "barrier q[3];\n"
+                                             "cx q[2],q[3];\n"
+                                             "measure q[0] -> c[0];\n"
+                                             "measure q[1] -> c[1];\n"
+                                             "measure q[2] -> c[2];\n"
+                                             "measure q[3] -> c[3];\n");
+}
+
+TEST(GoldenRouteTest, ToCharsMatchesPrintfPrecision17) {
+  Rng R(20260401);
+  auto bits = [](uint64_t B) {
+    double D;
+    std::memcpy(&D, &B, sizeof(D));
+    return D;
+  };
+  size_t Checked = 0, Mismatches = 0;
+  auto check = [&](double V) {
+    char Want[64], Got[64];
+    std::snprintf(Want, sizeof(Want), "%.17g", V);
+    auto [End, Ec] = std::to_chars(Got, Got + sizeof(Got), V,
+                                   std::chars_format::general, 17);
+    ASSERT_EQ(Ec, std::errc());
+    *End = '\0';
+    ++Checked;
+    if (std::strcmp(Want, Got) != 0 && ++Mismatches <= 5)
+      ADD_FAILURE() << "%.17g gives " << Want << ", to_chars " << Got;
+  };
+  for (double V : {0.0, -0.0, 1.0, -1.0, M_PI, -M_PI, 1e16, 1e17, 1e-5,
+                   1e-4, 123456789012345678.0, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1.7976931348623157e308})
+    check(V);
+  for (int I = 0; I < 400000; ++I) // Random bit patterns, NaN/inf included.
+    check(bits(R.next()));
+  for (int I = 0; I < 200000; ++I) // Subnormals of either sign.
+    check(bits((R.next() & 0x800fffffffffffffull)));
+  for (int I = 0; I < 200000; ++I) { // Integers, small and near 2^53.
+    int64_t N = static_cast<int64_t>(R.next() >> (I % 2 ? 11 : 40));
+    check(static_cast<double>(I % 3 ? N : -N));
+  }
+  for (int I = 0; I < 200000; ++I) { // k * pi / 2^n, as QFT angles are.
+    int64_t K = static_cast<int64_t>(R.next() % 4097) - 2048;
+    check(static_cast<double>(K) * M_PI / std::ldexp(1.0, I % 64));
+  }
+  EXPECT_GE(Checked, 1000000u);
+  EXPECT_EQ(Mismatches, 0u);
+}

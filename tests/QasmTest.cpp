@@ -238,6 +238,112 @@ TEST(ImporterTest, ErrorsOnArityMismatch) {
   ASSERT_FALSE(R.succeeded());
 }
 
+TEST(ImporterTest, RejectsRegisterValuesBeyondInt32) {
+  struct Case {
+    const char *Text;
+    const char *Expected;
+  };
+  const Case Cases[] = {
+      // Used to wrap the unsigned qubit total to 1 and import qubit -1.
+      {"qreg q[4294967295]; qreg r[2]; cx r[0],r[1];",
+       "line 1, column 8: register size exceeds 2147483647"},
+      // Used to saturate strtoul and import 4294967295 qubits.
+      {"qreg q[99999999999999999999];",
+       "line 1, column 8: register size exceeds 2147483647"},
+      {"qreg a[2147483647]; qreg b[1];",
+       "line 1, column 28: total qubit count exceeds 2147483647"},
+      // Used to wrap to q[0] and import.
+      {"qreg q[2]; h q[4294967296];",
+       "line 1, column 16: register index exceeds 2147483647"},
+  };
+  for (const Case &C : Cases) {
+    auto R = importQasm(C.Text);
+    EXPECT_FALSE(R.succeeded()) << C.Text;
+    EXPECT_EQ(R.Error, C.Expected);
+  }
+  auto Largest = importQasm("qreg a[2147483646]; qreg b[1];");
+  ASSERT_TRUE(Largest.succeeded()) << Largest.Error;
+  EXPECT_EQ(Largest.Circ->numQubits(), 2147483647u);
+}
+
+TEST(ImporterTest, QubitBoundRefusesBeforeLowering) {
+  // 24 bytes that broadcast to 20M gates without the bound.
+  auto Big = importQasm("qreg q[20000000]; h q;", "", 127);
+  EXPECT_FALSE(Big.succeeded());
+  EXPECT_TRUE(Big.TooLarge);
+  EXPECT_EQ(Big.NumQubits, 20000000u);
+  // The total counts every qreg, wherever it is declared.
+  auto Split = importQasm("qreg a[100]; h a[0]; qreg b[100];", "", 127);
+  EXPECT_TRUE(Split.TooLarge);
+  EXPECT_EQ(Split.NumQubits, 200u);
+  // Over the bound and otherwise malformed: too large wins.
+  EXPECT_TRUE(importQasm("qreg q[200]; frobnicate q;", "", 127).TooLarge);
+  // A syntax error still wins.
+  auto Syntax = importQasm("qreg q[200]; h q", "", 127);
+  EXPECT_FALSE(Syntax.TooLarge);
+  EXPECT_NE(Syntax.Error.find("expected ';'"), std::string::npos);
+  // At the bound, nothing changes.
+  auto Fits = importQasm("qreg q[2]; qreg r[3]; h q;", "", 5);
+  ASSERT_TRUE(Fits.succeeded()) << Fits.Error;
+  EXPECT_FALSE(Fits.TooLarge);
+  EXPECT_EQ(Fits.Circ->size(), 2u);
+}
+
+TEST(ImporterTest, RejectsNonFiniteAngles) {
+  for (const char *Call : {"rz(1/0) q[0];", "rz(0/0) q[0];", "rz(-1e999) q[0];"}) {
+    auto R = importQasm(std::string("qreg q[1];\n") + Call);
+    EXPECT_FALSE(R.succeeded()) << Call;
+    EXPECT_EQ(R.Error, "line 2: parameter of 'rz' is not finite") << Call;
+  }
+  auto Inlined = importQasm("gate g(t) a { rz(t/0) a; }\nqreg q[1];\n"
+                            "g(1) q[0];");
+  EXPECT_FALSE(Inlined.succeeded());
+  EXPECT_EQ(Inlined.Error, "line 1: parameter of 'rz' is not finite");
+}
+
+TEST(ImporterTest, EmptyRegisterOperandIsAnError) {
+  // A zero-size register broadcast used to read an empty operand list.
+  auto R = importQasm("qreg q[0];\nh q;");
+  EXPECT_FALSE(R.succeeded());
+  EXPECT_EQ(R.Error, "line 2: empty register operand in 'h'");
+  // Measuring or fencing it still does nothing.
+  auto Ok = importQasm("qreg q[0]; creg c[0]; measure q -> c; barrier q;");
+  ASSERT_TRUE(Ok.succeeded()) << Ok.Error;
+  EXPECT_TRUE(Ok.Circ->empty());
+}
+
+TEST(ParserTest, BoundsExpressionSize) {
+  auto nested = [](size_t Depth) {
+    return "qreg q[1]; rz(" + std::string(Depth, '(') + "1" +
+           std::string(Depth, ')') + ") q[0];";
+  };
+  // Each of these used to overflow the stack in the parser or in the
+  // evaluation of its tree.
+  std::string Chain = "1";
+  for (int I = 0; I < 200000; ++I)
+    Chain += "+1";
+  for (const std::string &Text :
+       {nested(200000),
+        "qreg q[1]; rz(" + std::string(200000, '-') + "1) q[0];",
+        "qreg q[1]; rz(" + Chain + ") q[0];"}) {
+    auto R = importQasm(Text);
+    EXPECT_FALSE(R.succeeded());
+    EXPECT_NE(R.Error.find("expression has more than 1024 terms"),
+              std::string::npos)
+        << R.Error;
+    EXPECT_FALSE(parseQasm(Text).succeeded());
+  }
+  EXPECT_TRUE(importQasm(nested(1000)).succeeded());
+}
+
+TEST(ParserTest, LexErrorInsideBodyBarrierTerminates) {
+  // The barrier skip inside a gate body used to spin on a lexical error.
+  auto R = parseQasm("gate g a { barrier $ } qreg q[1];");
+  EXPECT_FALSE(R.succeeded());
+  EXPECT_NE(R.Error.find("unexpected character '$'"), std::string::npos)
+      << R.Error;
+}
+
 //===----------------------------------------------------------------------===//
 // Printer round trip
 //===----------------------------------------------------------------------===//

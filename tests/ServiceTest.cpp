@@ -880,6 +880,39 @@ TEST_P(ServerTransportTest, MalformedRequestsGetStructuredErrorsAndConnectionSur
   EXPECT_EQ(errorCode(parseResponse(Response)), errc::TooLarge);
 }
 
+TEST_P(ServerTransportTest, HostileRegisterSizesAreRefusedAndDaemonSurvives) {
+  ServerFixture Fixture(1, GetParam());
+  Client Conn = Fixture.connect();
+  const std::pair<const char *, const char *> Cases[] = {
+      // Wrapped the qubit total to 1 and overflowed the DAG build.
+      {"qreg q[4294967295]; qreg r[2]; cx r[0],r[1];", errc::BadQasm},
+      // Broadcast 20M gates before the size check, then bad_alloc.
+      {"qreg q[20000000]; h q;", errc::TooLarge},
+      // Saturated strtoul into 4294967295 qubits.
+      {"qreg q[99999999999999999999];", errc::BadQasm},
+      // Imported as an infinite angle the response could not print back.
+      {"qreg q[1]; rz(1/0) q[0];", errc::BadQasm},
+  };
+  for (const auto &[Qasm, Code] : Cases) {
+    std::string Response;
+    ASSERT_TRUE(Conn.request(routeRequest(Qasm).dump(), Response).ok()) << Qasm;
+    EXPECT_EQ(errorCode(parseResponse(Response)), Code) << Response;
+  }
+  std::string Response;
+  ASSERT_TRUE(Conn.request("{\"op\":\"ping\"}", Response).ok());
+  EXPECT_TRUE(responseOk(parseResponse(Response)));
+  // The refusal carries the message a valid oversized text always got.
+  ASSERT_TRUE(
+      Conn.request(routeRequest("qreg q[20000000]; h q;").dump(), Response)
+          .ok());
+  json::Value Doc = parseResponse(Response);
+  const json::Value *Error = Doc.get("error");
+  ASSERT_NE(Error, nullptr) << Response;
+  ASSERT_NE(Error->get("message"), nullptr) << Response;
+  EXPECT_EQ(Error->get("message")->asString(),
+            "circuit has 20000000 qubits but aspen16 only has 16");
+}
+
 TEST_P(ServerTransportTest, AbsurdTimeoutIsClampedNotWrapped) {
   // Regression: a huge timeout_ms used to overflow the chrono deadline
   // arithmetic, wrapping it into the past and answering a *longer*
