@@ -31,24 +31,6 @@ InflightTable::~InflightTable() {
     Reaper.join();
 }
 
-bool InflightTable::leadOrFollow(const CacheKey &Key,
-                                 const std::shared_ptr<JobTicket> &LeaderTicket,
-                                 Follower F) {
-  bool Armed = F.Deadline != std::chrono::steady_clock::time_point::max();
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Flights.find(Key);
-    if (It == Flights.end()) {
-      Flights[Key].Leader = LeaderTicket;
-      return true;
-    }
-    It->second.Followers.push_back(std::move(F));
-  }
-  if (Armed)
-    ReaperCv.notify_all();
-  return false;
-}
-
 bool InflightTable::tryAttach(const CacheKey &Key, Follower F) {
   bool Armed = F.Deadline != std::chrono::steady_clock::time_point::max();
   {
@@ -70,11 +52,6 @@ bool InflightTable::lead(const CacheKey &Key,
   if (Created)
     It->second.Leader = LeaderTicket;
   return Created;
-}
-
-bool InflightTable::hasFlight(const CacheKey &Key) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Flights.count(Key) != 0;
 }
 
 void InflightTable::deliverAll(std::vector<Follower> Followers,
@@ -128,11 +105,6 @@ void InflightTable::drain(const Outcome &O) {
     Flights.clear();
   }
   deliverAll(std::move(Claimed), O);
-}
-
-size_t InflightTable::flightCount() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Flights.size();
 }
 
 void InflightTable::reaperLoop() {

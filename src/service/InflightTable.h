@@ -26,14 +26,15 @@
 /// (error, cancel, expiry) propagates to the remaining followers as a
 /// structured error.
 ///
-/// Lifecycle of a flight: created by the first leadOrFollow() for its
-/// key; completed exactly once — by the leader's completion path
-/// (complete()), by whoever claimed the leader's ticket away from the
-/// queue (completeByLeader()), or by teardown (drain()). Completion
-/// removes the flight under the table lock and invokes the follower
-/// callbacks *outside* it (they write to sockets and may block for the
-/// send-timeout bound; holding the lock across that would serialize the
-/// service on one slow peer).
+/// Lifecycle of a flight: created by lead() for its key, which a request
+/// claims at triage; identical requests join it with tryAttach() once
+/// their own submission is decided. Completed exactly once — by the
+/// leader's completion path (complete()), by whoever claimed the leader's
+/// ticket away from the queue (completeByLeader()), or by teardown
+/// (drain()). Completion removes the flight under the table lock and
+/// invokes the follower callbacks *outside* it (they write to sockets
+/// and may block for the send-timeout bound; holding the lock across
+/// that would serialize the service on one slow peer).
 ///
 /// An internal reaper thread enforces follower deadlines: a follower
 /// whose deadline passes while coalesced is claimed and delivered
@@ -92,30 +93,17 @@ public:
   InflightTable(const InflightTable &) = delete;
   InflightTable &operator=(const InflightTable &) = delete;
 
-  /// The arrival point: when no flight exists for \p Key, one is created
-  /// with \p LeaderTicket as its leader and true is returned — the
-  /// caller must schedule the route and later complete() the flight.
-  /// Otherwise \p F joins the existing flight and false is returned —
-  /// the caller is done; F.Deliver answers the request.
-  bool leadOrFollow(const CacheKey &Key,
-                    const std::shared_ptr<JobTicket> &LeaderTicket,
-                    Follower F);
-
-  /// Joins an existing flight only (never creates one). Used by batch
-  /// triage, which must not commit to leading before its all-or-nothing
-  /// submission decision. Returns false when no flight exists.
+  /// Joins an existing flight only (never creates one): \p F.Deliver
+  /// will answer the request. Returns false when no flight exists.
   bool tryAttach(const CacheKey &Key, Follower F);
 
   /// Creates a flight led by \p LeaderTicket only when none exists for
   /// \p Key (never attaches anything). Returns whether the flight was
-  /// created. The batch path uses this: an item that loses the lead is
-  /// re-triaged as a coalesce candidate and attached — or resolved —
-  /// only after the batch's submission decision.
+  /// created; the caller then schedules the route and later complete()s
+  /// the flight. A request that loses the lead attaches — or is resolved
+  /// otherwise — only after its own all-or-nothing submission decision,
+  /// so a rejected request never has a frame delivered.
   bool lead(const CacheKey &Key, const std::shared_ptr<JobTicket> &LeaderTicket);
-
-  /// True when a flight for \p Key is live right now (advisory: the
-  /// answer can change before the caller acts on it).
-  bool hasFlight(const CacheKey &Key) const;
 
   /// Completes \p Key's flight: removes it and delivers \p O to every
   /// follower not already claimed by cancel/expiry. No-op when no such
@@ -134,9 +122,6 @@ public:
   /// invariant across shutdown.
   void drain(const Outcome &O);
 
-  /// Live flight count (tests).
-  size_t flightCount() const;
-
 private:
   struct Flight {
     std::shared_ptr<JobTicket> Leader;
@@ -148,7 +133,7 @@ private:
   /// iterates while delivering.
   static void deliverAll(std::vector<Follower> Followers, const Outcome &O);
 
-  mutable std::mutex Mu;
+  std::mutex Mu;
   std::condition_variable ReaperCv;
   std::unordered_map<CacheKey, Flight, CacheKeyHasher> Flights;
   bool Stopping = false;

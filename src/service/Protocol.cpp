@@ -239,32 +239,24 @@ json::Value responseHead(const char *Op, const std::string &Id, bool Ok) {
   return Obj;
 }
 
-} // namespace
-
-std::string service::formatPingResponse(const std::string &Id) {
-  json::Value Obj = responseHead("ping", Id, true);
-  Obj.set("protocol", ProtocolVersion);
-  return Obj.dump();
+json::Value batchItemHead(const std::string &Id, size_t Index,
+                          const std::string &Name) {
+  json::Value Obj = json::Value::object();
+  Obj.set("event", "batch_item");
+  Obj.set("op", "batch");
+  Obj.set("id", Id);
+  Obj.set("index", Index);
+  if (!Name.empty())
+    Obj.set("name", Name);
+  return Obj;
 }
 
-std::string service::formatErrorResponse(const char *Op,
-                                         const std::string &Id,
-                                         const std::string &Code,
-                                         const std::string &Message) {
-  json::Value Obj = responseHead(Op, Id, false);
-  json::Value Err = json::Value::object();
-  Err.set("code", Code);
-  Err.set("message", Message);
-  Obj.set("error", std::move(Err));
-  return Obj.dump();
-}
-
-std::string service::formatRouteResponse(
-    const std::string &Id, const std::string &Mapper,
-    const std::string &Backend, const RouteStats &Stats, bool ContextCacheHit,
-    bool ResultCacheHit, const std::string &Qasm, bool IncludeQasm,
-    const json::Value *TraceJson, bool Coalesced) {
-  json::Value Obj = responseHead("route", Id, true);
+/// The body a `route` response and a `batch_item` result share.
+std::string routedBody(json::Value Obj, const std::string &Mapper,
+                       const std::string &Backend, const RouteStats &Stats,
+                       bool ContextCacheHit, bool ResultCacheHit,
+                       const std::string &Qasm, bool IncludeQasm,
+                       const json::Value *TraceJson, bool Coalesced) {
   Obj.set("mapper", Mapper);
   Obj.set("backend", Backend);
   Obj.set("stats", routeStatsToJson(Stats));
@@ -278,6 +270,41 @@ std::string service::formatRouteResponse(
   if (IncludeQasm)
     Obj.set("qasm", Qasm);
   return Obj.dump();
+}
+
+/// The body an error response and a `batch_item` error share.
+std::string errorBody(json::Value Obj, const std::string &Code,
+                      const std::string &Message) {
+  json::Value Err = json::Value::object();
+  Err.set("code", Code);
+  Err.set("message", Message);
+  Obj.set("error", std::move(Err));
+  return Obj.dump();
+}
+
+} // namespace
+
+std::string service::formatPingResponse(const std::string &Id) {
+  json::Value Obj = responseHead("ping", Id, true);
+  Obj.set("protocol", ProtocolVersion);
+  return Obj.dump();
+}
+
+std::string service::formatErrorResponse(const char *Op,
+                                         const std::string &Id,
+                                         const std::string &Code,
+                                         const std::string &Message) {
+  return errorBody(responseHead(Op, Id, false), Code, Message);
+}
+
+std::string service::formatRouteResponse(
+    const std::string &Id, const std::string &Mapper,
+    const std::string &Backend, const RouteStats &Stats, bool ContextCacheHit,
+    bool ResultCacheHit, const std::string &Qasm, bool IncludeQasm,
+    const json::Value *TraceJson, bool Coalesced) {
+  return routedBody(responseHead("route", Id, true), Mapper, Backend, Stats,
+                    ContextCacheHit, ResultCacheHit, Qasm, IncludeQasm,
+                    TraceJson, Coalesced);
 }
 
 std::string service::formatStatsResponse(const std::string &Id,
@@ -321,54 +348,22 @@ std::string service::formatProgressEvent(const std::string &Id, size_t Done,
   return Obj.dump();
 }
 
-namespace {
-
-json::Value batchItemHead(const std::string &Id, size_t Index,
-                          const std::string &Name) {
-  json::Value Obj = json::Value::object();
-  Obj.set("event", "batch_item");
-  Obj.set("op", "batch");
-  Obj.set("id", Id);
-  Obj.set("index", Index);
-  if (!Name.empty())
-    Obj.set("name", Name);
-  return Obj;
-}
-
-} // namespace
-
 std::string service::formatBatchItemResult(
     const std::string &Id, size_t Index, const std::string &Name,
     const std::string &Mapper, const std::string &Backend,
     const RouteStats &Stats, bool ContextCacheHit, bool ResultCacheHit,
     const std::string &Qasm, bool IncludeQasm,
     const json::Value *TraceJson, bool Coalesced) {
-  json::Value Obj = batchItemHead(Id, Index, Name);
-  Obj.set("mapper", Mapper);
-  Obj.set("backend", Backend);
-  Obj.set("stats", routeStatsToJson(Stats));
-  Obj.set("cache_hit", ContextCacheHit || ResultCacheHit);
-  Obj.set("context_cache_hit", ContextCacheHit);
-  Obj.set("result_cache_hit", ResultCacheHit);
-  if (Coalesced)
-    Obj.set("coalesced", true);
-  if (TraceJson)
-    Obj.set("trace", *TraceJson);
-  if (IncludeQasm)
-    Obj.set("qasm", Qasm);
-  return Obj.dump();
+  return routedBody(batchItemHead(Id, Index, Name), Mapper, Backend, Stats,
+                    ContextCacheHit, ResultCacheHit, Qasm, IncludeQasm,
+                    TraceJson, Coalesced);
 }
 
 std::string service::formatBatchItemError(const std::string &Id, size_t Index,
                                           const std::string &Name,
                                           const std::string &Code,
                                           const std::string &Message) {
-  json::Value Obj = batchItemHead(Id, Index, Name);
-  json::Value Err = json::Value::object();
-  Err.set("code", Code);
-  Err.set("message", Message);
-  Obj.set("error", std::move(Err));
-  return Obj.dump();
+  return errorBody(batchItemHead(Id, Index, Name), Code, Message);
 }
 
 std::string service::formatBatchSummaryResponse(

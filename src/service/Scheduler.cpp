@@ -65,7 +65,12 @@ Scheduler::trySubmitBatch(std::vector<SchedulerJob> Jobs,
       Queue.push_back(QueuedJob{std::move(Jobs[I]), Tickets[I]});
     Submitted += Jobs.size();
   }
-  QueueCv.notify_all();
+  // One job needs one worker: waking the whole idle pool would only
+  // have the rest go back to sleep.
+  if (Tickets.size() == 1)
+    QueueCv.notify_one();
+  else
+    QueueCv.notify_all();
   return Tickets;
 }
 

@@ -14,19 +14,11 @@
 #include "route/InitialMapping.h"
 #include "route/Verify.h"
 #include "service/Metrics.h"
-#include "service/SocketIO.h"
 #include "support/Log.h"
 #include "support/StringUtils.h"
 #include "topology/Backends.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
-
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 using namespace qlosure;
 using namespace qlosure::service;
@@ -117,24 +109,38 @@ RouteRequest withoutQasm(const RouteRequest &Route) {
   return Params;
 }
 
-/// A leader-failure outcome for the followers coalesced onto it: the
-/// leader's own error code, with the message marking that the failure
-/// was inherited (docs/PROTOCOL.md documents the semantics).
-InflightTable::Outcome coalescedFailure(const char *Code,
-                                        const std::string &Message) {
+InflightTable::Outcome failed(const char *Code, std::string Message) {
   InflightTable::Outcome O;
   O.ErrorCode = Code;
-  O.ErrorMessage = formatString("coalesced leader failed: %s",
-                                Message.c_str());
+  O.ErrorMessage = std::move(Message);
   return O;
 }
 
-/// Maps a fired token to its protocol error (code, message).
-std::pair<const char *, const char *>
-cancellationError(const CancellationToken &Token) {
+/// A leader-failure outcome for the followers coalesced onto it: the
+/// leader's own error code, with the message marking that the failure
+/// was inherited (docs/PROTOCOL.md documents the semantics).
+InflightTable::Outcome coalescedFailure(const InflightTable::Outcome &O) {
+  return failed(O.ErrorCode, formatString("coalesced leader failed: %s",
+                                          O.ErrorMessage.c_str()));
+}
+
+/// The outcome of a route whose token fired.
+InflightTable::Outcome cancelledOutcome(const CancellationToken &Token) {
   if (Token.reason() == CancellationToken::Reason::DeadlineExceeded)
-    return {errc::DeadlineExceeded, "deadline expired mid-route"};
-  return {errc::Cancelled, "request cancelled"};
+    return failed(errc::DeadlineExceeded, "deadline expired mid-route");
+  return failed(errc::Cancelled, "request cancelled");
+}
+
+/// Why the scheduler refused a submission: one job, or the \p BatchJobs
+/// jobs of a whole batch.
+InflightTable::Outcome rejected(bool Stopping, size_t BatchJobs) {
+  if (Stopping)
+    return failed(errc::ShuttingDown, "server is shutting down");
+  return failed(errc::QueueFull,
+                BatchJobs ? formatString("scheduler queue lacks capacity for "
+                                         "%zu batch items, retry later",
+                                         BatchJobs)
+                          : "scheduler queue is full, retry later");
 }
 
 /// Absolute deadline for a request that asked for \p TimeoutMs (<= 0 =
@@ -188,128 +194,68 @@ void logSlowRequest(const char *Op, const std::string &Id,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Connection: the shared per-connection writer + in-flight job table
+// Connection and Session
 //===----------------------------------------------------------------------===//
 
-/// Shared between the connection thread (reads, inline responses,
-/// cancels) and any workers running this connection's jobs (final
-/// responses, progress events). The writer mutex serializes frames so
-/// concurrent completions interleave whole lines, never bytes. The fd
-/// closes with the last shared_ptr, so a worker finishing after the
-/// reader exited can never write into a recycled descriptor.
-struct Server::Connection {
-  explicit Connection(int FdIn) : Fd(FdIn) {}
-  ~Connection() { ::close(Fd); }
-  Connection(const Connection &) = delete;
-  Connection &operator=(const Connection &) = delete;
+/// The core's writer plus this connection's in-flight sessions by id (one
+/// namespace: a live batch id cannot be reused by a route and vice
+/// versa). Only the connection thread inserts (ids are connection-scoped
+/// and requests on one connection are read serially); completions release
+/// from any thread, so the mutex arbitrates.
+struct Server::Connection : LineConnection {
+  using LineConnection::LineConnection;
 
-  const int Fd;
-
-  /// Writes one frame (newline appended). Returns false once the peer is
-  /// gone or the reader marked the connection closed; failures latch, so
-  /// late completions degrade to cheap no-ops. The 30 s cumulative bound
-  /// (on top of the per-send SO_SNDTIMEO) means a slow-dripping reader
-  /// cannot pin the writing thread past one frame's worth of patience.
-  bool send(const std::string &Line) {
-    std::lock_guard<std::mutex> Lock(WriteMu);
-    if (Closed)
-      return false;
-    if (!sendAll(Fd, Line + "\n", /*MaxSeconds=*/30.0)) {
-      Closed = true;
-      return false;
-    }
-    return true;
-  }
-
-  bool alive() {
-    std::lock_guard<std::mutex> Lock(WriteMu);
-    return !Closed;
-  }
-
-  /// Called by the connection thread on exit: no further frames go out.
-  void markClosed() {
-    std::lock_guard<std::mutex> Lock(WriteMu);
-    Closed = true;
-  }
-
-  /// In-flight cancellable routes by id, and in-flight batch sessions by
-  /// id (one namespace: a live batch id cannot be reused by a route and
-  /// vice versa). Only the owning connection thread inserts (ids are
-  /// connection-scoped and requests on one connection are read serially);
-  /// workers erase on completion, so the mutex arbitrates insert/lookup
-  /// against that erase.
   std::mutex JobsMu;
-  std::map<std::string, std::shared_ptr<JobTicket>> InFlight;
-  std::map<std::string, std::shared_ptr<Server::BatchState>> InFlightBatches;
+  std::map<std::string, std::shared_ptr<Session>> InFlight;
 
-  /// The single release point of the in-flight table: every completion
-  /// path (success, error, expiry, queued-cancel, submit failure) frees
-  /// the id here, *before* its final frame is written, so a client that
-  /// has read the final response may immediately reuse the id.
-  void releaseJob(const std::string &Id) {
+  std::shared_ptr<Session> find(const std::string &Id) {
+    std::lock_guard<std::mutex> Lock(JobsMu);
+    auto It = InFlight.find(Id);
+    return It == InFlight.end() ? nullptr : It->second;
+  }
+
+  /// Every session frees its id here, *before* its final frame is
+  /// written, so a client that has read the final response may
+  /// immediately reuse the id.
+  void release(const std::string &Id) {
     if (Id.empty())
       return;
     std::lock_guard<std::mutex> Lock(JobsMu);
     InFlight.erase(Id);
   }
-
-  /// Same contract for batch sessions: released by the summary sender
-  /// right before the summary frame goes out.
-  void releaseBatch(const std::string &Id) {
-    std::lock_guard<std::mutex> Lock(JobsMu);
-    InFlightBatches.erase(Id);
-  }
-
-  /// True when \p Id is in flight as either a route or a batch.
-  bool idInFlight(const std::string &Id) {
-    std::lock_guard<std::mutex> Lock(JobsMu);
-    return InFlight.count(Id) != 0 || InFlightBatches.count(Id) != 0;
-  }
-
-private:
-  std::mutex WriteMu;
-  bool Closed = false;
 };
 
-//===----------------------------------------------------------------------===//
-// BatchState: one in-flight batch session
-//===----------------------------------------------------------------------===//
-
-/// Shared by the connection thread (inline hits/failures, cancels) and
-/// the workers running the batch's scheduled items. Per-item slots are
-/// written by exactly one thread each (whoever completes that item), and
-/// the Remaining countdown sequences those writes before the summary
+/// Shared by the connection thread (triage, inline answers, cancels) and
+/// the workers running the session's items. Per-item slots are written by
+/// exactly one thread each (whoever completes that item), and the
+/// Remaining countdown sequences those writes before the summary
 /// sender's reads — no per-item locking needed.
-struct Server::BatchState {
+struct Server::Session {
   std::shared_ptr<Connection> Conn;
   std::string Id;
-  std::string Mapper;
-  std::string BackendName;
+  /// A `route`: one item, answered with a route frame instead of a
+  /// `batch_item` frame and a summary.
+  bool IsRoute = false;
+  /// The request's parameters minus its QASM.
+  RouteRequest Params;
+  std::shared_ptr<const PooledBackend> Backend;
+  std::chrono::steady_clock::time_point Deadline;
+  /// Arrival: the epoch of every item trace.
+  Trace::Clock::time_point Start;
+  /// Hand-off to the scheduler, where queue wait begins. Written before
+  /// any submission, which publishes it to the workers.
+  Trace::Clock::time_point SubmitTime;
   /// Items still unfinished; the decrement that reaches zero owns
-  /// releasing the id and sending the summary.
+  /// releasing a batch's id and sending its summary.
   std::atomic<size_t> Remaining{0};
-  /// Parallel per-item arrays, indexed in submission order: the client
-  /// label echoed in frames, and the terse outcome ("ok" or error code)
-  /// the summary reports.
+  /// Per item, in request order: the client label echoed in frames, and
+  /// the terse outcome ("ok" or an error code) the summary reports.
   std::vector<std::string> Names;
   std::vector<std::string> Status;
-  /// (ticket, item index) for every item that reached the scheduler —
-  /// the whole-batch cancellation handles. Written once by the
-  /// connection thread right after submission; only that same thread
-  /// reads them (cancel and teardown both run on it), so unsynchronized.
+  /// (ticket, item index) of every item that reached the scheduler or a
+  /// flight. Only the connection thread touches it (submission, cancel
+  /// and the disconnect sweep all run there), so unsynchronized.
   std::vector<std::pair<std::shared_ptr<JobTicket>, size_t>> Tickets;
-};
-
-/// Outcome of the shared worker-side routing core.
-struct Server::RouteOutcome {
-  /// nullptr = success. When Cancelled is set the caller derives the
-  /// code from the token (cancelled vs. deadline_exceeded) instead.
-  const char *ErrorCode = nullptr;
-  std::string ErrorMessage;
-  bool Cancelled = false;
-  bool ContextHit = false;
-  RouteStats Stats;
-  std::shared_ptr<const CachedResult> Cached; ///< Set on success.
 };
 
 //===----------------------------------------------------------------------===//
@@ -324,13 +270,10 @@ Server::Server(ServerOptions Options)
                            this->Options.ResultCacheBytes}),
       Aliases(CacheOptions{this->Options.CacheShards, AliasCacheBytes}) {}
 
-Server::~Server() {
-  requestStop();
-  wait();
-}
+Server::~Server() { stop(); }
 
 Status Server::start() {
-  if (Started)
+  if (started())
     return Status::error("server already started");
   if (Options.Listen.empty())
     return Status::error("listen address must not be empty");
@@ -348,224 +291,59 @@ Status Server::start() {
     return Status::error("--store-read-only requires a store path");
   }
 
-  Endpoint Ep;
-  if (Status S = parseEndpoint(Options.Listen, Ep); !S.ok())
-    return S;
-  if (Status S = Acceptor.listen(Ep, 64); !S.ok())
-    return S;
-
   Inflight = std::make_unique<InflightTable>();
   SchedulerOptions SchedOpts;
   SchedOpts.Workers = Options.Workers;
   SchedOpts.QueueCapacity = Options.QueueCapacity;
   Workers = std::make_unique<Scheduler>(SchedOpts);
-
-  Started = true;
   Uptime.reset();
-  AcceptThread = std::thread([this] { acceptLoop(); });
-  return Status::success();
+  return serve(Options.Listen, Options.MaxRequestBytes);
 }
 
-void Server::requestStop() {
-  {
-    std::lock_guard<std::mutex> Lock(StopMu);
-    StopRequested = true;
-  }
-  StopCv.notify_all();
-}
-
-void Server::wait(const std::function<bool()> &ExternalStop) {
-  if (!Started)
-    return;
-  {
-    std::unique_lock<std::mutex> Lock(StopMu);
-    while (!StopRequested) {
-      if (ExternalStop && ExternalStop())
-        break;
-      StopCv.wait_for(Lock, std::chrono::milliseconds(200));
-    }
-  }
-  teardown();
-}
-
-void Server::stop() {
-  requestStop();
-  wait();
-}
-
-void Server::teardown() {
-  std::lock_guard<std::mutex> TeardownLock(TeardownMu);
-  if (TornDown)
-    return;
-  TornDown = true;
-  Stopping.store(true);
-
-  // Unblock accept(): closing the listener makes it fail immediately
-  // (and unlinks a unix socket file).
-  Acceptor.close();
-  if (AcceptThread.joinable())
-    AcceptThread.join();
-
-  // Drain the scheduler FIRST, while every connection's write side is
-  // still intact: each pending route reaches its completion path and its
-  // final response actually reaches the client — the exactly-one-final-
-  // response guarantee holds across shutdown. New submissions are
-  // already rejected (Stopping answers shutting_down). Only then sever
-  // the connections to unblock their readers.
-  if (Workers)
-    Workers->shutdown();
+void Server::drain() {
+  // Drain the scheduler while every connection's write side is still
+  // intact: each pending route reaches its completion path and its final
+  // response actually reaches the client — the exactly-one-final-response
+  // guarantee holds across shutdown. New submissions are already
+  // rejected (stopping() answers shutting_down).
+  Workers->shutdown();
   // Every leader has now completed (drained jobs complete their flights
   // on the way out), so the coalescing table is normally empty; drain
   // the stragglers with a structured error while the writers still work
   // — no follower is ever left without its final response.
-  if (Inflight) {
-    InflightTable::Outcome Shutdown;
-    Shutdown.ErrorCode = errc::ShuttingDown;
-    Shutdown.ErrorMessage = "server is shutting down";
-    Inflight->drain(Shutdown);
-  }
+  Inflight->drain(failed(errc::ShuttingDown, "server is shutting down"));
   if (Store)
     Store->flush();
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    for (const std::shared_ptr<Connection> &Conn : Conns)
-      if (Conn)
-        ::shutdown(Conn->Fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> ToJoin;
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    ToJoin.swap(ConnThreads);
-  }
-  for (std::thread &T : ToJoin)
-    if (T.joinable())
-      T.join();
 }
 
-//===----------------------------------------------------------------------===//
-// Accept + connection loops
-//===----------------------------------------------------------------------===//
-
-void Server::acceptLoop() {
-  while (!Stopping.load()) {
-    int Fd = Acceptor.acceptConnection();
-    if (Fd < 0)
-      return; // Listener closed (teardown) or fatal; either way, stop.
-    if (Stopping.load()) {
-      ::close(Fd);
-      return;
-    }
-    // Responses are written by worker threads: a peer that stops reading
-    // while we owe it data must not pin a worker (or the writer mutex)
-    // forever. Bound every blocking send; a timed-out send fails and
-    // latches the connection closed — the peer is treated as gone.
-    timeval SendTimeout{};
-    SendTimeout.tv_sec = 10;
-    ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &SendTimeout,
-                 sizeof(SendTimeout));
-    auto Conn = std::make_shared<Connection>(Fd);
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    // Reap connections that finished since the last accept: join their
-    // threads (they have already vacated their slot, so join returns
-    // promptly) and recycle the slots.
-    for (size_t Finished : FinishedSlots) {
-      if (ConnThreads[Finished].joinable())
-        ConnThreads[Finished].join();
-      FreeSlots.push_back(Finished);
-    }
-    FinishedSlots.clear();
-
-    size_t Slot;
-    if (!FreeSlots.empty()) {
-      Slot = FreeSlots.back();
-      FreeSlots.pop_back();
-      Conns[Slot] = Conn;
-      ConnThreads[Slot] =
-          std::thread([this, Conn, Slot] { connectionLoop(Conn, Slot); });
-    } else {
-      Slot = Conns.size();
-      Conns.push_back(Conn);
-      ConnThreads.emplace_back(
-          [this, Conn, Slot] { connectionLoop(Conn, Slot); });
-    }
-    {
-      std::lock_guard<std::mutex> CounterLock(CounterMu);
-      ++Counters.Connections;
-    }
+std::shared_ptr<LineConnection> Server::accepted(int Fd) {
+  {
+    std::lock_guard<std::mutex> Lock(CounterMu);
+    ++Counters.Connections;
   }
+  return std::make_shared<Connection>(Fd);
 }
 
-void Server::connectionLoop(std::shared_ptr<Connection> Conn, size_t Slot) {
-  std::string Pending;
-  char Buffer[65536];
-  bool Alive = true;
-  while (Alive) {
-    ssize_t N = recvSome(Conn->Fd, Buffer, sizeof(Buffer));
-    if (N <= 0)
-      break;
-    Pending.append(Buffer, static_cast<size_t>(N));
-    if (Pending.size() > Options.MaxRequestBytes &&
-        Pending.find('\n') == std::string::npos) {
-      sendError(*Conn, "unknown", "", errc::BadRequest,
-                "request line too large");
-      break;
-    }
-    std::string Line;
-    while (Alive && popLine(Pending, Line)) {
-      if (Line.empty())
-        continue;
-      bool StopAfterSend = false;
-      handleLine(Conn, Line, StopAfterSend);
-      if (StopAfterSend)
-        requestStop();
-      if (!Conn->alive())
-        Alive = false;
-    }
-  }
-  // No frame may go out after the reader exits: in-flight completions
-  // degrade to no-ops (their job-table entries still clear normally).
-  Conn->markClosed();
-  // Nothing can read this connection's outcomes anymore, so abort its
-  // queued and in-flight jobs instead of letting workers spend minutes
-  // routing into a latched-closed writer (a dropped pipelined connection
-  // could otherwise pin the whole pool on dead work).
-  std::vector<std::shared_ptr<JobTicket>> Orphans;
-  std::vector<std::shared_ptr<BatchState>> OrphanBatches;
+void Server::disconnected(const std::shared_ptr<LineConnection> &Base) {
+  auto &Conn = static_cast<Connection &>(*Base);
+  std::vector<std::shared_ptr<Session>> Orphans;
   {
-    std::lock_guard<std::mutex> Lock(Conn->JobsMu);
-    for (const auto &Entry : Conn->InFlight)
+    std::lock_guard<std::mutex> Lock(Conn.JobsMu);
+    for (const auto &Entry : Conn.InFlight)
       Orphans.push_back(Entry.second);
-    for (const auto &Entry : Conn->InFlightBatches)
-      OrphanBatches.push_back(Entry.second);
   }
-  for (const std::shared_ptr<JobTicket> &Ticket : Orphans) {
-    if (Workers->cancel(Ticket) == JobTicket::State::Queued) {
-      // Claimed unrun. If it led a flight, followers on *other*
-      // connections must still get their final response.
-      Inflight->completeByLeader(
-          Ticket, coalescedFailure(errc::Cancelled,
-                                   "leader connection dropped"));
-    }
-  }
-  // Batch items are aborted through the same helper the cancel op uses;
-  // its frames degrade to no-ops on the latched-closed writer.
-  for (const std::shared_ptr<BatchState> &Batch : OrphanBatches)
-    cancelBatch(Batch);
-  // Vacate the slot under the same lock teardown() iterates under, then
-  // report it finished so the accept loop joins this thread and recycles
-  // it. The Connection object itself lives on until the last in-flight
-  // job drops its reference — which is what keeps the fd from being
-  // recycled under a late writer.
-  std::lock_guard<std::mutex> Lock(ConnMu);
-  Conns[Slot] = nullptr;
-  FinishedSlots.push_back(Slot);
+  // A dropped pipelined connection could otherwise pin the whole pool on
+  // dead work. The frames degrade to no-ops on the closed writer; a
+  // leader's followers on other connections still get their answer.
+  for (const std::shared_ptr<Session> &S : Orphans)
+    cancelSession(*S, /*Dropped=*/true);
 }
 
 //===----------------------------------------------------------------------===//
 // Request handling
 //===----------------------------------------------------------------------===//
 
-void Server::sendError(Connection &Conn, const char *Op,
+void Server::sendError(LineConnection &Conn, const char *Op,
                        const std::string &Id, const char *Code,
                        const std::string &Message) {
   {
@@ -575,8 +353,9 @@ void Server::sendError(Connection &Conn, const char *Op,
   Conn.send(formatErrorResponse(Op, Id, Code, Message));
 }
 
-void Server::handleLine(const std::shared_ptr<Connection> &Conn,
-                        const std::string &Line, bool &StopAfterSend) {
+void Server::handleLine(const std::shared_ptr<LineConnection> &Base,
+                        const std::string &Line) {
+  auto Conn = std::static_pointer_cast<Connection>(Base);
   {
     std::lock_guard<std::mutex> Lock(CounterMu);
     ++Counters.Requests;
@@ -604,76 +383,69 @@ void Server::handleLine(const std::shared_ptr<Connection> &Conn,
         formatMetricsResponse(Req.Id, prometheusText(statsJson(), "qlosure")));
     return;
   case Op::Shutdown:
-    StopAfterSend = true;
+    // The ack is written before the stop request, or teardown could
+    // sever the connection ahead of it.
     Conn->send(formatShutdownResponse(Req.Id));
+    requestStop();
     return;
   case Op::Cancel:
-    handleCancel(Conn, Req);
+    handleCancel(*Conn, Req);
     return;
   case Op::Route:
-    handleRoute(Conn, Req);
-    return;
   case Op::Batch:
-    handleBatch(Conn, Req);
+    handleRequest(Conn, Req);
     return;
   }
   sendError(*Conn, "unknown", Req.Id, errc::BadRequest, "unhandled op");
 }
 
-void Server::handleCancel(const std::shared_ptr<Connection> &Conn,
-                          const Request &Req) {
+void Server::handleCancel(Connection &Conn, const Request &Req) {
   {
     std::lock_guard<std::mutex> Lock(CounterMu);
     ++Counters.CancelRequests;
   }
-  std::shared_ptr<JobTicket> Ticket;
-  std::shared_ptr<BatchState> Batch;
-  {
-    std::lock_guard<std::mutex> Lock(Conn->JobsMu);
-    auto It = Conn->InFlight.find(Req.Id);
-    if (It != Conn->InFlight.end())
-      Ticket = It->second;
-    auto BatchIt = Conn->InFlightBatches.find(Req.Id);
-    if (BatchIt != Conn->InFlightBatches.end())
-      Batch = BatchIt->second;
+  // An unknown or finished id is an idempotent no-op. A batch's summary
+  // still arrives last through its countdown, tallying the mix of
+  // completed and cancelled items.
+  std::shared_ptr<Session> S = Conn.find(Req.Id);
+  bool Live = S && cancelSession(*S, /*Dropped=*/false);
+  Conn.send(formatCancelResponse(Req.Id, Live));
+}
+
+bool Server::cancelSession(Session &S, bool Dropped) {
+  const char *Why = !S.IsRoute ? "item cancelled while queued"
+                    : Dropped  ? "leader connection dropped"
+                               : "request cancelled while queued";
+  bool AnyLive = false;
+  for (const auto &[Ticket, Index] : S.Tickets) {
+    switch (Workers->cancel(Ticket)) {
+    case JobTicket::State::Queued:
+      // Claimed unrun (a queued job, or a follower not yet answered):
+      // this thread owns reporting. An item leading a flight takes its
+      // followers' answers with it, as a structured error; a follower
+      // leads nothing, so the call is a no-op for it.
+      AnyLive = true;
+      Inflight->completeByLeader(
+          Ticket, coalescedFailure(failed(errc::Cancelled, Why)));
+      // A dropped route has no reader left for its final, so it is not
+      // answered (or counted as an error); releasing its id still breaks
+      // the Connection -> Session -> Connection cycle.
+      if (Dropped && S.IsRoute)
+        S.Conn->release(S.Id);
+      else
+        finishItem(S, Index, failed(errc::Cancelled, Why));
+      break;
+    case JobTicket::State::Running:
+      // Token signalled; the item aborts at its next poll and reports
+      // through its own completion path.
+      AnyLive = true;
+      break;
+    case JobTicket::State::CancelledWhileQueued:
+    case JobTicket::State::Done:
+      break;
+    }
   }
-  if (Batch) {
-    // Whole-batch cancel: every still-live item dies; the summary still
-    // arrives (last) through the normal countdown, tallying the mix of
-    // completed and cancelled items.
-    Conn->send(formatCancelResponse(Req.Id, cancelBatch(Batch)));
-    return;
-  }
-  if (!Ticket) {
-    // Unknown or already finished: idempotent no-op ack.
-    Conn->send(formatCancelResponse(Req.Id, false));
-    return;
-  }
-  switch (Workers->cancel(Ticket)) {
-  case JobTicket::State::Queued: {
-    // Unqueued before it ever ran: this thread owns reporting. When the
-    // ticket led a coalescing flight, the flight dies with it (its
-    // followers inherit the cancellation as a structured error); a
-    // cancelled *follower* leads nothing, so this is a no-op for it.
-    Inflight->completeByLeader(
-        Ticket,
-        coalescedFailure(errc::Cancelled, "request cancelled while queued"));
-    Conn->releaseJob(Req.Id);
-    Conn->send(formatCancelResponse(Req.Id, true));
-    sendError(*Conn, "route", Req.Id, errc::Cancelled,
-              "request cancelled while queued");
-    return;
-  }
-  case JobTicket::State::Running:
-    // Token signalled; the job aborts at its next poll and reports
-    // through its own completion path.
-    Conn->send(formatCancelResponse(Req.Id, true));
-    return;
-  case JobTicket::State::CancelledWhileQueued:
-  case JobTicket::State::Done:
-    Conn->send(formatCancelResponse(Req.Id, false));
-    return;
-  }
+  return AnyLive;
 }
 
 std::shared_ptr<const CachedResult>
@@ -730,11 +502,11 @@ Server::lookupBackend(const std::string &Name, bool ErrorAware,
 std::shared_ptr<const Server::PooledBackend>
 Server::admit(Connection &Conn, const char *Op, const Request &Req) {
   const RouteRequest &Route = Req.Route;
-  if (Stopping.load()) {
+  if (stopping()) {
     sendError(Conn, Op, Req.Id, errc::ShuttingDown, "server is shutting down");
     return nullptr;
   }
-  if (!Req.Id.empty() && Conn.idInFlight(Req.Id)) {
+  if (!Req.Id.empty() && Conn.find(Req.Id)) {
     sendError(Conn, Op, Req.Id, errc::BadRequest,
               formatString("id \"%s\" is already in flight on this "
                            "connection",
@@ -803,129 +575,216 @@ Server::Triage Server::triage(const std::string &Qasm,
   return Out;
 }
 
-void Server::handleRoute(const std::shared_ptr<Connection> &Conn,
-                         const Request &Req) {
-  const RouteRequest &Route = Req.Route;
-  const auto ReqStart = Trace::Clock::now();
-  // A traced request carries one span recorder from arrival to its final
-  // frame; untraced requests never allocate one.
-  std::shared_ptr<Trace> T;
-  if (Route.Trace) {
-    T = std::make_shared<Trace>();
-    T->reset(Route.TraceId.empty() ? generateTraceId() : Route.TraceId,
-             ReqStart);
-  }
+void Server::handleRequest(const std::shared_ptr<Connection> &Conn,
+                           const Request &Req) {
+  const bool IsRoute = Req.TheOp == Op::Route;
+  const char *OpName = IsRoute ? "route" : "batch";
+  const auto Start = Trace::Clock::now();
   {
     std::lock_guard<std::mutex> Lock(CounterMu);
-    ++Counters.RouteRequests;
+    if (IsRoute) {
+      ++Counters.RouteRequests;
+    } else {
+      ++Counters.BatchRequests;
+      Counters.BatchItems += Req.Items.size();
+    }
   }
-  std::shared_ptr<const PooledBackend> Backend = admit(*Conn, "route", Req);
+  std::shared_ptr<const PooledBackend> Backend = admit(*Conn, OpName, Req);
   if (!Backend)
     return;
 
-  Triage Item = triage(Route.Qasm, *Backend, Route, T.get());
-  if (Item.ErrorCode) {
-    sendError(*Conn, "route", Req.Id, Item.ErrorCode, Item.ErrorMessage);
-    return;
-  }
-  if (Item.Cached) {
-    const auto Now = Trace::Clock::now();
-    Histos.Route.recordNs(spanNs(ReqStart, Now));
-    json::Value TraceJson;
-    if (T) {
-      T->addNs("result_cache_hit", T->sinceEpochNs(Now), 0);
-      TraceJson = T->toJson(Now);
+  const size_t Total = IsRoute ? 1 : Req.Items.size();
+  auto S = std::make_shared<Session>();
+  S->Conn = Conn;
+  S->Id = Req.Id;
+  S->IsRoute = IsRoute;
+  S->Params = withoutQasm(Req.Route);
+  // Progress streaming is a `route` feature: a batch already streams one
+  // frame per item.
+  S->Params.Progress = IsRoute && S->Params.Progress && !S->Id.empty();
+  S->Backend = Backend;
+  S->Deadline =
+      requestDeadline(Req.Route.TimeoutMs, Options.DefaultTimeoutSeconds);
+  S->Start = Start;
+  S->Remaining.store(Total);
+  S->Names.resize(Total);
+  S->Status.resize(Total);
+  for (size_t I = 0; I < Req.Items.size(); ++I)
+    S->Names[I] = Req.Items[I].Name;
+
+  // Triage every item before anything is enqueued or any frame is sent:
+  // the submission below is all-or-nothing, and a rejected request must
+  // emit no item frames at all.
+  struct Pending {
+    size_t Index;
+    Triage Item;
+    std::shared_ptr<Trace> T;
+    std::shared_ptr<JobTicket> Ticket;
+  };
+  std::vector<Pending> Inline, Candidates;
+  std::vector<SchedulerJob> Jobs;
+  std::vector<std::shared_ptr<JobTicket>> Leaders; // Parallels Jobs.
+  std::vector<size_t> JobIndex; // Jobs[J] routes item JobIndex[J].
+  for (size_t I = 0; I < Total; ++I) {
+    // A traced item carries one span recorder from arrival to its frame;
+    // batch items correlate as "<trace id or batch id>-<index>".
+    std::shared_ptr<Trace> T;
+    if (S->Params.Trace) {
+      std::string TraceId = S->Params.TraceId;
+      if (!IsRoute)
+        TraceId = formatString("%s-%zu",
+                               (TraceId.empty() ? S->Id : TraceId).c_str(), I);
+      T = std::make_shared<Trace>();
+      T->reset(TraceId.empty() ? generateTraceId() : TraceId, Start);
     }
-    Conn->send(formatRouteResponse(
-        Req.Id, Route.Mapper, Route.Backend, statsFromCached(*Item.Cached),
-        /*ContextCacheHit=*/false, /*ResultCacheHit=*/true,
-        Item.Cached->RoutedQasm, Route.IncludeQasm, T ? &TraceJson : nullptr));
-    return;
+    Triage Item = triage(IsRoute ? Req.Route.Qasm : Req.Items[I].Qasm,
+                         *Backend, S->Params, T.get());
+    if (Item.ErrorCode || Item.Cached) {
+      Inline.push_back({I, std::move(Item), std::move(T), nullptr});
+      continue;
+    }
+    // Leading is claimed now, so that a duplicate triaged later sees the
+    // flight and coalesces instead of routing twice. The flights are
+    // failed if the submission below is rejected.
+    auto Ticket = std::make_shared<JobTicket>();
+    if (Inflight->lead(Item.ResultKey, Ticket)) {
+      Jobs.push_back(makeJob(S, I, std::move(Item), std::move(T)));
+      JobIndex.push_back(I);
+      Leaders.push_back(std::move(Ticket));
+    } else {
+      // An identical request is in flight: a foreign one, or an earlier
+      // item of this one. Attaching now could deliver this item's frame
+      // before the submission decision, so it attaches after it.
+      Candidates.push_back({I, std::move(Item), std::move(T),
+                            std::move(Ticket)});
+    }
   }
-  const CacheKey ResultKey = Item.ResultKey;
 
-  auto Deadline =
-      requestDeadline(Route.TimeoutMs, Options.DefaultTimeoutSeconds);
-
-  // Pre-register the ticket before the coalescing decision and before
-  // submission, so a completion (or a follower delivery) racing this
-  // thread can only ever erase an entry that exists; the connection
-  // thread is the sole inserter, so no other request can slip in
-  // between.
-  auto Ticket = std::make_shared<JobTicket>();
-  if (!Req.Id.empty()) {
+  // Registered before submission so a completing worker's release always
+  // finds the entry; no cancel can slip in between, as this connection's
+  // requests are read serially.
+  if (!S->Id.empty()) {
     std::lock_guard<std::mutex> Lock(Conn->JobsMu);
-    Conn->InFlight[Req.Id] = Ticket;
+    Conn->InFlight[S->Id] = S;
   }
-
-  // Coalesce: when an identical request (same result key) is already
-  // routing, follow its flight instead of routing again. The follower's
-  // ticket doubles as its claim token — its cancel and deadline work
-  // through the same paths as a queued job's, without touching the
-  // leader.
-  InflightTable::Follower F;
-  F.Ticket = Ticket;
-  F.Deadline = Deadline;
-  F.Deliver = [this, Conn, Id = Req.Id, Mapper = Route.Mapper,
-               BackendName = Route.Backend,
-               IncludeQasm = Route.IncludeQasm,
-               ReqStart](const InflightTable::Outcome &O) {
-    Histos.Route.recordNs(spanNs(ReqStart, Trace::Clock::now()));
-    Conn->releaseJob(Id);
-    if (!O.Ok) {
-      sendError(*Conn, "route", Id, O.ErrorCode, O.ErrorMessage);
+  S->SubmitTime = Trace::Clock::now();
+  if (!Jobs.empty()) {
+    std::vector<std::shared_ptr<JobTicket>> Tickets =
+        Workers->trySubmitBatch(std::move(Jobs), Leaders);
+    if (Tickets.empty()) {
+      // Nothing ran and nothing was sent: one error response covers the
+      // whole request. The flights claimed at triage die with it, so a
+      // foreign follower that attached meanwhile gets the rejection.
+      Outcome Refusal = rejected(stopping(), IsRoute ? 0 : JobIndex.size());
+      for (const std::shared_ptr<JobTicket> &Ticket : Leaders)
+        Inflight->completeByLeader(Ticket, coalescedFailure(Refusal));
+      Conn->release(S->Id);
+      sendError(*Conn, OpName, S->Id, Refusal.ErrorCode,
+                Refusal.ErrorMessage);
       return;
     }
-    Conn->send(formatRouteResponse(Id, Mapper, BackendName, O.Stats,
-                                   O.ContextHit, /*ResultCacheHit=*/false,
-                                   O.Cached->RoutedQasm, IncludeQasm,
-                                   /*TraceJson=*/nullptr,
-                                   /*Coalesced=*/true));
-  };
-  if (!Inflight->leadOrFollow(ResultKey, Ticket, std::move(F))) {
-    std::lock_guard<std::mutex> Lock(CounterMu);
-    ++Counters.Coalesced;
-    return;
+    for (size_t J = 0; J < Tickets.size(); ++J)
+      S->Tickets.emplace_back(std::move(Tickets[J]), JobIndex[J]);
   }
 
-  // This request leads: it owns the scheduler job, and every completion
-  // path below also completes the flight (delivering any followers that
-  // coalesced onto it meanwhile).
+  // The request is committed: candidates attach now. One whose flight
+  // resolved since triage is served from the result cache, or — when the
+  // flight failed and left no result — routed after all. The follower's
+  // ticket doubles as its claim token: its cancel and deadline work
+  // through the same paths as a queued job's, without touching the
+  // leader.
+  for (Pending &C : Candidates) {
+    for (;;) {
+      InflightTable::Follower F;
+      F.Ticket = C.Ticket;
+      F.Deadline = S->Deadline;
+      F.Deliver = [this, S, I = C.Index](const Outcome &O) {
+        finishItem(*S, I, O, Answer::Coalesced);
+      };
+      if (Inflight->tryAttach(C.Item.ResultKey, std::move(F))) {
+        {
+          std::lock_guard<std::mutex> Lock(CounterMu);
+          ++Counters.Coalesced;
+        }
+        S->Tickets.emplace_back(C.Ticket, C.Index);
+        break;
+      }
+      if ((C.Item.Cached = lookupResult(C.Item.ResultKey))) {
+        Inline.push_back(std::move(C));
+        break;
+      }
+      if (Inflight->lead(C.Item.ResultKey, C.Ticket)) {
+        if (Workers->trySubmit(makeJob(S, C.Index, C.Item, C.T), C.Ticket)) {
+          S->Tickets.emplace_back(C.Ticket, C.Index);
+        } else {
+          Outcome Refusal = rejected(stopping(), 0);
+          Inflight->completeByLeader(C.Ticket, coalescedFailure(Refusal));
+          finishItem(*S, C.Index, Refusal);
+        }
+        break;
+      }
+      // Another identical request took the lead between the failed
+      // attach and the failed lead; retry the attach.
+    }
+  }
 
-  // The worker captures everything by value or shared ownership: the
-  // triaged circuit, the pooled backend, the connection writer, and the
-  // request parameters minus the raw QASM source. Queue wait is measured
-  // from here (just before submission) to worker pickup.
-  const auto SubmitTime = Trace::Clock::now();
+  // Inline answers go out only now, after the all-or-nothing decision.
+  // Workers may already be streaming items — fine; a batch summary still
+  // waits for these, because their countdown slots are ours.
+  for (Pending &P : Inline) {
+    if (P.Item.ErrorCode) {
+      finishItem(*S, P.Index,
+                 failed(P.Item.ErrorCode, std::move(P.Item.ErrorMessage)));
+      continue;
+    }
+    Outcome Hit;
+    Hit.Ok = true;
+    Hit.Stats = statsFromCached(*P.Item.Cached);
+    Hit.Cached = std::move(P.Item.Cached);
+    finishItem(*S, P.Index, Hit, Answer::CacheHit, P.T.get());
+  }
+}
 
-  SchedulerJob Job;
-  Job.Deadline = Deadline;
-  Job.OnExpired = [this, Conn, Id = Req.Id, ResultKey] {
-    Inflight->complete(
-        ResultKey,
-        coalescedFailure(errc::DeadlineExceeded,
-                         "deadline passed before a worker picked the "
-                         "request up"));
-    Conn->releaseJob(Id);
-    sendError(*Conn, "route", Id, errc::DeadlineExceeded,
-              "deadline passed before a worker picked the request up");
+SchedulerJob Server::makeJob(const std::shared_ptr<Session> &S,
+                             size_t Index, Triage Item,
+                             std::shared_ptr<Trace> T) {
+  // Every outcome of the job lands here. Followers are delivered first:
+  // the leader's possibly-slow writer must not delay their (other
+  // connections') responses.
+  auto Complete = [this, S, Index, Key = Item.ResultKey](const Outcome &O,
+                                                         Trace *Tr) {
+    Inflight->complete(Key, O.Ok ? O : coalescedFailure(O));
+    finishItem(*S, Index, O, Answer::Routed, Tr);
   };
-  Job.Run = [this, Conn, Item = std::move(Item), Backend,
-             Route = withoutQasm(Route), Id = Req.Id, ResultKey, T, ReqStart,
-             SubmitTime](RoutingScratch &Scratch, CancellationToken &Cancel) {
+  SchedulerJob Job;
+  Job.Deadline = S->Deadline;
+  Job.OnExpired = [Complete, Noun = S->IsRoute ? "request" : "item"] {
+    Complete(failed(errc::DeadlineExceeded,
+                    formatString("deadline passed before a worker picked "
+                                 "the %s up",
+                                 Noun)),
+             nullptr);
+  };
+  // The worker captures everything by value or shared ownership: the
+  // triaged circuit, the session (connection writer, pooled backend, and
+  // the request parameters minus the raw QASM source).
+  Job.Run = [this, S, Item = std::move(Item), T = std::move(T),
+             Complete](RoutingScratch &Scratch, CancellationToken &Cancel) {
     const auto Pickup = Trace::Clock::now();
-    Histos.QueueWait.recordNs(spanNs(SubmitTime, Pickup));
+    Histos.QueueWait.recordNs(spanNs(S->SubmitTime, Pickup));
     if (T)
-      T->add("queue_wait", SubmitTime, Pickup);
+      T->add("queue_wait", S->SubmitTime, Pickup);
     std::function<void()> BeforeRoute;
-    if (Route.Progress && !Id.empty()) {
+    if (S->Params.Progress) {
       // Stream ~20 progress events per route, floored so small circuits
       // do not flood the connection. Installed only right before the
       // main routing pass — after the bidirectional derive passes, which
       // route the circuit internally and would otherwise exhaust the
       // throttle (and mislead the client) before the real route begins.
+      // The sink holds the connection, not the session: the session owns
+      // the ticket that owns the sink.
       size_t Step = std::max<size_t>(Item.Logical->size() / 20, 256);
-      BeforeRoute = [&Cancel, Conn, Id, Step] {
+      BeforeRoute = [&Cancel, Conn = S->Conn, Id = S->Id, Step] {
         Cancel.enableProgress(
             [Conn, Id](size_t Done, size_t Total) {
               Conn->send(formatProgressEvent(Id, Done, Total));
@@ -933,89 +792,84 @@ void Server::handleRoute(const std::shared_ptr<Connection> &Conn,
             Step);
       };
     }
-    RouteOutcome Out = executeRoute(Item, Backend, Route, Scratch, Cancel,
-                                    BeforeRoute, T.get());
+    Outcome O = executeRoute(Item, *S->Backend, S->Params, Scratch, Cancel,
+                             BeforeRoute, T.get());
     const auto Done = Trace::Clock::now();
-    Histos.Route.recordNs(spanNs(ReqStart, Done));
-    double TotalMs = spanNs(ReqStart, Done) / 1e6;
+    if (!S->IsRoute)
+      Histos.BatchItem.recordNs(spanNs(Pickup, Done));
+    double TotalMs = spanNs(S->Start, Done) / 1e6;
     if (Options.SlowRequestMs > 0 && TotalMs >= Options.SlowRequestMs)
-      logSlowRequest("route", Id, Route, TotalMs, Options.SlowRequestMs,
-                     T.get(), Done);
-    if (Out.Cancelled) {
-      auto [Code, Message] = cancellationError(Cancel);
-      // Followers are delivered first: the leader's possibly-slow writer
-      // must not delay their (other connections') responses.
-      Inflight->complete(ResultKey, coalescedFailure(Code, Message));
-      Conn->releaseJob(Id);
-      sendError(*Conn, "route", Id, Code, Message);
-      return;
-    }
-    if (Out.ErrorCode) {
-      Inflight->complete(ResultKey,
-                         coalescedFailure(Out.ErrorCode, Out.ErrorMessage));
-      Conn->releaseJob(Id);
-      sendError(*Conn, "route", Id, Out.ErrorCode, Out.ErrorMessage);
-      return;
-    }
-    {
-      InflightTable::Outcome FlightOut;
-      FlightOut.Ok = true;
-      FlightOut.ContextHit = Out.ContextHit;
-      FlightOut.Stats = Out.Stats;
-      FlightOut.Cached = Out.Cached;
-      Inflight->complete(ResultKey, FlightOut);
-    }
-    Conn->releaseJob(Id);
-    if (T) {
-      json::Value TraceJson = T->toJson(Done);
-      Conn->send(formatRouteResponse(Id, Route.Mapper, Route.Backend,
-                                     Out.Stats, Out.ContextHit,
-                                     /*ResultCacheHit=*/false,
-                                     Out.Cached->RoutedQasm,
-                                     Route.IncludeQasm, &TraceJson));
-    } else {
-      Conn->send(formatRouteResponse(Id, Route.Mapper, Route.Backend,
-                                     Out.Stats, Out.ContextHit,
-                                     /*ResultCacheHit=*/false,
-                                     Out.Cached->RoutedQasm,
-                                     Route.IncludeQasm));
-    }
+      logSlowRequest(S->IsRoute ? "route" : "batch_item", S->Id, S->Params,
+                     TotalMs, Options.SlowRequestMs, T.get(), Done);
+    Complete(O, T.get());
   };
+  return Job;
+}
 
-  if (!Workers->trySubmit(std::move(Job), Ticket)) {
-    const char *Code = Stopping.load() ? errc::ShuttingDown : errc::QueueFull;
-    const char *Message = Stopping.load()
-                              ? "server is shutting down"
-                              : "scheduler queue is full, retry later";
-    Inflight->complete(ResultKey, coalescedFailure(Code, Message));
-    Conn->releaseJob(Req.Id);
-    sendError(*Conn, "route", Req.Id, Code, Message);
+void Server::finishItem(Session &S, size_t Index, const Outcome &O,
+                        Answer How, Trace *T) {
+  const auto Now = Trace::Clock::now();
+  // A coalesced answer is the leader's, so it carries no trace.
+  json::Value TraceJson;
+  const bool Traced = T && O.Ok && How != Answer::Coalesced;
+  if (Traced) {
+    if (How == Answer::CacheHit)
+      T->addNs("result_cache_hit", T->sinceEpochNs(Now), 0);
+    TraceJson = T->toJson(Now);
+  }
+  const bool Hit = How == Answer::CacheHit;
+  const bool Coalesced = How == Answer::Coalesced;
+  const RouteRequest &P = S.Params;
+  if (S.IsRoute) {
+    Histos.Route.recordNs(spanNs(S.Start, Now));
+    S.Conn->release(S.Id);
+    if (!O.Ok)
+      sendError(*S.Conn, "route", S.Id, O.ErrorCode, O.ErrorMessage);
+    else
+      S.Conn->send(formatRouteResponse(
+          S.Id, P.Mapper, P.Backend, O.Stats, O.ContextHit, Hit,
+          O.Cached->RoutedQasm, P.IncludeQasm, Traced ? &TraceJson : nullptr,
+          Coalesced));
+    return;
+  }
+  S.Conn->send(
+      O.Ok ? formatBatchItemResult(S.Id, Index, S.Names[Index], P.Mapper,
+                                   P.Backend, O.Stats, O.ContextHit, Hit,
+                                   O.Cached->RoutedQasm, P.IncludeQasm,
+                                   Traced ? &TraceJson : nullptr, Coalesced)
+           : formatBatchItemError(S.Id, Index, S.Names[Index], O.ErrorCode,
+                                  O.ErrorMessage));
+  S.Status[Index] = O.Ok ? "ok" : O.ErrorCode;
+  // The fetch_sub sequences this thread's Status write (and its already-
+  // sent item frame) before the summary sender's reads, and the writer
+  // mutex orders the frames themselves — so the summary is always last.
+  if (S.Remaining.fetch_sub(1) == 1) {
+    S.Conn->release(S.Id);
+    S.Conn->send(formatBatchSummaryResponse(S.Id, P.Mapper, P.Backend,
+                                            S.Names, S.Status));
   }
 }
 
-Server::RouteOutcome
-Server::executeRoute(const Triage &Item,
-                     const std::shared_ptr<const PooledBackend> &Backend,
+Server::Outcome
+Server::executeRoute(const Triage &Item, const PooledBackend &Backend,
                      const RouteRequest &Params, RoutingScratch &Scratch,
                      CancellationToken &Cancel,
                      const std::function<void()> &BeforeRoute, Trace *T) {
-  RouteOutcome Out;
-  if (Cancel.cancelled()) {
-    Out.Cancelled = true;
-    return Out;
-  }
+  if (Cancel.cancelled())
+    return cancelledOutcome(Cancel);
   const Circuit &Logical = *Item.Logical;
   std::unique_ptr<Router> Mapper =
       makeServiceRouter(Params.Mapper, Params.ErrorAware, Params.Affine);
   RoutingContextOptions CtxOptions = Mapper->contextOptions();
-  CacheKey ContextKey{Item.CircuitFp, Backend->Fingerprint,
+  CacheKey ContextKey{Item.CircuitFp, Backend.Fingerprint,
                       fingerprint(CtxOptions)};
+  Outcome Out;
   const auto CtxStart = Trace::Clock::now();
   int CtxSpan = T ? T->begin("context_build") : -1;
   auto Bundle = Contexts.getOrBuild(
       ContextKey,
       [&] {
-        return CachedContext::build(Logical, *Backend->Graph, CtxOptions,
+        return CachedContext::build(Logical, *Backend.Graph, CtxOptions,
                                     /*WarmWeights=*/true, T);
       },
       &Out.ContextHit);
@@ -1023,11 +877,8 @@ Server::executeRoute(const Triage &Item,
     T->end(CtxSpan);
   Histos.ContextBuild.recordNs(spanNs(CtxStart, Trace::Clock::now()));
   const RoutingContext &Ctx = Bundle->context();
-  if (!Ctx.valid()) {
-    Out.ErrorCode = errc::InvalidCircuit;
-    Out.ErrorMessage = Ctx.status().message();
-    return Out;
-  }
+  if (!Ctx.valid())
+    return failed(errc::InvalidCircuit, Ctx.status().message());
   const auto InitStart = Trace::Clock::now();
   int InitSpan = T ? T->begin("initial_mapping") : -1;
   QubitMapping Initial =
@@ -1037,10 +888,8 @@ Server::executeRoute(const Triage &Item,
   if (T)
     T->end(InitSpan);
   Histos.InitialMapping.recordNs(spanNs(InitStart, Trace::Clock::now()));
-  if (Cancel.cancelled()) {
-    Out.Cancelled = true;
-    return Out;
-  }
+  if (Cancel.cancelled())
+    return cancelledOutcome(Cancel);
   if (BeforeRoute)
     BeforeRoute();
   const auto RouteStart = Trace::Clock::now();
@@ -1053,10 +902,8 @@ Server::executeRoute(const Triage &Item,
   if (T)
     T->end(RouteSpan);
   Histos.RoutingLoop.recordNs(spanNs(RouteStart, Trace::Clock::now()));
-  if (Result.Cancelled) {
-    Out.Cancelled = true;
-    return Out;
-  }
+  if (Result.Cancelled)
+    return cancelledOutcome(Cancel);
   if (Result.AffineReplayedPeriods || Result.AffineFallbackPeriods) {
     std::lock_guard<std::mutex> Lock(CounterMu);
     Counters.AffineReplays += Result.AffineReplayedPeriods;
@@ -1068,12 +915,10 @@ Server::executeRoute(const Triage &Item,
   if (T)
     T->end(VerifySpan);
   Histos.Verify.recordNs(spanNs(VerifyStart, Trace::Clock::now()));
-  if (!Check.Ok) {
-    Out.ErrorCode = errc::VerifyFailed;
-    Out.ErrorMessage = formatString("routing failed verification: %s",
-                                    Check.Message.c_str());
-    return Out;
-  }
+  if (!Check.Ok)
+    return failed(errc::VerifyFailed,
+                  formatString("routing failed verification: %s",
+                               Check.Message.c_str()));
   auto Cached = std::make_shared<CachedResult>();
   {
     ScopedSpan PrintSpan(T, "print_qasm");
@@ -1091,6 +936,7 @@ Server::executeRoute(const Triage &Item,
     Cached->SuccessProbability =
         estimateSuccessProbability(Result.Routed, Ctx.hardware());
 
+  Out.Ok = true;
   Out.Stats = statsFromCached(*Cached);
   Out.Cached = Results.insertValue(Item.ResultKey, std::move(Cached));
   // Persist the routed result. Failures are counted in the store's own
@@ -1099,334 +945,6 @@ Server::executeRoute(const Triage &Item,
   if (Store)
     Store->put(Item.ResultKey, *Out.Cached);
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Batch sessions
-//===----------------------------------------------------------------------===//
-
-void Server::finishBatchItem(const std::shared_ptr<BatchState> &Batch,
-                             size_t Index, const char *Status) {
-  Batch->Status[Index] = Status;
-  // The fetch_sub sequences this thread's Status write (and its already-
-  // sent item frame) before the summary sender's reads, and the writer
-  // mutex orders the frames themselves — so the summary is always last.
-  if (Batch->Remaining.fetch_sub(1) == 1) {
-    Batch->Conn->releaseBatch(Batch->Id);
-    Batch->Conn->send(formatBatchSummaryResponse(Batch->Id, Batch->Mapper,
-                                                 Batch->BackendName,
-                                                 Batch->Names,
-                                                 Batch->Status));
-  }
-}
-
-bool Server::cancelBatch(const std::shared_ptr<BatchState> &Batch) {
-  bool AnyLive = false;
-  for (const auto &[Ticket, Index] : Batch->Tickets) {
-    switch (Workers->cancel(Ticket)) {
-    case JobTicket::State::Queued:
-      // Claimed away from the workers unrun: this thread owns reporting.
-      // An item leading a coalescing flight takes its followers' answers
-      // with it (as a structured error); a cancelled follower item leads
-      // nothing, so the call is a no-op for it.
-      Inflight->completeByLeader(
-          Ticket,
-          coalescedFailure(errc::Cancelled, "item cancelled while queued"));
-      AnyLive = true;
-      Batch->Conn->send(formatBatchItemError(Batch->Id, Index,
-                                             Batch->Names[Index],
-                                             errc::Cancelled,
-                                             "item cancelled while queued"));
-      finishBatchItem(Batch, Index, errc::Cancelled);
-      break;
-    case JobTicket::State::Running:
-      // Token signalled; the item aborts at its next poll and reports
-      // through its own completion path.
-      AnyLive = true;
-      break;
-    case JobTicket::State::CancelledWhileQueued:
-    case JobTicket::State::Done:
-      break;
-    }
-  }
-  return AnyLive;
-}
-
-void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
-                         const Request &Req) {
-  const RouteRequest &Route = Req.Route;
-  {
-    std::lock_guard<std::mutex> Lock(CounterMu);
-    ++Counters.BatchRequests;
-    Counters.BatchItems += Req.Items.size();
-  }
-  std::shared_ptr<const PooledBackend> Backend = admit(*Conn, "batch", Req);
-  if (!Backend)
-    return;
-
-  const size_t Total = Req.Items.size();
-  auto Batch = std::make_shared<BatchState>();
-  Batch->Conn = Conn;
-  Batch->Id = Req.Id;
-  Batch->Mapper = Route.Mapper;
-  Batch->BackendName = Route.Backend;
-  Batch->Remaining.store(Total);
-  Batch->Status.assign(Total, std::string());
-  Batch->Names.resize(Total);
-  for (size_t I = 0; I < Total; ++I)
-    Batch->Names[I] = Req.Items[I].Name;
-
-  auto Deadline =
-      requestDeadline(Route.TimeoutMs, Options.DefaultTimeoutSeconds);
-
-  // Shared per-item parameters; progress streaming is a `route` feature
-  // (a batch already streams one frame per item), so it is ignored here.
-  const RouteRequest Params = withoutQasm(Route);
-
-  // Per-item queue wait (and each item trace's epoch) is anchored at
-  // batch arrival: items genuinely wait while earlier ones are triaged.
-  const auto BatchStart = Trace::Clock::now();
-
-  // Triage every item before anything is enqueued or any frame is sent:
-  // the submission below is all-or-nothing, and a rejected batch must
-  // emit no item frames at all. Items that triage answers by itself (a
-  // cached result or an error) are reported after that decision.
-  std::vector<std::pair<size_t, Triage>> Inline;
-  // An item whose key matches a flight already in the air (a foreign
-  // request's route, or an earlier identical item of this same batch).
-  // It must not route again — but it also must not attach yet: a foreign
-  // flight could complete (and deliver this item's frame) before the
-  // all-or-nothing submission decision below, and a rejected batch emits
-  // no item frames. Candidates are resolved only after submission.
-  struct CoalesceCandidate {
-    size_t Index;
-    Triage Item;
-    std::shared_ptr<JobTicket> Ticket;
-  };
-  std::vector<CoalesceCandidate> Candidates;
-  std::vector<SchedulerJob> Jobs;
-  std::vector<size_t> JobIndex; // Jobs[J] routes item JobIndex[J].
-  std::vector<std::shared_ptr<JobTicket>> LeaderTickets; // Parallels Jobs.
-
-  // Builds the scheduler job for an item that leads its flight. Every
-  // terminal path completes the flight (delivering any followers) before
-  // reporting through this batch's own frames.
-  auto MakeLeaderJob = [&](size_t I, const Triage &Item) {
-    const CacheKey ResultKey = Item.ResultKey;
-    SchedulerJob Job;
-    Job.Deadline = Deadline;
-    Job.OnExpired = [this, Batch, I, ResultKey] {
-      Inflight->complete(
-          ResultKey,
-          coalescedFailure(errc::DeadlineExceeded,
-                           "deadline passed before a worker picked the item "
-                           "up"));
-      Batch->Conn->send(formatBatchItemError(
-          Batch->Id, I, Batch->Names[I], errc::DeadlineExceeded,
-          "deadline passed before a worker picked the item up"));
-      finishBatchItem(Batch, I, errc::DeadlineExceeded);
-    };
-    Job.Run = [this, Batch, I, Item, Backend, Params, ResultKey,
-               BatchStart](RoutingScratch &Scratch,
-                           CancellationToken &Cancel) {
-      const auto Pickup = Trace::Clock::now();
-      Histos.QueueWait.recordNs(spanNs(BatchStart, Pickup));
-      std::unique_ptr<Trace> T;
-      if (Params.Trace) {
-        // Item traces correlate as "<trace id or batch id>-<index>".
-        std::string Base =
-            Params.TraceId.empty() ? Batch->Id : Params.TraceId;
-        T = std::make_unique<Trace>();
-        T->reset(Base.empty() ? generateTraceId()
-                              : formatString("%s-%zu", Base.c_str(), I),
-                 BatchStart);
-        T->add("queue_wait", BatchStart, Pickup);
-      }
-      RouteOutcome Out = executeRoute(Item, Backend, Params, Scratch, Cancel,
-                                      nullptr, T.get());
-      const auto Done = Trace::Clock::now();
-      Histos.BatchItem.recordNs(spanNs(Pickup, Done));
-      double TotalMs = spanNs(BatchStart, Done) / 1e6;
-      if (Options.SlowRequestMs > 0 && TotalMs >= Options.SlowRequestMs)
-        logSlowRequest("batch_item", Batch->Id, Params, TotalMs,
-                       Options.SlowRequestMs, T.get(), Done);
-      if (Out.Cancelled) {
-        auto [Code, Message] = cancellationError(Cancel);
-        // Followers are delivered first: the leader's possibly-slow
-        // writer must not delay their (other connections') responses.
-        Inflight->complete(ResultKey, coalescedFailure(Code, Message));
-        Batch->Conn->send(formatBatchItemError(Batch->Id, I,
-                                               Batch->Names[I], Code,
-                                               Message));
-        finishBatchItem(Batch, I, Code);
-        return;
-      }
-      if (Out.ErrorCode) {
-        Inflight->complete(ResultKey, coalescedFailure(Out.ErrorCode,
-                                                       Out.ErrorMessage));
-        Batch->Conn->send(formatBatchItemError(Batch->Id, I,
-                                               Batch->Names[I],
-                                               Out.ErrorCode,
-                                               Out.ErrorMessage));
-        finishBatchItem(Batch, I, Out.ErrorCode);
-        return;
-      }
-      {
-        InflightTable::Outcome FlightOut;
-        FlightOut.Ok = true;
-        FlightOut.ContextHit = Out.ContextHit;
-        FlightOut.Stats = Out.Stats;
-        FlightOut.Cached = Out.Cached;
-        Inflight->complete(ResultKey, FlightOut);
-      }
-      if (T) {
-        json::Value TraceJson = T->toJson(Done);
-        Batch->Conn->send(formatBatchItemResult(
-            Batch->Id, I, Batch->Names[I], Params.Mapper, Params.Backend,
-            Out.Stats, Out.ContextHit, /*ResultCacheHit=*/false,
-            Out.Cached->RoutedQasm, Params.IncludeQasm, &TraceJson));
-      } else {
-        Batch->Conn->send(formatBatchItemResult(
-            Batch->Id, I, Batch->Names[I], Params.Mapper, Params.Backend,
-            Out.Stats, Out.ContextHit, /*ResultCacheHit=*/false,
-            Out.Cached->RoutedQasm, Params.IncludeQasm));
-      }
-      finishBatchItem(Batch, I, "ok");
-    };
-    return Job;
-  };
-
-  for (size_t I = 0; I < Total; ++I) {
-    Triage Item = triage(Req.Items[I].Qasm, *Backend, Params, nullptr);
-    if (Item.ErrorCode || Item.Cached) {
-      Inline.emplace_back(I, std::move(Item));
-      continue;
-    }
-    // Leading is claimed *now*, with a fresh pre-made ticket, so that a
-    // within-batch duplicate triaged later sees the flight and coalesces
-    // instead of routing twice. The flights are unwound (completeByLeader)
-    // if the submission below is rejected.
-    auto Ticket = std::make_shared<JobTicket>();
-    if (Inflight->lead(Item.ResultKey, Ticket)) {
-      Jobs.push_back(MakeLeaderJob(I, Item));
-      JobIndex.push_back(I);
-      LeaderTickets.push_back(std::move(Ticket));
-    } else {
-      Candidates.push_back({I, std::move(Item), std::move(Ticket)});
-    }
-  }
-
-  // Register before submission so a completing worker's releaseBatch()
-  // always finds the entry; requests on this connection are read
-  // serially, so no cancel can slip in between.
-  {
-    std::lock_guard<std::mutex> Lock(Conn->JobsMu);
-    Conn->InFlightBatches[Req.Id] = Batch;
-  }
-  if (!Jobs.empty()) {
-    std::vector<std::shared_ptr<JobTicket>> Tickets =
-        Workers->trySubmitBatch(std::move(Jobs), LeaderTickets);
-    if (Tickets.empty()) {
-      // All-or-nothing rejection: nothing ran, nothing was sent — one
-      // error response covers the whole batch. The flights claimed at
-      // triage die with it: any *foreign* follower that coalesced onto
-      // them meanwhile gets the rejection as a structured error (this
-      // batch's own candidates have not attached yet, so no item frame
-      // escapes).
-      const char *Code =
-          Stopping.load() ? errc::ShuttingDown : errc::QueueFull;
-      std::string Message =
-          Stopping.load()
-              ? "server is shutting down"
-              : formatString("scheduler queue lacks capacity for %zu "
-                             "batch items, retry later",
-                             JobIndex.size());
-      for (const std::shared_ptr<JobTicket> &Ticket : LeaderTickets)
-        Inflight->completeByLeader(Ticket, coalescedFailure(Code, Message));
-      Conn->releaseBatch(Req.Id);
-      sendError(*Conn, "batch", Req.Id, Code, Message);
-      return;
-    }
-    for (size_t J = 0; J < Tickets.size(); ++J)
-      Batch->Tickets.emplace_back(std::move(Tickets[J]), JobIndex[J]);
-  }
-
-  // The batch is committed: coalesce candidates may attach now. A
-  // candidate whose flight resolved in the window since triage is served
-  // from the result cache, or — when the flight failed and left no
-  // result — routed individually after all.
-  for (CoalesceCandidate &C : Candidates) {
-    for (;;) {
-      InflightTable::Follower F;
-      F.Ticket = C.Ticket;
-      F.Deadline = Deadline;
-      F.Deliver = [this, Batch, I = C.Index, Mapper = Route.Mapper,
-                   BackendName = Route.Backend,
-                   IncludeQasm =
-                       Route.IncludeQasm](const InflightTable::Outcome &O) {
-        if (!O.Ok) {
-          Batch->Conn->send(formatBatchItemError(
-              Batch->Id, I, Batch->Names[I], O.ErrorCode, O.ErrorMessage));
-          finishBatchItem(Batch, I, O.ErrorCode);
-          return;
-        }
-        Batch->Conn->send(formatBatchItemResult(
-            Batch->Id, I, Batch->Names[I], Mapper, BackendName, O.Stats,
-            O.ContextHit, /*ResultCacheHit=*/false, O.Cached->RoutedQasm,
-            IncludeQasm, /*TraceJson=*/nullptr, /*Coalesced=*/true));
-        finishBatchItem(Batch, I, "ok");
-      };
-      if (Inflight->tryAttach(C.Item.ResultKey, std::move(F))) {
-        {
-          std::lock_guard<std::mutex> Lock(CounterMu);
-          ++Counters.Coalesced;
-        }
-        Batch->Tickets.emplace_back(C.Ticket, C.Index);
-        break;
-      }
-      if ((C.Item.Cached = lookupResult(C.Item.ResultKey))) {
-        Inline.emplace_back(C.Index, std::move(C.Item));
-        break;
-      }
-      if (Inflight->lead(C.Item.ResultKey, C.Ticket)) {
-        if (!Workers->trySubmit(MakeLeaderJob(C.Index, C.Item), C.Ticket)) {
-          const char *Code =
-              Stopping.load() ? errc::ShuttingDown : errc::QueueFull;
-          const char *Message = Stopping.load()
-                                    ? "server is shutting down"
-                                    : "scheduler queue is full, retry later";
-          Inflight->completeByLeader(C.Ticket,
-                                     coalescedFailure(Code, Message));
-          Conn->send(formatBatchItemError(Req.Id, C.Index,
-                                          Batch->Names[C.Index], Code,
-                                          Message));
-          finishBatchItem(Batch, C.Index, Code);
-        } else {
-          Batch->Tickets.emplace_back(C.Ticket, C.Index);
-        }
-        break;
-      }
-      // Another identical request took the lead in the window between
-      // the failed attach and the failed lead; retry the attach.
-    }
-  }
-
-  // Inline outcomes go out only now, after the all-or-nothing decision.
-  // Workers may already be streaming their items — fine; the summary
-  // still waits for these, because their countdown slots are ours.
-  for (const auto &[Index, Item] : Inline) {
-    if (Item.ErrorCode) {
-      Conn->send(formatBatchItemError(Req.Id, Index, Batch->Names[Index],
-                                      Item.ErrorCode, Item.ErrorMessage));
-      finishBatchItem(Batch, Index, Item.ErrorCode);
-      continue;
-    }
-    Conn->send(formatBatchItemResult(
-        Req.Id, Index, Batch->Names[Index], Route.Mapper, Route.Backend,
-        statsFromCached(*Item.Cached), /*ContextCacheHit=*/false,
-        /*ResultCacheHit=*/true, Item.Cached->RoutedQasm, Route.IncludeQasm));
-    finishBatchItem(Batch, Index, "ok");
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -12,49 +12,48 @@
 /// bounded worker-pool scheduler (service/Scheduler.h).
 ///
 /// Since protocol v2 each connection is **fully asynchronous**: the
-/// connection thread only reads and validates; every response is written
-/// through the connection's mutex-serialized writer, by whichever thread
+/// connection thread only reads and triages; every response is written
+/// through the connection's serialized writer, by whichever thread
 /// finishes first. Cheap requests (ping/stats/cache hits/validation
 /// errors) answer inline from the connection thread; scheduled routes
 /// answer from the worker that ran them — so a pipelined connection gets
 /// responses out of order and one slow route never head-of-line-blocks
-/// the rest of the stream.
+/// the rest of the stream. Accepting, reading, writing and teardown are
+/// the shared connection core's (service/ConnectionServer.h).
 ///
-/// Request path for `route` (a `batch` runs the same triage per item):
+/// One pipeline serves `route` and `batch`: a request becomes a session
+/// of N >= 1 items under one id (a `route` is a session of one), and
+/// each item goes through the same four steps.
 ///
-///   connection thread: parse line -> validate mapper/backend -> triage:
-///   alias lookup on the raw QASM text (an aliased result-cache hit
-///   responds now, without importing) -> import QASM -> fingerprint ->
-///   record the alias -> result-cache lookup (hit: respond now) ->
-///   register the job ticket under its id -> trySubmit (full queue:
-///   `queue_full`) -> **keep reading** (no wait).
+///   1. Triage (connection thread): alias lookup on the raw QASM text (an
+///      aliased result-cache hit needs no import) -> import QASM ->
+///      fingerprint -> record the alias -> result-cache lookup.
+///   2. One of three paths: an inline answer (cache hit or triage
+///      error); a lead claimed at triage on the single-flight table
+///      (service/InflightTable.h); or, when an identical request already
+///      leads, an attach after the session's all-or-nothing submission,
+///      so a rejected session never has a frame delivered.
+///   3. One scheduler job per lead (worker thread): context-cache
+///      getOrBuild -> route with the worker's pooled RoutingScratch,
+///      polling the job's CancellationToken once per front-layer step ->
+///      verify -> print -> insert result cache -> complete the flight.
+///   4. One completion sink writes every item outcome: a `route` releases
+///      its id and writes its final frame; a batch item writes its
+///      `batch_item` frame, and the last one releases the id and writes
+///      the summary.
 ///
-///   worker thread: context-cache getOrBuild (shared RoutingContext with
-///   warm omega weights) -> route with the worker's pooled RoutingScratch,
-///   polling the job's CancellationToken once per front-layer step ->
-///   verify -> print -> insert result cache -> write the response through
-///   the connection writer, or the `cancelled`/`deadline_exceeded` error
-///   when the token fired mid-route.
+///   `cancel` and a disconnect take the same path: queued items are
+///   unqueued and answered `cancelled` immediately (a dropped route,
+///   having no reader, only releases its id), running ones have their
+///   tokens signalled and answer through their own completion.
 ///
-///   `cancel` (connection thread): look up the ticket by id; a queued job
-///   is unqueued and answered `cancelled` immediately, a running one has
-///   its token signalled and answers through its own completion path.
-///
-/// Flow control: responses are written with a per-send timeout
-/// (SO_SNDTIMEO, 10 s) *and* a 30 s cumulative per-frame bound, so a
-/// peer that stops reading — or drips bytes to reset per-call timers —
-/// while responses are owed is declared dead and its connection latched
-/// closed. A wedged client delays a worker by tens of seconds at most,
-/// never pins it.
-///
-/// Threading/ownership contract: the Server owns the accept thread, one
-/// connection thread per live connection, and the scheduler's workers.
-/// Each Connection object (socket fd + writer mutex + in-flight job
-/// table) is shared between its connection thread and the workers running
-/// its jobs via shared_ptr; the fd closes when the last holder drops, so
-/// a worker can never write into a recycled fd. Caches are internally
-/// synchronized; counters take CounterMu; nothing here may be touched
-/// after teardown() returns except the destructor.
+/// Threading/ownership contract: the Server owns the scheduler's workers;
+/// the core owns the accept and connection threads. Each Connection
+/// (socket + writer + in-flight sessions) is shared between its
+/// connection thread and the workers running its jobs via shared_ptr; the
+/// fd closes when the last holder drops, so a worker can never write into
+/// a recycled fd. Caches are internally synchronized; counters take
+/// CounterMu.
 ///
 /// Every request is answered: malformed input yields structured error
 /// responses, expired deadlines yield `deadline_exceeded` (checked both
@@ -62,39 +61,36 @@
 /// and shutdown yields `shutting_down` — a connection is never wedged and
 /// the daemon never crashes on bad bytes.
 ///
-/// Lifecycle: start() binds and spawns the accept thread; wait() blocks
-/// until a `shutdown` request, requestStop(), or the optional external
-/// predicate (the daemon's signal flag) fires, then tears everything down
-/// gracefully (drains in-flight jobs, joins every thread, unlinks the
-/// socket). One Server per process lifetime stage; not restartable.
+/// Lifecycle: start() binds and starts accepting; wait() blocks until a
+/// `shutdown` request, requestStop(), or the optional external predicate
+/// (the daemon's signal flag) fires, then tears everything down
+/// gracefully: the drain step runs the scheduler dry while every writer
+/// still works, so in-flight routes still get their final response. One
+/// Server per process lifetime stage; not restartable.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef QLOSURE_SERVICE_SERVER_H
 #define QLOSURE_SERVICE_SERVER_H
 
+#include "service/ConnectionServer.h"
 #include "service/ContextCache.h"
 #include "service/Histogram.h"
 #include "service/InflightTable.h"
 #include "service/Protocol.h"
 #include "service/ResultStore.h"
 #include "service/Scheduler.h"
-#include "service/Transport.h"
 #include "support/Error.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 #include "topology/CouplingGraph.h"
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace qlosure {
 namespace service {
@@ -120,7 +116,7 @@ struct ServerOptions {
   /// Maximum accepted request-line length; longer lines get a structured
   /// error and the connection is closed (the stream cannot be trusted to
   /// resynchronize).
-  size_t MaxRequestBytes = 64ull << 20;
+  size_t MaxRequestBytes = DefaultMaxRequestBytes;
   /// Slow-request threshold in milliseconds for the structured log
   /// (support/Log.h): a routed request whose total latency (queue wait
   /// included) reaches it emits one warn-level "slow_request" line with
@@ -181,38 +177,16 @@ struct ServerCounters {
 };
 
 /// The service.
-class Server {
+class Server : public ConnectionServer {
 public:
   explicit Server(ServerOptions Options);
-  ~Server();
+  ~Server() override;
 
-  Server(const Server &) = delete;
-  Server &operator=(const Server &) = delete;
-
-  /// Binds the socket, starts the scheduler and the accept thread.
+  /// Opens the store, starts the scheduler, binds the socket and starts
+  /// accepting.
   Status start();
 
-  /// Blocks until stop is requested (shutdown op, requestStop(), or
-  /// \p ExternalStop returning true — polled a few times per second so a
-  /// signal handler only needs to flip a flag), then tears down: stops
-  /// accepting, unblocks and joins connection threads, drains the
-  /// scheduler, unlinks the socket.
-  void wait(const std::function<bool()> &ExternalStop = nullptr);
-
-  /// Requests asynchronous stop; wait() performs the actual teardown.
-  void requestStop();
-
-  /// Convenience for embedders (tests, the bench): requestStop() + the
-  /// teardown wait() would do. Safe to call from any thread except a
-  /// connection handler (those must use the shutdown op instead).
-  void stop();
-
   const std::string &listenAddress() const { return Options.Listen; }
-
-  /// The canonical bound address ("unix:/path" / "tcp:host:port" with the
-  /// resolved port) — what clients should connect to. Valid after a
-  /// successful start().
-  std::string boundAddress() const { return Acceptor.endpoint().str(); }
 
   /// The full stats document served by the `stats` op.
   json::Value statsJson() const;
@@ -228,20 +202,20 @@ private:
     uint64_t Fingerprint = 0;
   };
 
-  /// Per-connection shared state: the socket, the serialized writer, and
-  /// the in-flight cancellable-job table. Defined in Server.cpp.
+  /// Per-connection state: the core's writer plus the in-flight sessions
+  /// by id. Defined in Server.cpp.
   struct Connection;
 
-  /// Shared state of one in-flight `batch` session: per-item outcome
-  /// slots, the remaining-item countdown whose final decrement sends the
-  /// summary (which is how "summary always last" is enforced), and the
-  /// per-item scheduler tickets for whole-batch cancellation. Defined in
-  /// Server.cpp.
-  struct BatchState;
+  /// One in-flight `route` (one item) or `batch` (N items) under one id:
+  /// the shared parameters, per-item outcome slots, the remaining-item
+  /// countdown whose final decrement releases the id, and the per-item
+  /// scheduler tickets the cancel path claims. Defined in Server.cpp.
+  struct Session;
 
-  /// Outcome of the worker-side routing core shared by `route` and
-  /// `batch` items. Defined in Server.cpp.
-  struct RouteOutcome;
+  using Outcome = InflightTable::Outcome;
+
+  /// How an item's successful outcome was produced (its frame says so).
+  enum class Answer { Routed, CacheHit, Coalesced };
 
   /// What triage() decided for one circuit: a cached result, a protocol
   /// error, or the imported circuit and its keys for routing.
@@ -254,23 +228,24 @@ private:
     CacheKey ResultKey;
   };
 
-  void acceptLoop();
-  void connectionLoop(std::shared_ptr<Connection> Conn, size_t Slot);
-  void teardown();
+  std::shared_ptr<LineConnection> accepted(int Fd) override;
+  void handleLine(const std::shared_ptr<LineConnection> &Conn,
+                  const std::string &Line) override;
+  /// Writes an error response and bumps the error counter (callable from
+  /// any thread).
+  void sendError(LineConnection &Conn, const char *Op, const std::string &Id,
+                 const char *Code, const std::string &Message) override;
+  /// Cancels every session of the dropped connection: nothing can read
+  /// their outcomes, and workers must not route into a closed writer.
+  void disconnected(const std::shared_ptr<LineConnection> &Conn) override;
+  /// Runs the scheduler dry, answers coalesced stragglers, flushes the
+  /// store.
+  void drain() override;
 
-  /// Handles one request line. All responses go out through \p Conn's
-  /// writer — inline for cheap ops, from a worker for scheduled routes.
-  /// \p StopAfterSend is set for the shutdown op: the ack is written
-  /// *before* the caller triggers requestStop(), or teardown could sever
-  /// the connection ahead of it.
-  void handleLine(const std::shared_ptr<Connection> &Conn,
-                  const std::string &Line, bool &StopAfterSend);
-  void handleRoute(const std::shared_ptr<Connection> &Conn,
-                   const Request &Req);
-  void handleBatch(const std::shared_ptr<Connection> &Conn,
-                   const Request &Req);
-  void handleCancel(const std::shared_ptr<Connection> &Conn,
-                    const Request &Req);
+  /// The pipeline: `route` and `batch` as one session of N >= 1 items.
+  void handleRequest(const std::shared_ptr<Connection> &Conn,
+                     const Request &Req);
+  void handleCancel(Connection &Conn, const Request &Req);
 
   /// The admission checks `route` and `batch` share: not shutting down,
   /// id not in flight, known mapper, known backend. Returns the pooled
@@ -278,48 +253,46 @@ private:
   std::shared_ptr<const PooledBackend> admit(Connection &Conn, const char *Op,
                                              const Request &Req);
 
-  /// Triage of one circuit, shared by `route` and every `batch` item.
-  /// The raw text's alias comes first: when it names a result that is
-  /// still cached, the circuit is never imported. Otherwise the text is
-  /// imported and keyed, its alias recorded, and the result cache (then
-  /// the durable store) consulted under the parsed key. \p T, when
-  /// non-null, receives the alias_lookup and import_qasm spans.
+  /// Step 1 for one circuit. The raw text's alias comes first: when it
+  /// names a result that is still cached, the circuit is never imported.
+  /// Otherwise the text is imported and keyed, its alias recorded, and
+  /// the result cache (then the durable store) consulted under the parsed
+  /// key. \p T, when non-null, receives the alias_lookup and import_qasm
+  /// spans.
   Triage triage(const std::string &Qasm, const PooledBackend &Backend,
                 const RouteRequest &Params, Trace *T);
 
-  /// The mapper/context/route/verify/cache core every routed request runs
-  /// on a worker thread; `route` and `batch` items differ only in how
-  /// they report the outcome. \p BeforeRoute, when set, runs right before
-  /// the main routing pass (after the bidirectional derive) — the hook
-  /// `route` uses to install its progress sink.
-  /// \p T, when non-null, receives the per-phase spans of this request
-  /// (context_build, initial_mapping, routing_loop, verify, print_qasm)
-  /// and is installed as the scratch's trace sink around the mapper call.
-  /// Phase latencies are recorded into Histos regardless of tracing.
-  RouteOutcome executeRoute(const Triage &Item,
-                            const std::shared_ptr<const PooledBackend> &Backend,
-                            const RouteRequest &Params, RoutingScratch &Scratch,
-                            CancellationToken &Cancel,
-                            const std::function<void()> &BeforeRoute,
-                            Trace *T = nullptr);
+  /// Step 3: the scheduler job of item \p Index, which leads the flight
+  /// of \p Item.ResultKey. Each of its outcomes completes the flight and
+  /// then reaches the sink.
+  SchedulerJob makeJob(const std::shared_ptr<Session> &S, size_t Index,
+                       Triage Item, std::shared_ptr<Trace> T);
 
-  /// Records item \p Index's terse outcome and performs the batch's
-  /// completion protocol: the thread whose decrement empties the batch
-  /// releases the id and writes the summary — necessarily after every
-  /// item frame, because each item's frame is sent before its decrement.
-  void finishBatchItem(const std::shared_ptr<BatchState> &Batch, size_t Index,
-                       const char *Status);
+  /// The mapper/context/route/verify/cache core every routed item runs
+  /// on a worker thread. \p BeforeRoute, when set, runs right before the
+  /// main routing pass (after the bidirectional derive) — the hook a
+  /// `route` uses to install its progress sink. \p T, when non-null,
+  /// receives the per-phase spans (context_build, initial_mapping,
+  /// routing_loop, verify, print_qasm) and is installed as the scratch's
+  /// trace sink around the mapper call. Phase latencies are recorded
+  /// into Histos regardless of tracing.
+  Outcome executeRoute(const Triage &Item, const PooledBackend &Backend,
+                       const RouteRequest &Params, RoutingScratch &Scratch,
+                       CancellationToken &Cancel,
+                       const std::function<void()> &BeforeRoute, Trace *T);
 
-  /// Cancels every item of \p Batch: queued items are claimed, reported
-  /// (`cancelled` item frame) and finished here; running items get their
-  /// tokens signalled and report through their own completion paths.
-  /// Returns whether any item was still live.
-  bool cancelBatch(const std::shared_ptr<BatchState> &Batch);
+  /// Step 4, the completion sink: writes item \p Index's outcome (an
+  /// error, or a success produced as \p How says). \p T, when non-null,
+  /// is attached to a routed or cache-hit answer.
+  void finishItem(Session &S, size_t Index, const Outcome &O,
+                  Answer How = Answer::Routed, Trace *T = nullptr);
 
-  /// Writes an error response through \p Conn and bumps the error
-  /// counter (callable from any thread).
-  void sendError(Connection &Conn, const char *Op, const std::string &Id,
-                 const char *Code, const std::string &Message);
+  /// Cancels every live item of \p S, for a `cancel` op or, when
+  /// \p Dropped, because its connection went away: queued items are
+  /// claimed, their flights failed, and answered through the sink;
+  /// running items get their tokens signalled and answer through their
+  /// own completion. Returns whether any item was still live.
+  bool cancelSession(Session &S, bool Dropped);
 
   /// Returns the pooled (lazily built) backend variant, or nullptr when
   /// the name is unknown. Shared ownership: in-flight requests keep their
@@ -345,21 +318,6 @@ private:
   std::unique_ptr<InflightTable> Inflight;
   Timer Uptime;
 
-  Listener Acceptor;
-  std::thread AcceptThread;
-
-  /// Connection bookkeeping: ConnThreads[I] handles Conns[I]. Finished
-  /// connections report their slot in FinishedSlots; the accept loop
-  /// joins them and recycles the slots via FreeSlots, so a long-lived
-  /// daemon serving many short-lived connections holds O(max concurrent),
-  /// not O(total), thread stacks. Conns[I] may outlive its slot: workers
-  /// with in-flight jobs hold their own references.
-  mutable std::mutex ConnMu;
-  std::vector<std::thread> ConnThreads;
-  std::vector<std::shared_ptr<Connection>> Conns;
-  std::vector<size_t> FinishedSlots;
-  std::vector<size_t> FreeSlots;
-
   mutable std::mutex BackendMu;
   /// Keyed by variant id ("name|plain" / "name|ea<seed>"). The
   /// calibration-seed dimension is client-controlled, so the pool is
@@ -373,17 +331,6 @@ private:
 
   /// Lock-free latency recording (see ServiceHistograms).
   ServiceHistograms Histos;
-
-  std::mutex StopMu;
-  std::condition_variable StopCv;
-  bool StopRequested = false;
-  std::atomic<bool> Stopping{false};
-  bool Started = false;
-  /// Serializes teardown(): concurrent callers (a wait()er and the
-  /// destructor) must both block until teardown completed, not return
-  /// while the other is still mid-teardown.
-  std::mutex TeardownMu;
-  bool TornDown = false;
 };
 
 } // namespace service

@@ -103,41 +103,13 @@ void pushSpan(json::Value &Spans, const char *Name, int64_t StartNs,
 
 } // namespace
 
-struct RouterServer::Connection {
-  explicit Connection(int FdIn, size_t NumShards)
-      : Fd(FdIn), Upstreams(NumShards) {}
-  ~Connection() {
+struct RouterServer::Connection : LineConnection {
+  Connection(int Fd, size_t NumShards)
+      : LineConnection(Fd), Upstreams(NumShards) {}
+  ~Connection() override {
     for (Upstream &Up : Upstreams)
       if (Up.Fd >= 0)
         ::close(Up.Fd);
-    ::close(Fd);
-  }
-  Connection(const Connection &) = delete;
-  Connection &operator=(const Connection &) = delete;
-
-  const int Fd;
-
-  /// Mirrors Server::Connection::send: serialized whole-line writes,
-  /// latched closed on the first failure.
-  bool send(const std::string &Line) {
-    std::lock_guard<std::mutex> Lock(WriteMu);
-    if (Closed)
-      return false;
-    if (!sendAll(Fd, Line + "\n", /*MaxSeconds=*/30.0)) {
-      Closed = true;
-      return false;
-    }
-    return true;
-  }
-
-  bool alive() {
-    std::lock_guard<std::mutex> Lock(WriteMu);
-    return !Closed;
-  }
-
-  void markClosed() {
-    std::lock_guard<std::mutex> Lock(WriteMu);
-    Closed = true;
   }
 
   /// One lazily-opened upstream per shard, owned by this client
@@ -196,10 +168,6 @@ struct RouterServer::Connection {
   /// Set by the reader thread before it severs the upstreams, so the
   /// forwarders' death upcalls know this is teardown, not shard failure.
   std::atomic<bool> TearingDown{false};
-
-private:
-  std::mutex WriteMu;
-  bool Closed = false;
 };
 
 //===----------------------------------------------------------------------===//
@@ -209,13 +177,10 @@ private:
 RouterServer::RouterServer(RouterOptions Options)
     : Options(std::move(Options)) {}
 
-RouterServer::~RouterServer() {
-  requestStop();
-  wait();
-}
+RouterServer::~RouterServer() { stop(); }
 
 Status RouterServer::start() {
-  if (Started)
+  if (started())
     return Status::error("router already started");
   if (Options.Shards.empty())
     return Status::error("router needs at least one --shard address");
@@ -225,21 +190,13 @@ Status RouterServer::start() {
       return S;
   }
 
-  Endpoint ListenEp;
-  if (Status S = parseEndpoint(Options.Listen, ListenEp); !S.ok())
-    return S;
-  if (Status S = Acceptor.listen(ListenEp, 64); !S.ok())
-    return S;
-
   if (!Options.MetricsListen.empty()) {
     Endpoint MetricsEp;
     Status S = parseEndpoint(Options.MetricsListen, MetricsEp);
     if (S.ok())
       S = MetricsAcceptor.listen(MetricsEp, 16);
-    if (!S.ok()) {
-      Acceptor.close();
+    if (!S.ok())
       return S;
-    }
   }
 
   Ring.build(Options.Shards, std::max(1u, Options.VirtualNodes));
@@ -247,9 +204,11 @@ Status RouterServer::start() {
   // fails fast and marks it down anyway.
   Alive.assign(Options.Shards.size(), 1);
 
-  Started = true;
   Uptime.reset();
-  AcceptThread = std::thread([this] { acceptLoop(); });
+  if (Status S = serve(Options.Listen, DefaultMaxRequestBytes); !S.ok()) {
+    MetricsAcceptor.close();
+    return S;
+  }
   HealthThread = std::thread([this] { healthLoop(); });
   RetryThread = std::thread([this] { retryLoop(); });
   if (MetricsAcceptor.listening())
@@ -257,69 +216,18 @@ Status RouterServer::start() {
   return Status::success();
 }
 
-void RouterServer::requestStop() {
-  {
-    std::lock_guard<std::mutex> Lock(StopMu);
-    StopRequested = true;
-  }
-  StopCv.notify_all();
-}
-
-void RouterServer::wait(const std::function<bool()> &ExternalStop) {
-  if (!Started)
-    return;
-  {
-    std::unique_lock<std::mutex> Lock(StopMu);
-    while (!StopRequested) {
-      if (ExternalStop && ExternalStop())
-        break;
-      StopCv.wait_for(Lock, std::chrono::milliseconds(200));
-    }
-  }
-  teardown();
-}
-
-void RouterServer::stop() {
-  requestStop();
-  wait();
-}
-
-void RouterServer::teardown() {
-  std::lock_guard<std::mutex> TeardownLock(TeardownMu);
-  if (TornDown)
-    return;
-  TornDown = true;
-  Stopping.store(true);
-
-  Acceptor.close();
-  if (AcceptThread.joinable())
-    AcceptThread.join();
-  MetricsAcceptor.close();
+void RouterServer::drain() {
+  // The same wake-join-close order as the protocol listener.
+  MetricsAcceptor.shutdown();
   if (MetricsThread.joinable())
     MetricsThread.join();
+  MetricsAcceptor.close();
 
   RetryCv.notify_all();
   if (RetryThread.joinable())
     RetryThread.join();
   if (HealthThread.joinable())
     HealthThread.join();
-
-  // Sever the client sockets to unblock the readers; each reader then
-  // tears down its own upstreams and forwarders on the way out.
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    for (const std::shared_ptr<Connection> &Conn : Conns)
-      if (Conn)
-        ::shutdown(Conn->Fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> ToJoin;
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    ToJoin.swap(ConnThreads);
-  }
-  for (std::thread &T : ToJoin)
-    if (T.joinable())
-      T.join();
 }
 
 std::string RouterServer::metricsBoundAddress() const {
@@ -339,74 +247,19 @@ void RouterServer::markShardDown(size_t Shard) {
 }
 
 //===----------------------------------------------------------------------===//
-// Accept + client connection loops
+// Client connections
 //===----------------------------------------------------------------------===//
 
-void RouterServer::acceptLoop() {
-  while (!Stopping.load()) {
-    int Fd = Acceptor.acceptConnection();
-    if (Fd < 0)
-      return;
-    if (Stopping.load()) {
-      ::close(Fd);
-      return;
-    }
-    timeval SendTimeout{};
-    SendTimeout.tv_sec = 10;
-    ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &SendTimeout,
-                 sizeof(SendTimeout));
-    auto Conn = std::make_shared<Connection>(Fd, Options.Shards.size());
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    for (size_t Finished : FinishedSlots) {
-      if (ConnThreads[Finished].joinable())
-        ConnThreads[Finished].join();
-      FreeSlots.push_back(Finished);
-    }
-    FinishedSlots.clear();
-
-    size_t Slot;
-    if (!FreeSlots.empty()) {
-      Slot = FreeSlots.back();
-      FreeSlots.pop_back();
-      Conns[Slot] = Conn;
-      ConnThreads[Slot] =
-          std::thread([this, Conn, Slot] { connectionLoop(Conn, Slot); });
-    } else {
-      Slot = Conns.size();
-      Conns.push_back(Conn);
-      ConnThreads.emplace_back(
-          [this, Conn, Slot] { connectionLoop(Conn, Slot); });
-    }
-    {
-      std::lock_guard<std::mutex> CounterLock(CounterMu);
-      ++Counters.Connections;
-    }
+std::shared_ptr<LineConnection> RouterServer::accepted(int Fd) {
+  {
+    std::lock_guard<std::mutex> Lock(CounterMu);
+    ++Counters.Connections;
   }
+  return std::make_shared<Connection>(Fd, Options.Shards.size());
 }
 
-void RouterServer::connectionLoop(std::shared_ptr<Connection> Conn,
-                                  size_t Slot) {
-  std::string Pending;
-  char Buffer[65536];
-  bool Reading = true;
-  while (Reading) {
-    ssize_t N = recvSome(Conn->Fd, Buffer, sizeof(Buffer));
-    if (N <= 0)
-      break;
-    Pending.append(Buffer, static_cast<size_t>(N));
-    std::string Line;
-    while (Reading && popLine(Pending, Line)) {
-      if (Line.empty())
-        continue;
-      bool StopAfterSend = false;
-      handleLine(Conn, Line, StopAfterSend);
-      if (StopAfterSend)
-        requestStop();
-      if (!Conn->alive())
-        Reading = false;
-    }
-  }
-  Conn->markClosed();
+void RouterServer::disconnected(const std::shared_ptr<LineConnection> &Base) {
+  auto Conn = std::static_pointer_cast<Connection>(Base);
   Conn->TearingDown.store(true);
 
   // Sever the upstreams; their forwarders observe EOF, see TearingDown,
@@ -429,19 +282,13 @@ void RouterServer::connectionLoop(std::shared_ptr<Connection> Conn,
     T.join();
 
   // Drop this connection's parked retries.
-  {
-    std::lock_guard<std::mutex> Lock(RetryMu);
-    RetryQueue.erase(std::remove_if(RetryQueue.begin(), RetryQueue.end(),
-                                    [&](const PendingRetry &R) {
-                                      auto Owner = R.Conn.lock();
-                                      return !Owner || Owner == Conn;
-                                    }),
-                     RetryQueue.end());
-  }
-
-  std::lock_guard<std::mutex> Lock(ConnMu);
-  Conns[Slot] = nullptr;
-  FinishedSlots.push_back(Slot);
+  std::lock_guard<std::mutex> Lock(RetryMu);
+  RetryQueue.erase(std::remove_if(RetryQueue.begin(), RetryQueue.end(),
+                                  [&](const PendingRetry &R) {
+                                    auto Owner = R.Conn.lock();
+                                    return !Owner || Owner == Conn;
+                                  }),
+                   RetryQueue.end());
 }
 
 //===----------------------------------------------------------------------===//
@@ -551,7 +398,7 @@ void RouterServer::onShardFinal(const std::shared_ptr<Connection> &Conn,
       auto It = Conn->InFlight.find(Id);
       if (It != Conn->InFlight.end() && It->second.OpName == OpName) {
         if (!Ok && ErrorCode == errc::QueueFull &&
-            It->second.Attempts < Options.MaxRetries && !Stopping.load()) {
+            It->second.Attempts < Options.MaxRetries && !stopping()) {
           // Backpressure: park the request and try again later instead
           // of bouncing the rejection to the client.
           It->second.Shard = Connection::ParkedShard;
@@ -684,7 +531,7 @@ void RouterServer::onUpstreamDown(const std::shared_ptr<Connection> &Conn,
       }
     }
   }
-  if (Conn->TearingDown.load() || Stopping.load())
+  if (Conn->TearingDown.load() || stopping())
     return; // Teardown severed the upstream; nothing to save.
 
   markShardDown(Shard);
@@ -801,10 +648,9 @@ void RouterServer::dispatch(const std::shared_ptr<Connection> &Conn,
   {
     std::lock_guard<std::mutex> Lock(CounterMu);
     ++Counters.Unavailable;
-    ++Counters.Errors;
   }
-  Conn->send(formatErrorResponse(OpName.c_str(), Id, errc::Unavailable,
-                                 "no live shard can serve the request"));
+  sendError(*Conn, OpName.c_str(), Id, errc::Unavailable,
+            "no live shard can serve the request");
 }
 
 void RouterServer::handleCancel(const std::shared_ptr<Connection> &Conn,
@@ -856,21 +702,27 @@ void RouterServer::handleCancel(const std::shared_ptr<Connection> &Conn,
     Conn->send(formatCancelResponse(Req.Id, false));
 }
 
-void RouterServer::handleLine(const std::shared_ptr<Connection> &Conn,
-                              const std::string &Line, bool &StopAfterSend) {
+void RouterServer::sendError(LineConnection &Conn, const char *Op,
+                             const std::string &Id, const char *Code,
+                             const std::string &Message) {
+  {
+    std::lock_guard<std::mutex> Lock(CounterMu);
+    ++Counters.Errors;
+  }
+  Conn.send(formatErrorResponse(Op, Id, Code, Message));
+}
+
+void RouterServer::handleLine(const std::shared_ptr<LineConnection> &Base,
+                              const std::string &Line) {
+  auto Conn = std::static_pointer_cast<Connection>(Base);
   {
     std::lock_guard<std::mutex> Lock(CounterMu);
     ++Counters.Requests;
   }
   RequestParse Parsed = parseRequest(Line);
   if (!Parsed.Ok) {
-    {
-      std::lock_guard<std::mutex> Lock(CounterMu);
-      ++Counters.Errors;
-    }
-    Conn->send(formatErrorResponse(
-        Parsed.OpName.empty() ? "unknown" : Parsed.OpName.c_str(),
-        Parsed.Req.Id, Parsed.ErrorCode, Parsed.ErrorMessage));
+    sendError(*Conn, Parsed.OpName.empty() ? "unknown" : Parsed.OpName.c_str(),
+              Parsed.Req.Id, Parsed.ErrorCode.c_str(), Parsed.ErrorMessage);
     return;
   }
   const Request &Req = Parsed.Req;
@@ -886,9 +738,10 @@ void RouterServer::handleLine(const std::shared_ptr<Connection> &Conn,
     return;
   case Op::Shutdown:
     // Stops the router alone: the shards are independent daemons with
-    // their own operators.
-    StopAfterSend = true;
+    // their own operators. The ack is written before the stop request,
+    // or teardown could sever the connection ahead of it.
     Conn->send(formatShutdownResponse(Req.Id));
+    requestStop();
     return;
   case Op::Cancel:
     handleCancel(Conn, Req);
@@ -898,14 +751,9 @@ void RouterServer::handleLine(const std::shared_ptr<Connection> &Conn,
     break;
   }
 
-  if (Stopping.load()) {
-    {
-      std::lock_guard<std::mutex> Lock(CounterMu);
-      ++Counters.Errors;
-    }
-    Conn->send(formatErrorResponse(Parsed.OpName.c_str(), Req.Id,
-                                   errc::ShuttingDown,
-                                   "router is shutting down"));
+  if (stopping()) {
+    sendError(*Conn, Parsed.OpName.c_str(), Req.Id, errc::ShuttingDown,
+              "router is shutting down");
     return;
   }
   if (!Req.Id.empty()) {
@@ -958,9 +806,9 @@ void RouterServer::healthLoop() {
   Backoff.InitialMs = Options.HealthIntervalMs;
   Backoff.MaxMs = std::max<double>(Options.HealthIntervalMs * 8.0, 2000.0);
 
-  while (!Stopping.load()) {
+  while (!stopping()) {
     auto Now = std::chrono::steady_clock::now();
-    for (size_t S = 0; S < N && !Stopping.load(); ++S) {
+    for (size_t S = 0; S < N && !stopping(); ++S) {
       if (Now < NextCheck[S])
         continue;
       bool Healthy = false;
@@ -1000,7 +848,7 @@ void RouterServer::healthLoop() {
 
 void RouterServer::retryLoop() {
   std::unique_lock<std::mutex> Lock(RetryMu);
-  while (!Stopping.load()) {
+  while (!stopping()) {
     if (RetryQueue.empty()) {
       RetryCv.wait_for(Lock, std::chrono::milliseconds(200));
       continue;
@@ -1022,7 +870,7 @@ void RouterServer::retryLoop() {
     RetryQueue.erase(Soonest);
     Lock.unlock();
     if (std::shared_ptr<Connection> Conn = R.Conn.lock();
-        Conn && Conn->alive() && !Stopping.load()) {
+        Conn && Conn->alive() && !stopping()) {
       // Still parked? A cancel may have raced the timer.
       bool StillWanted = false;
       {
@@ -1160,7 +1008,7 @@ std::string RouterServer::metricsText() {
 //===----------------------------------------------------------------------===//
 
 void RouterServer::metricsHttpLoop() {
-  while (!Stopping.load()) {
+  while (!stopping()) {
     int Fd = MetricsAcceptor.acceptConnection();
     if (Fd < 0)
       return;

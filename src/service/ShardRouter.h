@@ -44,22 +44,27 @@
 /// The optional HTTP listener serves `GET /metrics` (plain HTTP/1.0,
 /// Prometheus text exposition) so a scraper needs no protocol client.
 ///
+/// Client connections run on the same connection core as the daemon
+/// (service/ConnectionServer.h): the same accept loop, latched writer,
+/// teardown order, and request-line bound (DefaultMaxRequestBytes, the
+/// daemon's default; longer lines are answered `bad_request` and the
+/// connection is closed). Each client connection owns one upstream per
+/// shard, so the daemon's connection-scoped ids stay aligned with the
+/// client's.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef QLOSURE_SERVICE_SHARDROUTER_H
 #define QLOSURE_SERVICE_SHARDROUTER_H
 
+#include "service/ConnectionServer.h"
 #include "service/Histogram.h"
 #include "service/Protocol.h"
 #include "service/RequestKey.h"
-#include "service/Transport.h"
-#include "support/Error.h"
 #include "support/Timer.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -124,24 +129,16 @@ struct RouterCounters {
   uint64_t Errors = 0;
 };
 
-/// The front daemon. Lifecycle mirrors Server: start() binds and spawns
-/// the accept/health/retry threads, wait() blocks until a shutdown op or
-/// requestStop() and then tears everything down.
-class RouterServer {
+/// The front daemon. start() binds and spawns the accept/health/retry
+/// threads; wait() (from the connection core) blocks until a shutdown op
+/// or requestStop() and then tears everything down.
+class RouterServer : public ConnectionServer {
 public:
   explicit RouterServer(RouterOptions Options);
-  ~RouterServer();
-
-  RouterServer(const RouterServer &) = delete;
-  RouterServer &operator=(const RouterServer &) = delete;
+  ~RouterServer() override;
 
   Status start();
-  void wait(const std::function<bool()> &ExternalStop = nullptr);
-  void requestStop();
-  void stop();
 
-  /// Canonical client-facing bound address (resolved tcp port).
-  std::string boundAddress() const { return Acceptor.endpoint().str(); }
   /// Bound metrics address, empty when the listener is disabled.
   std::string metricsBoundAddress() const;
 
@@ -156,15 +153,21 @@ public:
 private:
   struct Connection;
 
-  void acceptLoop();
-  void connectionLoop(std::shared_ptr<Connection> Conn, size_t Slot);
+  std::shared_ptr<LineConnection> accepted(int Fd) override;
+  void handleLine(const std::shared_ptr<LineConnection> &Conn,
+                  const std::string &Line) override;
+  void sendError(LineConnection &Conn, const char *Op, const std::string &Id,
+                 const char *Code, const std::string &Message) override;
+  /// Severs the connection's upstreams, joins their forwarders, and drops
+  /// its parked retries.
+  void disconnected(const std::shared_ptr<LineConnection> &Conn) override;
+  /// Stops the metrics listener and joins the health and retry threads.
+  void drain() override;
+
   void healthLoop();
   void retryLoop();
   void metricsHttpLoop();
-  void teardown();
 
-  void handleLine(const std::shared_ptr<Connection> &Conn,
-                  const std::string &Line, bool &StopAfterSend);
   /// Dispatches \p Line (a route/batch request) to the shard owning
   /// \p Key, registering the id for retry/re-dispatch when non-empty.
   void dispatch(const std::shared_ptr<Connection> &Conn, uint64_t Key,
@@ -198,8 +201,6 @@ private:
   HashRing Ring;
   Timer Uptime;
 
-  Listener Acceptor;
-  std::thread AcceptThread;
   Listener MetricsAcceptor;
   std::thread MetricsThread;
 
@@ -223,12 +224,6 @@ private:
   std::vector<PendingRetry> RetryQueue;
   std::thread RetryThread;
 
-  mutable std::mutex ConnMu;
-  std::vector<std::thread> ConnThreads;
-  std::vector<std::shared_ptr<Connection>> Conns;
-  std::vector<size_t> FinishedSlots;
-  std::vector<size_t> FreeSlots;
-
   mutable std::mutex CounterMu;
   RouterCounters Counters;
 
@@ -236,14 +231,6 @@ private:
   /// re-dispatches included), surfaced under router.latency.forward and
   /// always on (recording is lock-free).
   LatencyHistogram ForwardLatency;
-
-  std::mutex StopMu;
-  std::condition_variable StopCv;
-  bool StopRequested = false;
-  std::atomic<bool> Stopping{false};
-  bool Started = false;
-  std::mutex TeardownMu;
-  bool TornDown = false;
 };
 
 } // namespace service

@@ -227,12 +227,17 @@ int Listener::acceptConnection() {
   }
 }
 
+void Listener::shutdown() {
+  // shutdown() wakes a thread blocked in accept() on Linux; close()
+  // alone does not.
+  if (Fd >= 0)
+    ::shutdown(Fd, SHUT_RDWR);
+}
+
 void Listener::close() {
   if (Fd < 0)
     return;
-  // shutdown() wakes a thread blocked in accept() on Linux; close()
-  // alone does not.
-  ::shutdown(Fd, SHUT_RDWR);
+  shutdown();
   ::close(Fd);
   Fd = -1;
   if (Bound.Transport == Endpoint::Kind::Unix && !Bound.Path.empty())

@@ -25,10 +25,12 @@
 /// request/response lines, and Nagle would add 40 ms stalls to every
 /// small frame.
 ///
-/// Threading: a Listener is driven by one accept thread; close() may be
-/// called from another thread to unblock a blocked acceptConnection()
-/// (the same shutdown()-then-close() discipline Server always used).
-/// connectEndpoint() and BackoffPolicy are stateless/thread-safe.
+/// Threading: a Listener is driven by one accept thread. Another thread
+/// wakes it with shutdown(), which never touches the descriptor field;
+/// close() runs only once the accept thread has returned, so no thread
+/// reads a descriptor another is closing (or one the kernel has already
+/// handed out again). connectEndpoint() and BackoffPolicy are
+/// stateless/thread-safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,13 +96,18 @@ public:
   Status listen(const Endpoint &Ep, int Backlog = 64);
 
   /// Blocking accept with EINTR retry; applies TCP_NODELAY to accepted
-  /// TCP sockets. Returns -1 once the listener is closed (or on a fatal
-  /// accept error).
+  /// TCP sockets. Returns -1 once the listener is shut down or closed (or
+  /// on a fatal accept error).
   int acceptConnection();
 
-  /// Shuts down and closes the listening socket (unblocking a blocked
-  /// acceptConnection()) and unlinks a unix socket file this listener
-  /// created.
+  /// Wakes a thread blocked in acceptConnection() (it returns -1, as does
+  /// every later call) without releasing the descriptor. Safe from any
+  /// thread.
+  void shutdown();
+
+  /// Closes the listening socket and unlinks a unix socket file this
+  /// listener created. No thread may be inside acceptConnection(): wake
+  /// it with shutdown() and join it first.
   void close();
 
   bool listening() const { return Fd >= 0; }

@@ -37,7 +37,9 @@
 #include <cstdio>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <unistd.h>
 
@@ -1217,6 +1219,44 @@ TEST_P(ServerTransportTest, DisconnectCancelsOrphanedJobs) {
       << Response;
 }
 
+TEST(ServerTest, DroppedQueuedRouteIsNotCountedAsAnError) {
+  // A queued route orphaned by its connection has no reader for a final
+  // frame, so it is not counted in `errors`; the running one still
+  // answers its own `cancelled` final, which is.
+  ServerFixture Fixture(1);
+  {
+    Client Doomed = Fixture.connect();
+    ASSERT_TRUE(Doomed.sendLine(slowRouteRequest("a", 400, 21).dump()).ok());
+    ASSERT_TRUE(Doomed.sendLine(slowRouteRequest("b", 400, 22).dump()).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  } // Connection drops with one job running and one queued.
+
+  Client Probe = Fixture.connect();
+  auto Begin = std::chrono::steady_clock::now();
+  bool Settled = false;
+  std::string Response;
+  json::Value Doc;
+  while (std::chrono::steady_clock::now() - Begin < std::chrono::seconds(10)) {
+    ASSERT_TRUE(Probe.request("{\"op\":\"stats\"}", Response).ok());
+    Doc = parseResponse(Response);
+    const json::Value *Sched = Doc.get("scheduler");
+    if (Sched->get("queue_depth")->asNumber() == 0 &&
+        Sched->get("completed")->asNumber() +
+                Sched->get("cancelled")->asNumber() ==
+            Sched->get("submitted")->asNumber()) {
+      Settled = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ASSERT_TRUE(Settled) << Response;
+  const json::Value *Sched = Doc.get("scheduler");
+  EXPECT_GE(Sched->get("cancelled")->asNumber(), 1) << Response;
+  EXPECT_EQ(Doc.get("server")->get("errors")->asNumber(),
+            Sched->get("completed")->asNumber())
+      << Response;
+}
+
 TEST_P(ServerTransportTest, DuplicateInFlightIdIsRejected) {
   ServerFixture Fixture(1, GetParam());
   Client Conn = Fixture.connect();
@@ -1500,6 +1540,66 @@ TEST_P(ServerTransportTest, BatchIdSharesNamespaceWithRoutes) {
   ASSERT_TRUE(Conn.sendLine(cancelRequest("x").dump()).ok());
   ASSERT_TRUE(Conn.recvResponseFor("x", Final, {}, "route").ok());
   EXPECT_EQ(errorCode(parseResponse(Final)), errc::Cancelled) << Final;
+}
+
+TEST(ServerTest, RouteAnswersLikeAOneItemBatch) {
+  // A route is a one-item session. Each request goes to its own fresh
+  // daemon, so neither answer comes from a cache the other warmed.
+  std::ifstream In(QLOSURE_TEST_DATA_DIR "/queko-16qbt-d25-s42.qasm");
+  ASSERT_TRUE(In.good());
+  std::stringstream Text;
+  Text << In.rdbuf();
+
+  // Returns the route's final response and the batch's item frame.
+  auto AnswerBothWays = [](const std::string &Qasm,
+                           const std::string &Mapper) {
+    ServerFixture RouteSide(1), BatchSide(1);
+    Client RouteConn = RouteSide.connect(), BatchConn = BatchSide.connect();
+    json::Value Route = routeRequest(Qasm, Mapper, "sherbrooke");
+    Route.set("id", "x");
+    std::string RouteLine, ItemLine, Summary;
+    EXPECT_TRUE(RouteConn.request(Route.dump(), RouteLine).ok());
+    EXPECT_TRUE(
+        BatchConn
+            .sendLine(
+                batchRequest("x", {{"", Qasm}}, Mapper, "sherbrooke").dump())
+            .ok());
+    EXPECT_TRUE(BatchConn
+                    .recvResponseFor(
+                        "x", Summary,
+                        [&](const std::string &Line) { ItemLine = Line; },
+                        "batch")
+                    .ok());
+    return std::make_pair(parseResponse(RouteLine), parseResponse(ItemLine));
+  };
+  // mapping_seconds is the kernel's wall clock; every other stat is
+  // deterministic.
+  auto StatsWithoutClock = [](const json::Value &Frame) {
+    json::Value Stats = *Frame.get("stats");
+    Stats.set("mapping_seconds", 0);
+    return Stats.dump();
+  };
+
+  // QMAP is left out: its wall-clock budget makes its output load-bound.
+  for (const char *Mapper : {"qlosure", "sabre", "cirq", "tket"}) {
+    auto [Route, Item] = AnswerBothWays(Text.str(), Mapper);
+    ASSERT_TRUE(responseOk(Route)) << Route.dump();
+    ASSERT_NE(Item.get("stats"), nullptr) << Item.dump();
+    EXPECT_EQ(StatsWithoutClock(Item), StatsWithoutClock(Route)) << Mapper;
+    EXPECT_EQ(Item.get("qasm")->asString(), Route.get("qasm")->asString())
+        << Mapper;
+  }
+
+  const std::pair<std::string, const char *> Refused[] = {
+      {"qreg oops", errc::BadQasm},
+      {"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[200];\n",
+       errc::TooLarge}};
+  for (const auto &[Qasm, Code] : Refused) {
+    auto [Route, Item] = AnswerBothWays(Qasm, "qlosure");
+    EXPECT_EQ(errorCode(Route), Code) << Route.dump();
+    ASSERT_NE(Item.get("error"), nullptr) << Item.dump();
+    EXPECT_EQ(Item.get("error")->dump(), Route.get("error")->dump());
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,6 +20,7 @@
 #include "service/Protocol.h"
 #include "service/Server.h"
 #include "service/ShardRouter.h"
+#include "service/SocketIO.h"
 
 #include "qasm/Printer.h"
 #include "support/Fingerprint.h"
@@ -658,6 +659,37 @@ TEST(ShardRouterTest, ServesDegradedAfterShardDeath) {
   json::Value Fail = parseResponse(Response);
   EXPECT_FALSE(responseOk(Fail));
   EXPECT_EQ(errorCode(Fail), errc::Unavailable) << Response;
+}
+
+TEST(ShardRouterTest, OverlongRequestLineIsRefusedLikeTheDaemon) {
+  FleetFixture Fleet(1);
+  Endpoint Ep;
+  ASSERT_TRUE(parseEndpoint(Fleet.Router->boundAddress(), Ep).ok());
+  int Fd = -1;
+  ASSERT_TRUE(connectEndpoint(Ep, Fd).ok());
+  // One byte past the daemon's default bound, newline withheld.
+  ASSERT_TRUE(sendAll(Fd, std::string(DefaultMaxRequestBytes + 1, 'x')));
+  std::string Pending, Line;
+  char Buffer[4096];
+  while (!popLine(Pending, Line)) {
+    ssize_t N = recvSome(Fd, Buffer, sizeof(Buffer));
+    ASSERT_GT(N, 0) << "the router must answer before it closes";
+    Pending.append(Buffer, static_cast<size_t>(N));
+  }
+  EXPECT_EQ(recvSome(Fd, Buffer, sizeof(Buffer)), 0)
+      << "the connection closes after the rejection";
+  ::close(Fd);
+  json::Value Doc = parseResponse(Line);
+  EXPECT_FALSE(responseOk(Doc)) << Line;
+  EXPECT_EQ(errorCode(Doc), errc::BadRequest) << Line;
+  EXPECT_EQ(Doc.get("error")->get("message")->asString(),
+            "request line too large");
+
+  // The router itself is unharmed.
+  Client Conn = Fleet.connect();
+  std::string Response;
+  ASSERT_TRUE(Conn.request("{\"op\":\"ping\"}", Response).ok());
+  EXPECT_TRUE(responseOk(parseResponse(Response))) << Response;
 }
 
 TEST(ShardRouterTest, CancelOfUnknownIdAcksLocally) {
