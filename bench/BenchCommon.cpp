@@ -29,17 +29,10 @@ BenchConfig qlosure::bench::parseArgs(int Argc, char **Argv) {
       Config.Full = true;
     } else if (std::strcmp(Argv[I], "--no-verify") == 0) {
       Config.Verify = false;
-    } else if (std::strcmp(Argv[I], "--affine") == 0) {
-      Config.Affine = true;
-    } else if (std::strcmp(Argv[I], "--simd") == 0) {
-      Config.Simd = true;
     } else if (std::strcmp(Argv[I], "--seed") == 0 && I + 1 < Argc) {
       Config.Seed = std::strtoull(Argv[++I], nullptr, 10);
     } else if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 < Argc) {
       Config.Threads =
-          static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10));
-    } else if (std::strcmp(Argv[I], "--fleet") == 0 && I + 1 < Argc) {
-      Config.Fleet =
           static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10));
     } else if (std::strncmp(Argv[I], "--benchmark", 11) == 0) {
       // Tolerate google-benchmark style flags so "for b in bench/*" loops
@@ -47,7 +40,7 @@ BenchConfig qlosure::bench::parseArgs(int Argc, char **Argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--full] [--seed N] [--no-verify] "
-                   "[--affine] [--simd] [--threads N] [--fleet N]\n",
+                   "[--threads N]\n",
                    Argv[0]);
       std::exit(2);
     }

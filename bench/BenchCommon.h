@@ -34,19 +34,6 @@ struct BenchConfig {
   uint64_t Seed = 2026;
   /// --no-verify: skip routing verification (it is cheap; on by default).
   bool Verify = true;
-  /// --affine: exercise the affine replay fast path where the binary
-  /// supports it (bench_kernel_throughput appends a replay-vs-scalar
-  /// section; binaries without an affine mode accept and ignore it).
-  bool Affine = false;
-  /// --simd: compare the vectorized swap-candidate scoring lanes against
-  /// the scalar fallback in the same binary (bench_kernel_throughput
-  /// appends a per-mapper scalar-vs-SIMD section with a byte-identity
-  /// check; binaries without a SIMD mode accept and ignore the flag).
-  bool Simd = false;
-  /// --fleet N: boot N daemons behind a consistent-hash shard router and
-  /// append a fleet-throughput section (bench_service_throughput; other
-  /// binaries accept and ignore the flag). 0 disables the fleet tier.
-  unsigned Fleet = 0;
   /// --threads N: BatchRunner workers (0 = hardware concurrency).
   /// Results are identical for every thread count, except where QMAP's
   /// wall-clock budget trips under load (see BatchRunner.h). Benches

@@ -21,6 +21,7 @@
 #include "presburger/Counting.h"
 #include "presburger/TransitiveClosure.h"
 
+#include <cinttypes>
 #include <cstdio>
 
 using namespace qlosure;
@@ -45,11 +46,11 @@ int main() {
 
   // The polyhedral views.
   IntegerSet Domain = Lifted.iterationDomain(0);
-  std::printf("iteration domain: %s, |D| = %lld\n",
+  std::printf("iteration domain: %s, |D| = %" PRId64 "\n",
               Domain.toString().c_str(), *countPoints(Domain));
   IntegerMap Use = Lifted.useMap(0);
   auto Image = Use.imageOfPoint({2});
-  std::printf("use map at t=2 -> q[%lld], q[%lld]\n\n",
+  std::printf("use map at t=2 -> q[%" PRId64 "], q[%" PRId64 "]\n\n",
               (*Image)[0][0], (*Image)[0][1]);
 
   // --- Part 2: dependences + closure on the Fig. 1 circuit. ------------
@@ -67,7 +68,7 @@ int main() {
   std::printf("Fig. 1 direct dependences over trace time {t -> t'}:\n  ");
   auto Pairs = TimeRel.enumeratePairs();
   for (const auto &[In, Out] : *Pairs)
-    std::printf("G%lld->G%lld ", In[0], Out[0]);
+    std::printf("G%" PRId64 "->G%" PRId64 " ", In[0], Out[0]);
   std::printf("\n");
 
   ClosureResult Closure = transitiveClosure(TimeRel);
@@ -76,7 +77,7 @@ int main() {
   auto ClosedPairs = Closure.Closure.enumeratePairs();
   for (const auto &[In, Out] : *ClosedPairs)
     if (!TimeRel.contains(In, Out))
-      std::printf("G%lld->G%lld ", In[0], Out[0]);
+      std::printf("G%" PRId64 "->G%" PRId64 " ", In[0], Out[0]);
   std::printf("\n\n");
 
   // --- Part 3: the omega weights of Eq. 1. ------------------------------

@@ -26,7 +26,7 @@ namespace {
 
 /// A run being grown by the lifter.
 struct Run {
-  GateKind Kind;
+  GateKind Kind = GateKind::I;
   unsigned NumOperands = 0;
   int64_t Start = 0;
   int64_t Length = 0;

@@ -6,8 +6,6 @@
 
 #include "baselines/CirqGreedy.h"
 
-#include "core/SimdScore.h"
-
 using namespace qlosure;
 
 double CirqGreedyRouter::scoreFromSums(double FrontSum, double ExtSum,
@@ -15,13 +13,4 @@ double CirqGreedyRouter::scoreFromSums(double FrontSum, double ExtSum,
                                        double /*MaxDecay*/, size_t /*NumFront*/,
                                        size_t /*NumExt*/) const {
   return FrontSum + Options.NextSliceWeight * ExtSum;
-}
-
-void CirqGreedyRouter::scoreLanes(const double *FrontSum, const double *ExtSum,
-                                  const double * /*FrontMax*/,
-                                  const double * /*Decay*/, size_t /*NumFront*/,
-                                  size_t /*NumExt*/, size_t NumCandidates,
-                                  double *Out) const {
-  simd::cirqScoreLanes(Out, FrontSum, ExtSum, Options.NextSliceWeight,
-                       NumCandidates);
 }

@@ -41,10 +41,6 @@ protected:
   double scoreFromSums(double FrontSum, double ExtSum, double FrontMax,
                        double MaxDecay, size_t NumFront,
                        size_t NumExt) const override;
-  void scoreLanes(const double *FrontSum, const double *ExtSum,
-                  const double *FrontMax, const double *Decay,
-                  size_t NumFront, size_t NumExt, size_t NumCandidates,
-                  double *Out) const override;
 
 private:
   CirqOptions Options;

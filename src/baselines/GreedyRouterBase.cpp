@@ -9,15 +9,14 @@
 // route() calls sharing the scratch), the look-ahead window is the
 // epoch-stamped FrontLayerTracker one, and candidate physical qubits are
 // deduplicated with an epoch marker — no per-step heap allocation once the
-// scratch is warm. The decision sequence is byte-identical to the
-// pre-scratch implementation (bench_kernel_throughput asserts this).
+// scratch is warm. The golden digests (tests/GoldenRouteTest.cpp) pin the
+// decision sequence.
 //
 //===----------------------------------------------------------------------===//
 
 #include "baselines/GreedyRouterBase.h"
 
 #include "circuit/Dag.h"
-#include "core/SimdScore.h"
 #include "route/FrontLayer.h"
 #include "support/Random.h"
 #include "support/Timer.h"
@@ -26,6 +25,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 
 using namespace qlosure;
 
@@ -224,20 +224,21 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
 
     // Lane scoring: the base (no-swap) sums are computed once per step;
     // each candidate contributes integer deltas for its touched gates
-    // only, and the mapper's formula is then evaluated element-wise over
-    // the per-candidate SoA lanes (SIMD when enabled — bit-identical to
-    // the scalar loop by the SimdScore contract, and to the full
-    // per-candidate recomputation because distance sums of small integers
-    // are exact in double).
+    // only, and the mapper's formula is then evaluated over the
+    // per-candidate SoA lanes (bit-identical to the full per-candidate
+    // recomputation because distance sums of small integers are exact in
+    // double).
     const size_t NumExt = S.Extended.size();
+    const auto FrontEnd = S.GreedyBaseDists.begin() + NumFront;
     const uint64_t BaseFrontSum =
-        simd::sumU32(S.GreedyBaseDists.data(), NumFront);
+        std::accumulate(S.GreedyBaseDists.begin(), FrontEnd, uint64_t{0});
     const uint64_t BaseExtSum =
-        simd::sumU32(S.GreedyBaseDists.data() + NumFront, NumExt);
+        std::accumulate(FrontEnd, FrontEnd + NumExt, uint64_t{0});
     const bool NeedMax = usesFrontMax();
     unsigned BaseFrontMax = 0;
     if (NeedMax) {
-      BaseFrontMax = simd::maxU32(S.GreedyBaseDists.data(), NumFront);
+      for (size_t I = 0; I < NumFront; ++I)
+        BaseFrontMax = std::max(BaseFrontMax, S.GreedyBaseDists[I]);
       S.DistHist.assign(static_cast<size_t>(BaseFrontMax) + 1, 0);
       for (size_t I = 0; I < NumFront; ++I)
         ++S.DistHist[S.GreedyBaseDists[I]];
@@ -317,13 +318,14 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
     }
 
     S.Scores.resize(NumCand);
-    scoreLanes(S.LaneFrontSum.data(), S.LaneExtSum.data(),
-               NeedMax ? S.LaneFrontMax.data() : nullptr, S.LaneDecay.data(),
-               NumFront, NumExt, NumCand, S.Scores.data());
+    for (size_t CI = 0; CI < NumCand; ++CI)
+      S.Scores[CI] = scoreFromSums(S.LaneFrontSum[CI], S.LaneExtSum[CI],
+                                   NeedMax ? S.LaneFrontMax[CI] : 0.0,
+                                   S.LaneDecay[CI], NumFront, NumExt);
 
-    // Selection: the exact sequential tolerance logic of the reference
-    // implementation (a strictly better score clears earlier ties; later
-    // within-tolerance scores join without lowering the bar).
+    // Selection, in candidate order: a strictly better score clears
+    // earlier ties; later within-tolerance scores join without lowering
+    // the bar.
     double BestScore = std::numeric_limits<double>::infinity();
     S.BestIdx.clear();
     for (size_t CI = 0; CI < NumCand; ++CI) {
@@ -347,13 +349,4 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
   Result.FinalMapping = Phi;
   Result.MappingSeconds = Clock.elapsedSeconds();
   return Result;
-}
-
-void GreedyRouterBase::scoreLanes(const double *FrontSum, const double *ExtSum,
-                                  const double *FrontMax, const double *Decay,
-                                  size_t NumFront, size_t NumExt,
-                                  size_t NumCandidates, double *Out) const {
-  for (size_t I = 0; I < NumCandidates; ++I)
-    Out[I] = scoreFromSums(FrontSum[I], ExtSum[I], FrontMax ? FrontMax[I] : 0.0,
-                           Decay[I], NumFront, NumExt);
 }

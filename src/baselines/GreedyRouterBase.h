@@ -51,15 +51,6 @@ protected:
                                double FrontMax, double MaxDecay,
                                size_t NumFront, size_t NumExt) const = 0;
 
-  /// Evaluates the score formula across all \p NumCandidates lanes into
-  /// \p Out. The default is the scalar loop over scoreFromSums; subclasses
-  /// override with a SIMD kernel (core/SimdScore.h) that is bit-identical
-  /// by contract. \p FrontMax is null unless usesFrontMax().
-  virtual void scoreLanes(const double *FrontSum, const double *ExtSum,
-                          const double *FrontMax, const double *Decay,
-                          size_t NumFront, size_t NumExt,
-                          size_t NumCandidates, double *Out) const;
-
   /// Whether the score needs the maximum front distance (tket's
   /// lexicographic fold); gates the per-candidate histogram upkeep.
   virtual bool usesFrontMax() const { return false; }

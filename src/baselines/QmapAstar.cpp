@@ -8,8 +8,8 @@
 // (parent link + one swap) with their tracked-qubit positions in a shared
 // arena, the open list is a binary heap of node ids over a reused vector
 // (std::push_heap/std::pop_heap — exactly what std::priority_queue does
-// underneath, so the expansion order is byte-identical to the pre-scratch
-// node-copying implementation), and the closed set and per-chunk vectors
+// underneath, so the expansion order is the one a priority queue of
+// nodes would give), and the closed set and per-chunk vectors
 // are reused across chunks and route() calls. Expanding a node copies K
 // unsigneds instead of allocating two vectors per neighbor.
 //
@@ -29,7 +29,7 @@ using namespace qlosure;
 namespace {
 
 /// Heap order over packed (f, g) keys: lower f on top; among equal f,
-/// deeper nodes (higher g) first — the reference NodeCompare's order,
+/// deeper nodes (higher g) first — the (f, g) comparator's order,
 /// induced by key = (f << 32) | (2^32 - 1 - g) so one integer compare
 /// replaces two node loads per sift step. Equal (f, g) pairs compare
 /// equivalent under both, so push_heap/pop_heap permute identically.

@@ -6,8 +6,6 @@
 
 #include "baselines/Sabre.h"
 
-#include "core/SimdScore.h"
-
 using namespace qlosure;
 
 double SabreRouter::scoreFromSums(double FrontSum, double ExtSum,
@@ -18,19 +16,4 @@ double SabreRouter::scoreFromSums(double FrontSum, double ExtSum,
   if (NumExt != 0)
     Score += Options.ExtendedWeight * ExtSum / static_cast<double>(NumExt);
   return MaxDecay * Score;
-}
-
-void SabreRouter::scoreLanes(const double *FrontSum, const double *ExtSum,
-                             const double *FrontMax, const double *Decay,
-                             size_t NumFront, size_t NumExt,
-                             size_t NumCandidates, double *Out) const {
-  if (NumFront == 0) { // Degenerate step: defer to the scalar formula.
-    GreedyRouterBase::scoreLanes(FrontSum, ExtSum, FrontMax, Decay, NumFront,
-                                 NumExt, NumCandidates, Out);
-    return;
-  }
-  simd::sabreScoreLanes(Out, FrontSum, ExtSum, Decay,
-                        static_cast<double>(NumFront),
-                        static_cast<double>(NumExt), Options.ExtendedWeight,
-                        NumExt != 0, NumCandidates);
 }

@@ -45,10 +45,6 @@ protected:
   double scoreFromSums(double FrontSum, double ExtSum, double FrontMax,
                        double MaxDecay, size_t NumFront,
                        size_t NumExt) const override;
-  void scoreLanes(const double *FrontSum, const double *ExtSum,
-                  const double *FrontMax, const double *Decay,
-                  size_t NumFront, size_t NumExt, size_t NumCandidates,
-                  double *Out) const override;
   bool usesDecay() const override { return true; }
   double decayIncrement() const override { return Options.DecayIncrement; }
   bool randomTieBreak() const override { return true; }

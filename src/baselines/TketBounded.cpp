@@ -6,8 +6,6 @@
 
 #include "baselines/TketBounded.h"
 
-#include "core/SimdScore.h"
-
 using namespace qlosure;
 
 double TketBoundedRouter::scoreFromSums(double FrontSum, double ExtSum,
@@ -17,13 +15,4 @@ double TketBoundedRouter::scoreFromSums(double FrontSum, double ExtSum,
   // Lexicographic (max distance, total distance) folded into one value:
   // the max dominates, the sum breaks ties among equal maxima.
   return FrontMax * 1e6 + FrontSum + Options.LookaheadWeight * ExtSum;
-}
-
-void TketBoundedRouter::scoreLanes(const double *FrontSum, const double *ExtSum,
-                                   const double *FrontMax,
-                                   const double * /*Decay*/,
-                                   size_t /*NumFront*/, size_t /*NumExt*/,
-                                   size_t NumCandidates, double *Out) const {
-  simd::tketScoreLanes(Out, FrontSum, ExtSum, FrontMax,
-                       Options.LookaheadWeight, NumCandidates);
 }

@@ -11,9 +11,8 @@
 // is a reused flat buffer. Only the gates hosted on the two swapped qubits
 // contribute per-candidate term deltas (delta rescoring against the cached
 // per-layer base sums); Eq. 2 is then evaluated element-wise over SoA
-// candidate lanes (core/SimdScore.h — SIMD when enabled, bit-identical
-// scalar fallback otherwise). The decision sequence is byte-identical to
-// the pre-scratch implementation (bench_kernel_throughput asserts this).
+// candidate lanes. The golden digests (tests/GoldenRouteTest.cpp) pin the
+// decision sequence.
 //
 // Replay hooks: every observable emission (program gate, SWAP, tie-break
 // decision, look-ahead window) passes through the attached ReplayDriver
@@ -24,7 +23,6 @@
 #include "core/RoutingLoop.h"
 
 #include "circuit/Dag.h"
-#include "core/SimdScore.h"
 #include "route/ReplayPlan.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
@@ -240,8 +238,8 @@ void RoutingLoop::buildWindowLayers() {
   // the maximum predecessor level, incremented for two-qubit gates.
   // Single-qubit gates transmit their level without incrementing it —
   // only routable gates define dependence distance for Eq. 2. A stale
-  // GateLevel entry reads 0 = "outside the window" (the pre-scratch
-  // kernel zero-filled an O(numGates) array per step here).
+  // GateLevel entry reads 0 = "outside the window", so a step resets the
+  // map with an epoch bump instead of an O(numGates) zero-fill.
   S.GateLevel.beginEpoch();
   unsigned MaxLevel = 0;
   if (!Options.UseLayerStructure) {
@@ -366,10 +364,10 @@ void RoutingLoop::generateCandidates() {
 /// the gates hosted on the swapped qubits contribute term deltas (delta
 /// rescoring against the cached per-layer base sums); the deltas land in
 /// layer-major SoA lanes and the layer combine + decay multiply then run
-/// element-wise across candidates (SIMD when enabled — bit-identical to
-/// the per-candidate scalar evaluation: each lane performs the same
-/// operation sequence, and a gate on both swapped qubits has an exactly
-/// zero delta, so skipping it never changes a bit).
+/// element-wise across candidates (bit-identical to the per-candidate
+/// evaluation: each lane performs the same operation sequence, and a gate
+/// on both swapped qubits has an exactly zero delta, so skipping it never
+/// changes a bit).
 void RoutingLoop::scoreCandidates() {
   const size_t NumCand = S.Candidates.size();
   const size_t NumLayers = S.LayerBaseSum.size();
@@ -405,11 +403,17 @@ void RoutingLoop::scoreCandidates() {
   for (size_t L = 1; L < NumLayers; ++L) {
     if (S.LayerGateCount[L] == 0)
       continue;
-    simd::qlosureLayerAccum(S.Scores.data(), S.LaneAdjust.data() + L * NumCand,
-                            S.LayerBaseSum[L], static_cast<double>(L),
-                            static_cast<double>(S.LayerGateCount[L]), NumCand);
+    // Eq. 2: the 1/l dependence-distance discount, then the layer's
+    // gate-count normalization, accumulated in ascending layer order.
+    const double Base = S.LayerBaseSum[L];
+    const double Layer = static_cast<double>(L);
+    const double Count = static_cast<double>(S.LayerGateCount[L]);
+    const double *Adj = S.LaneAdjust.data() + L * NumCand;
+    for (size_t CI = 0; CI < NumCand; ++CI)
+      S.Scores[CI] += ((Base + Adj[CI]) / Layer) / Count;
   }
-  simd::applyDecayLanes(S.Scores.data(), S.LaneDecay.data(), NumCand);
+  for (size_t CI = 0; CI < NumCand; ++CI)
+    S.Scores[CI] = S.LaneDecay[CI] * S.Scores[CI];
 }
 
 bool RoutingLoop::replayEmitGate(uint32_t GateId) {

@@ -7,10 +7,9 @@
 /// \file
 /// The scratch-backed main loop behind QlosureRouter::route, exposed as a
 /// class so the affine replay driver (route/ReplayPlan.h) can observe its
-/// emissions and drive it period-by-period. Without a driver attached the
-/// loop *is* the former Qlosure.cpp-internal kernel: every hook is a null
-/// check, and the decision sequence stays byte-identical to the driver-free
-/// implementation (bench_kernel_throughput asserts this).
+/// emissions and drive it period-by-period. Without a driver attached
+/// every hook is a null check, and the decision sequence is the one the
+/// golden digests (tests/GoldenRouteTest.cpp) pin.
 ///
 /// The look-ahead window and the per-gate level map are epoch-stamped
 /// (O(1) reset per step instead of O(numGates) refills), the per-qubit
@@ -18,8 +17,7 @@
 /// every candidate/score array is a reused flat buffer. Only the gates
 /// hosted on the two swapped qubits contribute per-candidate term deltas;
 /// the deltas land in layer-major SoA lanes and Eq. 2 is then evaluated
-/// element-wise across all candidates at once (core/SimdScore.h — SIMD
-/// when enabled, bit-identical scalar fallback otherwise).
+/// element-wise across all candidates at once.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -141,9 +141,12 @@ static WeightResult computeAffine(const Circuit &Circ,
 
 WeightResult qlosure::computeDependenceWeights(const Circuit &Circ,
                                                const WeightOptions &Options) {
-  for (const Gate &G : Circ.gates())
-    assert(G.Kind != GateKind::Barrier && G.Kind != GateKind::Measure &&
-           "omega is defined over unitary gates only");
+  assert(std::none_of(Circ.gates().begin(), Circ.gates().end(),
+                      [](const Gate &G) {
+                        return G.Kind == GateKind::Barrier ||
+                               G.Kind == GateKind::Measure;
+                      }) &&
+         "omega is defined over unitary gates only");
 
   switch (Options.Engine) {
   case WeightEngine::Exact:

@@ -256,11 +256,11 @@ public:
   std::vector<unsigned> GreedyBaseDists;
 
   //===--------------------------------------------------------------------===//
-  // SoA score lanes (core/SimdScore.h kernels; one entry per candidate)
+  // SoA score lanes (one entry per candidate)
   //===--------------------------------------------------------------------===//
 
   /// Per-candidate formula terms, filled by integer delta-accumulation
-  /// against the per-step base sums and consumed as flat vector lanes:
+  /// against the per-step base sums and consumed as flat lanes:
   /// scoring is "evaluate the mapper's formula element-wise over these
   /// arrays" instead of "walk per-candidate distance vectors".
   std::vector<double> LaneFrontSum; ///< Post-swap front distance sums.
@@ -321,7 +321,7 @@ public:
   /// Open-list entry: the (f, g) heap priority packed into one key —
   /// lower f first, deeper g first among equal f — plus the node id. The
   /// packing makes heap sifts compare one integer instead of loading two
-  /// nodes, while inducing exactly the reference comparator's order.
+  /// nodes, while inducing exactly the (f, g) comparator's order.
   struct AstarHeapEntry {
     uint64_t Key = 0;
     uint32_t Id = 0;

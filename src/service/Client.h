@@ -8,8 +8,8 @@
 /// A minimal blocking client for the qlosured protocol v2 over either
 /// transport (unix-domain or TCP),
 /// shared by tools/qlosure-client, the service integration tests, and the
-/// bench_service_throughput load generator: connect (optionally retrying
-/// until the daemon is up), send request lines, read frames.
+/// perfbench load generator: connect (optionally retrying until the
+/// daemon is up), send request lines, read frames.
 ///
 /// Since protocol v2 responses arrive out of order and event frames may
 /// interleave, so the client demultiplexes: recvResponseFor() reads

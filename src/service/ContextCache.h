@@ -19,8 +19,8 @@
 ///    CachedResult holding the routed QASM text and its statistics.
 ///    Routing is deterministic (fixed seeds, identity or derived initial
 ///    placements), so replaying a cached result is byte-identical to
-///    re-running the mapper — verified end-to-end by
-///    bench_service_throughput.
+///    re-running the mapper — checked by ServiceTest's
+///    RepeatedRequestHitsCacheByteIdentically.
 ///
 ///  * AliasCache maps the alias key of a circuit's raw QASM text to its
 ///    result key, so a repeat of the same bytes reaches ResultCache

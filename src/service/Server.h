@@ -192,7 +192,6 @@ public:
   json::Value statsJson() const;
 
   ServerCounters counters() const;
-  CacheStats contextCacheStats() const { return Contexts.stats(); }
   CacheStats resultCacheStats() const { return Results.stats(); }
   CacheStats aliasCacheStats() const { return Aliases.stats(); }
 

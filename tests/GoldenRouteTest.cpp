@@ -10,8 +10,9 @@
 /// the identity placement, and checks (swaps, routed depth,
 /// fingerprintString(printQasm(routed))) against committed values. Any
 /// change to the frontend, a mapper or the printer that alters a routed
-/// response byte fails here. QMAP is left out: its wall-clock budget makes
-/// its output depend on machine load.
+/// response byte fails here. QMAP runs with an unlimited wall-clock
+/// budget, so its rows cannot depend on machine load; the daemon's QMAP,
+/// which stops on a budget, is not pinned here.
 ///
 /// The printer renders angles with std::to_chars (general, precision 17);
 /// the last test checks that this matches printf's "%.17g" on a seeded
@@ -19,6 +20,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "baselines/QmapAstar.h"
 #include "baselines/RouterRegistry.h"
 #include "core/Qlosure.h"
 #include "qasm/Importer.h"
@@ -28,6 +30,7 @@
 #include "support/Random.h"
 #include "topology/Backends.h"
 #include "workloads/QasmBench.h"
+#include "workloads/Queko.h"
 #include "workloads/Structured.h"
 
 #include <gtest/gtest.h>
@@ -57,12 +60,24 @@ std::string goldenInput(const std::string &Name) {
     return readTestData("queko-16qbt-d25-s42.qasm");
   if (Name == "qft-kernel")
     return qasm::printQasm(qftLikeKernel(16, 100));
+  if (Name == "queko54") {
+    QuekoSpec Spec;
+    Spec.Depth = 500;
+    Spec.Seed = 2026;
+    return qasm::printQasm(generateQueko(makeSycamore54(), Spec).Circ);
+  }
   return qasm::printQasm(makeQaoa(16, 10));
 }
 
 /// The mappers under test; "qlosure-affine" is qlosure as the daemon
-/// builds it for an `"affine":true` request.
+/// builds it for an `"affine":true` request, and "qmap" never stops on
+/// its wall-clock budget.
 std::unique_ptr<Router> goldenMapper(const std::string &Name) {
+  if (Name == "qmap") {
+    QmapOptions Opts;
+    Opts.TimeBudgetSeconds = 1e9;
+    return std::make_unique<QmapAstarRouter>(Opts);
+  }
   if (Name != "qlosure-affine")
     return makeRouterByName(Name);
   QlosureOptions Opts;
@@ -82,19 +97,27 @@ struct GoldenCase {
 const GoldenCase GoldenCases[] = {
     {"queko16", "qlosure", 83, 57, 0xa41dfa0f2f63eb60ull},
     {"queko16", "sabre", 83, 63, 0x5df21569a472598dull},
+    {"queko16", "qmap", 132, 88, 0x5b664b81705757b8ull},
     {"queko16", "cirq", 85, 63, 0x4b5faaca39de219full},
     {"queko16", "tket", 103, 99, 0xbac2aee1b78e2ba4ull},
     {"queko16", "qlosure-affine", 80, 85, 0x1f70f51b3e4e5219ull},
     {"qft-kernel", "qlosure", 1595, 3475, 0xb4d8465846a55886ull},
     {"qft-kernel", "sabre", 1604, 3474, 0xe7e253fbff3e90acull},
+    {"qft-kernel", "qmap", 2770, 3858, 0x36e8c89c095ed42eull},
     {"qft-kernel", "cirq", 1594, 3567, 0xa777d49c56be8548ull},
     {"qft-kernel", "tket", 1594, 3567, 0xcc588d5e2fe2556cull},
     {"qft-kernel", "qlosure-affine", 1595, 3475, 0xb4d8465846a55886ull},
     {"qaoa", "qlosure", 205, 193, 0xcd259e2ba1884cadull},
     {"qaoa", "sabre", 231, 198, 0x54123b6a2a0cf820ull},
+    {"qaoa", "qmap", 555, 478, 0x33897febaa122b27ull},
     {"qaoa", "cirq", 280, 245, 0x5ec60c0a6e07c292ull},
     {"qaoa", "tket", 212, 205, 0x7aadb9f125d4eac7ull},
     {"qaoa", "qlosure-affine", 200, 169, 0xaaf2cb9aa15513dcull},
+    {"queko54", "qlosure", 8206, 3129, 0xeecfcb98a79b2af5ull},
+    {"queko54", "sabre", 7631, 2832, 0x0e915f18d0831688ull},
+    {"queko54", "qmap", 19272, 5282, 0x8bc55eeb8b8042e3ull},
+    {"queko54", "cirq", 10535, 4702, 0x63b49d0610808263ull},
+    {"queko54", "tket", 10486, 3963, 0x1c98d1cd4b7d9d33ull},
 };
 
 } // namespace

@@ -181,9 +181,10 @@ TEST(ResultStoreTest, TornTailAtEveryByteOffsetRecoversPrefix) {
     StoreStats S = Store->stats();
     bool Complete = Torn == LastFrame.size();
     EXPECT_EQ(S.Records, Complete ? 3u : 2u) << "torn offset " << Torn;
-    if (!Complete && Torn > 0)
+    if (!Complete && Torn > 0) {
       EXPECT_GT(S.TruncatedBytes + S.CorruptSkipped, 0u)
           << "torn offset " << Torn;
+    }
     auto One = Store->get(key(1));
     auto Two = Store->get(key(2));
     ASSERT_NE(One, nullptr) << "torn offset " << Torn;
@@ -259,9 +260,10 @@ TEST(ResultStoreTest, BitFlipsAreSkippedCountedAndNeverCrash) {
       // must never corrupt what is returned.
       expectEqualResults(*Got, sampleResult(I));
     }
-    if (Found < 3)
+    if (Found < 3) {
       EXPECT_GT(S.CorruptSkipped + S.TruncatedBytes, 0u)
           << "flip at " << Pos << " lost a record without counting it";
+    }
   }
 }
 
@@ -344,8 +346,9 @@ TEST(ResultStoreTest, ConcurrentWritersAndReadersStayConsistent) {
         // Read back a key some thread may be writing right now: either
         // absent or byte-correct, never garbage.
         uint64_t Probe = (N * 7) % (WriterThreads * PerThread);
-        if (auto Got = Store->get(key(Probe)))
+        if (auto Got = Store->get(key(Probe))) {
           EXPECT_EQ(Got->RoutedQasm, sampleResult(Probe).RoutedQasm);
+        }
       }
     });
   }

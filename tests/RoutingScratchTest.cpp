@@ -11,7 +11,8 @@
 /// (2) routing through one long-lived scratch is byte-identical to routing
 /// with a fresh scratch per call, for every mapper and in any interleaving.
 /// Plus the livelock regression test for GreedyRouterBase's
-/// maxSwapsWithoutProgress escape hatch.
+/// maxSwapsWithoutProgress escape hatch, and FlatHashSet64, the
+/// epoch-stamped closed list the pooled QMAP A* leans on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,9 @@
 #include "workloads/Queko.h"
 
 #include <gtest/gtest.h>
+
+#include <random>
+#include <vector>
 
 using namespace qlosure;
 
@@ -265,4 +269,62 @@ TEST(LivelockEscapeTest, ScratchReuseAcrossThrashingRoutes) {
   RoutingResult A = Router.routeWithIdentity(Ctx, Shared);
   RoutingResult B = Router.routeWithIdentity(Ctx, Shared);
   EXPECT_TRUE(sameRouting(A, B));
+}
+
+//===----------------------------------------------------------------------===//
+// FlatHashSet64 (the pooled QMAP A* closed list)
+//===----------------------------------------------------------------------===//
+
+TEST(FlatHashSet64Test, MatchesUnorderedSetSemantics) {
+  FlatHashSet64 Set;
+  Set.clear();
+  EXPECT_EQ(Set.size(), 0u);
+  EXPECT_FALSE(Set.contains(42));
+  EXPECT_TRUE(Set.insert(42));
+  EXPECT_FALSE(Set.insert(42)) << "duplicate insert must report existing";
+  EXPECT_TRUE(Set.contains(42));
+  EXPECT_EQ(Set.size(), 1u);
+
+  // Keys that collide in the low bits exercise linear probing.
+  for (uint64_t I = 0; I < 8; ++I)
+    EXPECT_TRUE(Set.insert(42 + (I + 1) * 1024));
+  EXPECT_EQ(Set.size(), 9u);
+  for (uint64_t I = 0; I < 8; ++I)
+    EXPECT_TRUE(Set.contains(42 + (I + 1) * 1024));
+}
+
+TEST(FlatHashSet64Test, ClearIsEpochBumpNotRefill) {
+  FlatHashSet64 Set;
+  Set.clear();
+  for (uint64_t I = 0; I < 100; ++I)
+    EXPECT_TRUE(Set.insert(I * 0x9E3779B97F4A7C15ull));
+  Set.clear();
+  EXPECT_EQ(Set.size(), 0u);
+  for (uint64_t I = 0; I < 100; ++I)
+    EXPECT_FALSE(Set.contains(I * 0x9E3779B97F4A7C15ull))
+        << "a cleared set answers empty";
+  // Stale slots from the previous epoch must not block reinsertion.
+  for (uint64_t I = 0; I < 100; ++I)
+    EXPECT_TRUE(Set.insert(I * 0x9E3779B97F4A7C15ull));
+  EXPECT_EQ(Set.size(), 100u);
+}
+
+TEST(FlatHashSet64Test, GrowthPreservesMembership) {
+  // Past load factor 0.5 of the initial 1024-slot table the set rehashes;
+  // every live key must survive and no ghost keys may appear.
+  FlatHashSet64 Set;
+  Set.clear();
+  std::mt19937_64 Rng(3);
+  std::vector<uint64_t> Keys;
+  for (size_t I = 0; I < 2000; ++I)
+    Keys.push_back(Rng());
+  for (uint64_t K : Keys)
+    EXPECT_TRUE(Set.insert(K));
+  EXPECT_EQ(Set.size(), Keys.size());
+  for (uint64_t K : Keys)
+    EXPECT_TRUE(Set.contains(K));
+  std::mt19937_64 Other(4);
+  for (size_t I = 0; I < 1000; ++I)
+    EXPECT_FALSE(Set.contains(Other() | (1ull << 63)))
+        << "rehash must not invent members";
 }

@@ -811,7 +811,9 @@ TEST_P(ServerTransportTest, RepeatedRequestHitsCacheByteIdentically) {
 
 TEST_P(ServerTransportTest, ResponsesMatchDirectLibraryCalls) {
   // The acceptance-critical identity: what the service returns is what
-  // the library produces, byte for byte.
+  // the library produces, byte for byte. Each pass runs on a fresh
+  // daemon, so the traced pass routes cold too: tracing a route must not
+  // change a routed byte.
   CouplingGraph Gen = makeAspen16();
   QuekoSpec Spec;
   Spec.Depth = 20;
@@ -826,18 +828,25 @@ TEST_P(ServerTransportTest, ResponsesMatchDirectLibraryCalls) {
   CouplingGraph Backend = makeBackendByName("aspen16");
   RoutingContext Ctx = RoutingContext::build(Logical, Backend);
 
-  ServerFixture Fixture(2, GetParam());
-  Client Conn = Fixture.connect();
-  for (const char *Mapper : {"qlosure", "sabre", "cirq", "tket"}) {
-    auto Direct = makeRouterByName(Mapper)->routeWithIdentity(Ctx);
-    std::string Expected = qasm::printQasm(Direct.Routed);
+  for (bool Traced : {false, true}) {
+    SCOPED_TRACE(Traced ? "traced" : "untraced");
+    ServerFixture Fixture(2, GetParam());
+    Client Conn = Fixture.connect();
+    for (const char *Mapper : {"qlosure", "sabre", "cirq", "tket"}) {
+      auto Direct = makeRouterByName(Mapper)->routeWithIdentity(Ctx);
+      std::string Expected = qasm::printQasm(Direct.Routed);
 
-    std::string Response;
-    ASSERT_TRUE(
-        Conn.request(routeRequest(Qasm, Mapper).dump(), Response).ok());
-    json::Value Doc = parseResponse(Response);
-    ASSERT_TRUE(responseOk(Doc)) << Response;
-    EXPECT_EQ(Doc.get("qasm")->asString(), Expected) << Mapper;
+      json::Value Req = routeRequest(Qasm, Mapper);
+      if (Traced)
+        Req.set("trace", true);
+      std::string Response;
+      ASSERT_TRUE(Conn.request(Req.dump(), Response).ok());
+      json::Value Doc = parseResponse(Response);
+      ASSERT_TRUE(responseOk(Doc)) << Response;
+      EXPECT_FALSE(Doc.get("result_cache_hit")->asBool()) << Mapper;
+      EXPECT_EQ(Doc.get("trace") != nullptr, Traced) << Mapper;
+      EXPECT_EQ(Doc.get("qasm")->asString(), Expected) << Mapper;
+    }
   }
 }
 

@@ -133,9 +133,10 @@ TEST(TransportTest, BackoffDelaysAreBoundedAndDeterministic) {
 void roundTripOver(const Endpoint &Ep) {
   Listener Acceptor;
   ASSERT_TRUE(Acceptor.listen(Ep).ok());
-  if (Ep.Transport == Endpoint::Kind::Tcp && Ep.Port == 0)
+  if (Ep.Transport == Endpoint::Kind::Tcp && Ep.Port == 0) {
     EXPECT_NE(Acceptor.endpoint().Port, 0)
         << "ephemeral port must resolve after listen()";
+  }
 
   std::thread Echo([&] {
     int Fd = Acceptor.acceptConnection();
@@ -165,9 +166,10 @@ void roundTripOver(const Endpoint &Ep) {
   ::close(Fd);
   Echo.join();
   Acceptor.close();
-  if (Ep.Transport == Endpoint::Kind::Unix)
+  if (Ep.Transport == Endpoint::Kind::Unix) {
     EXPECT_NE(::access(Ep.Path.c_str(), F_OK), 0)
         << "close() must unlink the unix socket file";
+  }
 }
 
 TEST(TransportTest, UnixListenerRoundTrip) {
