@@ -35,11 +35,11 @@ std::string QlosureRouter::name() const {
 }
 
 RoutingContextOptions QlosureRouter::contextOptions() const {
+  // Error-aware mode needs nothing from the context: it reads the graph's
+  // per-edge error rates to break exact score ties (see
+  // RoutingLoop::routeOneSwap).
   RoutingContextOptions CtxOptions;
   CtxOptions.Weights = Options.Weights;
-  // Error-aware mode reads only per-edge error rates for tie-breaking
-  // (see RoutingLoop::routeOneSwap); it never consults the weighted
-  // distance matrix, so RequireWeightedDistances stays off.
   return CtxOptions;
 }
 

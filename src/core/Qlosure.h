@@ -55,10 +55,11 @@ struct QlosureOptions {
   /// omega computation engine (Auto = affine beyond a size threshold).
   WeightOptions Weights;
 
-  /// Error-aware extension (the paper's future work): score look-ahead
-  /// distances with the fidelity-weighted metric so SWAP traffic avoids
-  /// noisy couplers. Requires an error model + weighted distances on the
-  /// coupling graph (see applySyntheticErrorModel).
+  /// Error-aware extension (the paper's future work): among candidate
+  /// SWAPs whose Eq. 2 scores tie exactly, prefer the one on the least
+  /// noisy coupler. Scoring itself stays the hop metric of Eq. 2. Takes
+  /// effect only on a coupling graph with an error model (see
+  /// applySyntheticErrorModel); without one the flag changes nothing.
   bool ErrorAware = false;
 
   /// Affine fast path: when the context's period detector finds loop

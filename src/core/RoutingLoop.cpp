@@ -46,7 +46,7 @@ RoutingLoop::RoutingLoop(const QlosureOptions &Options,
   S.Decay.assign(Logical.numQubits(), 1.0);
   LookaheadC = Options.LookaheadConstant ? Options.LookaheadConstant
                                          : Ctx.defaultLookahead();
-  UseWeightedDistance = Options.ErrorAware && Hw.hasErrorModel();
+  BreakTiesByEdgeError = Options.ErrorAware && Hw.hasErrorModel();
   if (Options.UseDependencyWeights)
     Weights = &Ctx.dependenceWeights(); // Memoized in the context.
   // TouchingGates persists across route() calls; start from a clean
@@ -177,7 +177,7 @@ void RoutingLoop::routeOneSwap() {
   for (size_t CI = 0; CI < S.Candidates.size(); ++CI)
     if (S.Scores[CI] <= BestScore + TieMargin + 1e-12)
       S.BestIdx.push_back(CI);
-  if (UseWeightedDistance && S.BestIdx.size() > 1) {
+  if (BreakTiesByEdgeError && S.BestIdx.size() > 1) {
     double MinError = std::numeric_limits<double>::infinity();
     for (size_t CI : S.BestIdx)
       MinError = std::min(MinError, Hw.edgeError(S.Candidates[CI].first,
@@ -317,8 +317,9 @@ void RoutingLoop::buildWindowLayers() {
 /// omega_g * D(PA, PB) (omega forced to 1 without dependency weights).
 /// D stays the hop metric even in error-aware mode — a weighted metric
 /// has a per-edge error floor, so swaps toward true adjacency would not
-/// reduce it and routing would stop converging; error-awareness instead
-/// penalizes the candidate swap's own edge (see routeOneSwap).
+/// reduce it and routing would stop converging; error-aware mode instead
+/// breaks exact score ties toward the least noisy coupler (see
+/// routeOneSwap).
 double RoutingLoop::gateTerm(uint32_t G, unsigned PA, unsigned PB) const {
   double Omega = Options.UseDependencyWeights
                      ? static_cast<double>((*Weights)[G]) + 1.0

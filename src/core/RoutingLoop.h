@@ -97,7 +97,9 @@ private:
   ReplayDriver *Replay = nullptr;
   unsigned LookaheadC = 0;
   unsigned SwapsSinceProgress = 0;
-  bool UseWeightedDistance = false;
+  /// Error-aware mode on a calibrated graph: among exactly tied best
+  /// candidates, keep only those on the least noisy coupler.
+  bool BreakTiesByEdgeError = false;
 
   RoutingResult Result;
 };

@@ -45,8 +45,11 @@ uniformSelfStride(const AffineDependences &Deps, uint32_t S) {
   return (*Delta)[0];
 }
 
-static WeightResult computeAffine(const Circuit &Circ,
-                                  const WeightOptions &Options) {
+/// Statement count past which the affine engine saturates (see the guard
+/// in computeAffine).
+constexpr size_t SaturationStatementLimit = 2500;
+
+static WeightResult computeAffine(const Circuit &Circ) {
   WeightResult Result;
   Result.UsedEngine = WeightEngine::Affine;
   Result.IsExact = false;
@@ -58,7 +61,7 @@ static WeightResult computeAffine(const Circuit &Circ,
   // graph is as large as the gate list and its closure would cost
   // quadratic memory. Fall back to the trivially sound upper bound
   // "every later gate depends on g" (tight on dense QUEKO-style traces).
-  if (AC.numStatements() > Options.SaturationStatementLimit) {
+  if (AC.numStatements() > SaturationStatementLimit) {
     size_t NumGates = static_cast<size_t>(AC.numGates());
     Result.Weights.resize(NumGates);
     for (size_t T = 0; T < NumGates; ++T)
@@ -152,11 +155,11 @@ WeightResult qlosure::computeDependenceWeights(const Circuit &Circ,
   case WeightEngine::Exact:
     return computeExact(Circ);
   case WeightEngine::Affine:
-    return computeAffine(Circ, Options);
+    return computeAffine(Circ);
   case WeightEngine::Auto:
-    if (Circ.size() <= Options.ExactGateLimit)
+    if (Circ.size() <= ExactGateLimit)
       return computeExact(Circ);
-    return computeAffine(Circ, Options);
+    return computeAffine(Circ);
   }
   return computeExact(Circ);
 }

@@ -39,6 +39,10 @@ enum class WeightEngine : uint8_t {
   Auto    ///< Affine beyond ExactGateLimit gates, Exact below.
 };
 
+/// Auto switches to the affine engine above this many gates. The exact
+/// engine costs O(V^2/64) words of memory (~120 MB at 30k gates).
+constexpr size_t ExactGateLimit = 30000;
+
 /// Result of a weight computation.
 struct WeightResult {
   std::vector<uint64_t> Weights; ///< One entry per gate (trace order).
@@ -52,14 +56,6 @@ struct WeightResult {
 /// Options for computeDependenceWeights.
 struct WeightOptions {
   WeightEngine Engine = WeightEngine::Auto;
-  /// Auto switches to the affine engine above this many gates. The exact
-  /// engine costs O(V^2/64) words of memory (~120 MB at 30k gates).
-  size_t ExactGateLimit = 30000;
-  /// When lifting finds more statements than this (irregular circuits
-  /// where macro-gates degenerate to singletons), the affine engine
-  /// saturates: it returns the trivially sound bound "all later gates"
-  /// instead of materializing a quadratic statement-reachability relation.
-  size_t SaturationStatementLimit = 2500;
 };
 
 /// Computes omega for every gate of \p Circ (which must contain unitary

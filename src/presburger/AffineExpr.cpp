@@ -101,12 +101,6 @@ AffineExpr AffineExpr::substitute(unsigned Var,
   return Result + Replacement * Coef;
 }
 
-AffineExpr AffineExpr::extend(unsigned Count) const {
-  AffineExpr Result = *this;
-  Result.Coefficients.resize(Coefficients.size() + Count, 0);
-  return Result;
-}
-
 AffineExpr AffineExpr::remapVars(const std::vector<unsigned> &Mapping,
                                  unsigned NewNumVars) const {
   assert(Mapping.size() == Coefficients.size() && "mapping size mismatch");

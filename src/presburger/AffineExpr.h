@@ -76,10 +76,6 @@ public:
   /// (which must be over the same variable space).
   AffineExpr substitute(unsigned Var, const AffineExpr &Replacement) const;
 
-  /// Returns a copy extended with \p Count fresh trailing variables whose
-  /// coefficients are zero.
-  AffineExpr extend(unsigned Count) const;
-
   /// Returns a copy over a new space of \p NewNumVars variables where the
   /// old variable I maps to position Mapping[I].
   AffineExpr remapVars(const std::vector<unsigned> &Mapping,

@@ -6,8 +6,6 @@
 
 #include "presburger/Counting.h"
 
-#include "support/StringUtils.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -49,23 +47,6 @@ int64_t PiecewiseQuasiAffine::sumOver(int64_t Lo, int64_t Hi) const {
       Sum += floorDiv(P.C0 + P.C1 * I, P.Div);
   }
   return Sum;
-}
-
-std::string PiecewiseQuasiAffine::toString() const {
-  std::string Out = "{";
-  for (size_t I = 0; I < Pieces.size(); ++I) {
-    const Piece &P = Pieces[I];
-    if (I)
-      Out += "; ";
-    Out += formatString(" [%lld,%lld] -> floor((%lld + %lld*i)/%lld)",
-                        static_cast<long long>(P.Lo),
-                        static_cast<long long>(P.Hi),
-                        static_cast<long long>(P.C0),
-                        static_cast<long long>(P.C1),
-                        static_cast<long long>(P.Div));
-  }
-  Out += " }";
-  return Out;
 }
 
 std::optional<int64_t> presburger::countPoints(const IntegerSet &Set,

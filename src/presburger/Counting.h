@@ -21,7 +21,6 @@
 #include "presburger/IntegerMap.h"
 
 #include <optional>
-#include <string>
 #include <vector>
 
 namespace qlosure {
@@ -52,8 +51,6 @@ public:
   int64_t sumOver(int64_t Lo, int64_t Hi) const;
 
   const std::vector<Piece> &pieces() const { return Pieces; }
-
-  std::string toString() const;
 
 private:
   std::vector<Piece> Pieces;

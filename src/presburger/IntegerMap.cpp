@@ -18,10 +18,6 @@ BasicMap::BasicMap(unsigned NumIn, unsigned NumOut, BasicSet SetIn)
   assert(Set.numDims() == NumIn + NumOut && "wrapped set arity mismatch");
 }
 
-BasicMap BasicMap::universe(unsigned NumIn, unsigned NumOut) {
-  return BasicMap(NumIn, NumOut, BasicSet(NumIn + NumOut));
-}
-
 BasicMap BasicMap::identity(const BasicSet &Domain) {
   unsigned N = Domain.numDims();
   BasicSet Set = Domain.appendDims(N);
@@ -134,12 +130,6 @@ BasicMap BasicMap::composeWith(const BasicMap &Next) const {
   return BasicMap(NewIn, NewOut, std::move(Joint));
 }
 
-BasicMap BasicMap::intersectDomain(const BasicSet &Domain) const {
-  assert(Domain.numDims() == NumIn && "domain arity mismatch");
-  BasicSet Extended = Domain.appendDims(NumOut);
-  return BasicMap(NumIn, NumOut, Set.intersect(Extended));
-}
-
 std::optional<std::vector<int64_t>> BasicMap::asTranslation() const {
   if (NumIn != NumOut)
     return std::nullopt;
@@ -191,11 +181,6 @@ std::optional<std::vector<int64_t>> BasicMap::asTranslation() const {
     if (!F)
       return std::nullopt;
   return Delta;
-}
-
-std::string BasicMap::toString() const {
-  return "{ in:" + std::to_string(NumIn) + " -> out:" + std::to_string(NumOut) +
-         " | " + Set.toString() + " }";
 }
 
 //===----------------------------------------------------------------------===//
@@ -304,25 +289,4 @@ std::optional<int64_t> IntegerMap::cardinality(size_t MaxPairs) const {
   if (!Pairs)
     return std::nullopt;
   return static_cast<int64_t>(Pairs->size());
-}
-
-void IntegerMap::simplify() {
-  std::vector<BasicMap> Kept;
-  for (BasicMap &Piece : Pieces) {
-    if (Piece.set().simplify())
-      Kept.push_back(std::move(Piece));
-  }
-  Pieces = std::move(Kept);
-}
-
-std::string IntegerMap::toString() const {
-  if (Pieces.empty())
-    return "{ -> }";
-  std::string Out;
-  for (size_t I = 0; I < Pieces.size(); ++I) {
-    if (I)
-      Out += " u ";
-    Out += Pieces[I].toString();
-  }
-  return Out;
 }

@@ -8,7 +8,7 @@
 /// Integer relations (mirroring isl_map): finite unions of BasicMaps, where
 /// a BasicMap is a BasicSet over the concatenated [in, out] space. Supports
 /// the operations the dependence analysis needs: apply, compose, reverse,
-/// domain/range, union, intersection, and point images.
+/// domain/range, union, and point images.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +18,6 @@
 #include "presburger/IntegerSet.h"
 
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,9 +31,6 @@ public:
 
   /// Wraps \p Set (over NumIn + NumOut visible dims) as a relation.
   BasicMap(unsigned NumIn, unsigned NumOut, BasicSet Set);
-
-  /// The universal relation Z^NumIn x Z^NumOut.
-  static BasicMap universe(unsigned NumIn, unsigned NumOut);
 
   /// The identity relation restricted to \p Domain.
   static BasicMap identity(const BasicSet &Domain);
@@ -67,15 +63,10 @@ public:
   /// this and (mid, out) in Next }. Mid variables become existentials.
   BasicMap composeWith(const BasicMap &Next) const;
 
-  /// Restricts the domain to \p Domain (same dimensionality as numIn()).
-  BasicMap intersectDomain(const BasicSet &Domain) const;
-
   /// If this relation is a pure translation { x -> x + d : P(x) } (i.e. it
   /// has equalities out_j == in_j + d_j and all remaining constraints only
   /// mention inputs), returns the delta vector.
   std::optional<std::vector<int64_t>> asTranslation() const;
-
-  std::string toString() const;
 
 private:
   unsigned NumIn = 0;
@@ -126,10 +117,6 @@ public:
   /// Exact number of distinct pairs, when enumerable.
   std::optional<int64_t>
   cardinality(size_t MaxPairs = BasicSet::DefaultEnumerationBudget) const;
-
-  void simplify();
-
-  std::string toString() const;
 
 private:
   unsigned NumIn = 0;

@@ -17,12 +17,6 @@ IntegerSet::IntegerSet(BasicSet Piece) : NumDims(Piece.numDims()) {
   Pieces.push_back(std::move(Piece));
 }
 
-IntegerSet IntegerSet::universe(unsigned NumDims) {
-  IntegerSet Set(NumDims);
-  Set.Pieces.push_back(BasicSet(NumDims));
-  return Set;
-}
-
 IntegerSet
 IntegerSet::box(const std::vector<std::pair<int64_t, int64_t>> &Bounds) {
   unsigned NumDims = static_cast<unsigned>(Bounds.size());

@@ -33,9 +33,6 @@ public:
   /// Creates a set holding a single disjunct.
   explicit IntegerSet(BasicSet Piece);
 
-  /// The universe Z^NumDims.
-  static IntegerSet universe(unsigned NumDims);
-
   /// The box [Lo_0, Hi_0] x ... (inclusive bounds).
   static IntegerSet box(const std::vector<std::pair<int64_t, int64_t>> &Bounds);
 

@@ -8,7 +8,7 @@
 /// The immutable, shareable precomputation bundle behind every routing run:
 /// one RoutingContext owns (or references) everything derivable from a
 /// (circuit, backend) pair alone — the coupling graph with its all-pairs
-/// distance matrices, the gate dependence DAG, the transitive-dependence
+/// distance matrix, the gate dependence DAG, the transitive-dependence
 /// weights omega, and the device constants (max degree, default look-ahead).
 /// Build it once, then route with any number of mappers, from any number of
 /// threads, without re-deriving any of it: this is the memoization layer
@@ -51,10 +51,6 @@ class Trace;
 struct RoutingContextOptions {
   /// omega engine used when a mapper asks for dependenceWeights().
   WeightOptions Weights;
-
-  /// Eagerly materialize the fidelity-weighted distance matrix (required
-  /// by error-aware mappers when the graph carries an error model).
-  bool RequireWeightedDistances = false;
 };
 
 /// Immutable per-(circuit, backend) routing state. Movable, not copyable;
@@ -74,7 +70,7 @@ public:
   ///
   /// When a request trace \p T is supplied, the expensive construction
   /// phases record spans (ctx_distances — the O(V^2) APSP derivation when
-  /// the graph arrives without matrices — and ctx_dag).
+  /// the graph arrives without a distance matrix — and ctx_dag).
   static RoutingContext build(const Circuit &Logical, const CouplingGraph &Hw,
                               RoutingContextOptions Options = {},
                               Trace *T = nullptr);
@@ -142,7 +138,7 @@ private:
 
   const Circuit *Logical = nullptr;
   const CouplingGraph *Hw = nullptr;
-  /// Set when build() had to derive distance matrices itself; Hw then
+  /// Set when build() had to derive the distance matrix itself; Hw then
   /// points here instead of at the caller's graph.
   std::unique_ptr<CouplingGraph> OwnedHw;
   std::unique_ptr<CircuitDag> Dag;

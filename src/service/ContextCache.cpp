@@ -15,18 +15,18 @@ using namespace qlosure::service;
 namespace {
 
 /// Rough memory footprint of one cached bundle: the gate list, the
-/// adjacency lists, the distance matrices, and the per-gate weight/DAG
-/// arrays. Close enough for byte-budget eviction; exactness is not the
-/// point.
+/// adjacency lists, the distance matrix, the edge-error table of a
+/// calibrated graph, and the per-gate weight/DAG arrays. Close enough for
+/// byte-budget eviction; exactness is not the point.
 size_t estimateBytes(const Circuit &Circ, const CouplingGraph &Hw,
                      bool HasWeights) {
   size_t N = Hw.numQubits();
   size_t Bytes = sizeof(CachedContext);
   Bytes += Circ.size() * sizeof(Gate);
   Bytes += Hw.numEdges() * 2 * sizeof(unsigned) + N * 32;
-  Bytes += N * N * sizeof(uint32_t); // Unweighted distances.
-  if (Hw.hasWeightedDistances())
-    Bytes += N * N * sizeof(double);
+  Bytes += N * N * sizeof(uint32_t); // Hop distances.
+  if (Hw.hasErrorModel())
+    Bytes += N * N * sizeof(double); // Flat edge-error table.
   // DAG: per-gate successor/predecessor edges (<= 2 each way for 2-qubit
   // gates) plus node bookkeeping.
   Bytes += Circ.size() * 48;

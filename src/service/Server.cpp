@@ -1023,8 +1023,3 @@ json::Value ServiceHistograms::toJson() const {
   Obj.set("verify", Verify.toJson());
   return Obj;
 }
-
-ServerCounters Server::counters() const {
-  std::lock_guard<std::mutex> Lock(CounterMu);
-  return Counters;
-}

@@ -191,7 +191,6 @@ public:
   /// The full stats document served by the `stats` op.
   json::Value statsJson() const;
 
-  ServerCounters counters() const;
   CacheStats resultCacheStats() const { return Results.stats(); }
   CacheStats aliasCacheStats() const { return Aliases.stats(); }
 

@@ -14,11 +14,6 @@ void DynamicBitset::resize(size_t NewNumBits) {
   clearUnusedBits();
 }
 
-void DynamicBitset::clearAll() {
-  for (uint64_t &Word : Words)
-    Word = 0;
-}
-
 void DynamicBitset::setAll() {
   for (uint64_t &Word : Words)
     Word = ~uint64_t(0);

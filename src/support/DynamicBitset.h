@@ -49,9 +49,6 @@ public:
     return (Words[Bit >> 6] >> (Bit & 63)) & 1;
   }
 
-  /// Clears all bits, keeping the universe size.
-  void clearAll();
-
   /// Sets all bits in the universe.
   void setAll();
 

@@ -84,10 +84,6 @@ uint64_t qlosure::fingerprint(const CouplingGraph &Graph) {
 }
 
 uint64_t qlosure::fingerprint(const RoutingContextOptions &Options) {
-  uint64_t Hash = hashU64(0xC0F1605EEDULL,
-                          static_cast<uint64_t>(Options.Weights.Engine));
-  Hash = hashU64(Hash, Options.Weights.ExactGateLimit);
-  Hash = hashU64(Hash, Options.Weights.SaturationStatementLimit);
-  Hash = hashU64(Hash, Options.RequireWeightedDistances ? 1 : 0);
-  return Hash;
+  return hashU64(0xC0F1605EEDULL,
+                 static_cast<uint64_t>(Options.Weights.Engine));
 }

@@ -10,7 +10,7 @@
 /// treated as interchangeable for mapping purposes, so the hash folds in
 /// exactly the state the routers read — gate kinds, operands and
 /// parameters, qubit counts, edges, and the installed edge-error model —
-/// and nothing derived from it (distance matrices, DAGs) or cosmetic
+/// and nothing derived from it (distance matrix, DAGs) or cosmetic
 /// (names). Collisions are possible in principle at 64 bits; at service
 /// cache sizes (thousands of entries) the birthday bound keeps the
 /// probability negligible, and a collision only yields a stale-but-valid
@@ -49,13 +49,13 @@ uint64_t fingerprint(const Circuit &Circ);
 
 /// Content hash of a coupling graph: qubit count, the sorted edge set, and
 /// the edge-error model when one is installed (so two calibrations of the
-/// same topology key different cache entries). Derived state (distance
-/// matrices) and the name are excluded.
+/// same topology key different cache entries). Derived state (the distance
+/// matrix) and the name are excluded.
 uint64_t fingerprint(const CouplingGraph &Graph);
 
-/// Content hash of context-construction options (omega engine knobs,
-/// weighted-distance requirement): contexts built with different options
-/// are not interchangeable and must key different cache entries.
+/// Content hash of context-construction options (the omega engine):
+/// contexts built with different options are not interchangeable and must
+/// key different cache entries.
 uint64_t fingerprint(const RoutingContextOptions &Options);
 
 } // namespace qlosure

@@ -58,7 +58,3 @@ bool qlosure::startsWith(const std::string &Text, const std::string &Prefix) {
   return Text.size() >= Prefix.size() &&
          Text.compare(0, Prefix.size(), Prefix) == 0;
 }
-
-std::string qlosure::formatDouble(double Value, int Precision) {
-  return formatString("%.*f", Precision, Value);
-}

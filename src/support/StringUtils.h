@@ -31,10 +31,6 @@ std::string trimString(const std::string &Text);
 /// Returns true if \p Text starts with \p Prefix.
 bool startsWith(const std::string &Text, const std::string &Prefix);
 
-/// Formats a double with \p Precision decimals, trimming trailing zeros is
-/// intentionally NOT done so that tables align.
-std::string formatDouble(double Value, int Precision);
-
 } // namespace qlosure
 
 #endif // QLOSURE_SUPPORT_STRINGUTILS_H

@@ -13,8 +13,6 @@
 #include <cassert>
 #include <cmath>
 #include <deque>
-#include <limits>
-#include <queue>
 
 using namespace qlosure;
 
@@ -25,10 +23,7 @@ void CouplingGraph::addEdge(unsigned A, unsigned B) {
     return;
   Adjacency[A].push_back(B);
   Adjacency[B].push_back(A);
-  // Invalidate both cached APSP matrices.
-  Distances.clear();
-  WeightedDistances.clear();
-  WeightedDistancePenalty = -1.0;
+  Distances.clear(); // Invalidate the cached APSP matrix.
 }
 
 std::vector<std::pair<unsigned, unsigned>> CouplingGraph::edges() const {
@@ -106,49 +101,11 @@ void CouplingGraph::setEdgeError(unsigned A, unsigned B, double ErrorRate) {
     EdgeErrors.assign(static_cast<size_t>(NumQubits) * NumQubits, 0.0);
   EdgeErrors[edgeKey(A, B)] = ErrorRate;
   ErrorModelInstalled = true;
-  WeightedDistances.clear(); // Invalidate cached weighted APSP.
-  WeightedDistancePenalty = -1.0;
 }
 
 double CouplingGraph::edgeError(unsigned A, unsigned B) const {
   assert(A < NumQubits && B < NumQubits && "qubit out of range");
   return EdgeErrors.empty() ? 0.0 : EdgeErrors[edgeKey(A, B)];
-}
-
-void CouplingGraph::computeWeightedDistances(double Penalty) {
-  if (hasWeightedDistances() && WeightedDistancePenalty == Penalty)
-    return; // Cache valid for this penalty; setEdgeError() invalidates.
-  size_t N = NumQubits;
-  WeightedDistances.assign(N * N, std::numeric_limits<double>::infinity());
-  using Entry = std::pair<double, unsigned>; // (distance, qubit).
-  for (unsigned Source = 0; Source < NumQubits; ++Source) {
-    double *Row = &WeightedDistances[static_cast<size_t>(Source) * N];
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        Frontier;
-    Row[Source] = 0;
-    Frontier.push({0.0, Source});
-    while (!Frontier.empty()) {
-      auto [Dist, Q] = Frontier.top();
-      Frontier.pop();
-      if (Dist > Row[Q])
-        continue;
-      for (unsigned Nbr : Adjacency[Q]) {
-        double Cost = 1.0 + Penalty * edgeError(Q, Nbr);
-        if (Row[Q] + Cost < Row[Nbr]) {
-          Row[Nbr] = Row[Q] + Cost;
-          Frontier.push({Row[Nbr], Nbr});
-        }
-      }
-    }
-  }
-  WeightedDistancePenalty = Penalty;
-}
-
-double CouplingGraph::weightedDistance(unsigned A, unsigned B) const {
-  assert(hasWeightedDistances() &&
-         "call computeWeightedDistances() first");
-  assert(A < NumQubits && B < NumQubits && "qubit out of range");
-  return WeightedDistances[static_cast<size_t>(A) * NumQubits + B];
 }
 
 void qlosure::applySyntheticErrorModel(CouplingGraph &Graph, uint64_t Seed,
@@ -163,7 +120,6 @@ void qlosure::applySyntheticErrorModel(CouplingGraph &Graph, uint64_t Seed,
         std::exp(LogMin + (LogMax - LogMin) * Generator.nextDouble());
     Graph.setEdgeError(A, B, Rate);
   }
-  Graph.computeWeightedDistances();
 }
 
 std::vector<unsigned> CouplingGraph::shortestPath(unsigned A,

@@ -94,18 +94,6 @@ public:
 
   bool hasErrorModel() const { return ErrorModelInstalled; }
 
-  /// Computes fidelity-weighted all-pairs distances by Dijkstra, where an
-  /// edge costs 1 + Penalty * errorRate: routes through noisy couplers
-  /// look "longer" to error-aware cost functions. Idempotent for a given
-  /// \p Penalty on an unchanged error model; a different penalty or a new
-  /// calibration triggers recomputation.
-  void computeWeightedDistances(double Penalty = 25.0);
-
-  /// Fidelity-weighted distance; requires computeWeightedDistances().
-  double weightedDistance(unsigned A, unsigned B) const;
-
-  bool hasWeightedDistances() const { return !WeightedDistances.empty(); }
-
   static constexpr unsigned UnreachableDistance = 0x3FFFFFFF;
 
 private:
@@ -116,20 +104,19 @@ private:
   unsigned NumQubits = 0;
   std::vector<std::vector<unsigned>> Adjacency;
   std::vector<uint32_t> Distances; // Row-major N x N.
-  std::vector<double> WeightedDistances; // Row-major N x N.
   /// Flat N x N table keyed by edgeKey (0 off-edge); sized lazily on the
   /// first setEdgeError. A flat vector keeps the error-aware hot path
   /// (one lookup per candidate SWAP per decision) free of tree walks.
   std::vector<double> EdgeErrors;
   bool ErrorModelInstalled = false;
-  double WeightedDistancePenalty = -1.0; ///< Penalty the cache was built with.
   std::string Name;
 };
 
 /// Installs a synthetic calibration on \p Graph: edge error rates drawn
-/// log-uniformly from [MinError, MaxError] with the given \p Seed, plus
-/// weighted distances. Models the daily calibration data real QPU vendors
-/// publish (which this repo cannot ship).
+/// log-uniformly from [MinError, MaxError] with the given \p Seed. Models
+/// the daily calibration data real QPU vendors publish (which this repo
+/// cannot ship); error-aware routing reads the rates to break exact cost
+/// ties toward the least noisy coupler.
 void applySyntheticErrorModel(CouplingGraph &Graph, uint64_t Seed,
                               double MinError = 0.002,
                               double MaxError = 0.03);

@@ -183,13 +183,13 @@ TEST(WeightsTest, LastGateAlwaysZero) {
 }
 
 TEST(WeightsTest, AutoSwitchesEngineBySize) {
-  Circuit Small = makeGhz(5);
   WeightOptions Opts;
   Opts.Engine = WeightEngine::Auto;
-  Opts.ExactGateLimit = 100;
-  EXPECT_EQ(computeDependenceWeights(Small, Opts).UsedEngine,
+  EXPECT_EQ(computeDependenceWeights(makeGhz(5), Opts).UsedEngine,
             WeightEngine::Exact);
-  Circuit Big = makeQugan(30, 10); // ~ 590 gates.
+  // makeGhz(N) has N gates: one H and a CX chain.
+  Circuit Big = makeGhz(static_cast<unsigned>(ExactGateLimit + 1));
+  ASSERT_EQ(Big.size(), ExactGateLimit + 1);
   EXPECT_EQ(computeDependenceWeights(Big, Opts).UsedEngine,
             WeightEngine::Affine);
 }

@@ -38,7 +38,7 @@ TEST(ErrorModelTest, SyntheticModelCoversAllEdges) {
     EXPECT_GE(Rate, 0.002);
     EXPECT_LE(Rate, 0.03);
   }
-  EXPECT_TRUE(G.hasWeightedDistances());
+  EXPECT_TRUE(G.hasErrorModel());
 }
 
 TEST(ErrorModelTest, SyntheticModelDeterministicPerSeed) {
@@ -48,35 +48,6 @@ TEST(ErrorModelTest, SyntheticModelDeterministicPerSeed) {
   applySyntheticErrorModel(B, 9);
   for (auto [X, Y] : A.edges())
     EXPECT_DOUBLE_EQ(A.edgeError(X, Y), B.edgeError(X, Y));
-}
-
-TEST(ErrorModelTest, WeightedDistanceBoundsHopDistance) {
-  CouplingGraph G = makeGrid(4, 4);
-  applySyntheticErrorModel(G, 11);
-  // Weighted distance >= hop distance (every edge costs at least 1) and
-  // weighted(A, A) == 0.
-  for (unsigned A = 0; A < G.numQubits(); A += 3)
-    for (unsigned B = 0; B < G.numQubits(); B += 5) {
-      EXPECT_GE(G.weightedDistance(A, B) + 1e-9,
-                static_cast<double>(G.distance(A, B)));
-      EXPECT_DOUBLE_EQ(G.weightedDistance(A, A), 0.0);
-    }
-}
-
-TEST(ErrorModelTest, WeightedDistanceAvoidsNoisyEdge) {
-  // Square with one very noisy edge: the weighted metric must route the
-  // long way around.
-  CouplingGraph G(4, "square");
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 3);
-  G.addEdge(3, 0);
-  G.computeDistances();
-  G.setEdgeError(0, 1, 0.5); // Terrible coupler.
-  G.computeWeightedDistances(/*Penalty=*/25.0);
-  // Hop distance 0->1 is 1, but the weighted metric prefers 0-3-2-1 = 3.
-  EXPECT_EQ(G.distance(0, 1), 1u);
-  EXPECT_NEAR(G.weightedDistance(0, 1), 3.0, 0.5);
 }
 
 TEST(FidelityTest, PerfectHardwareGivesProbabilityOne) {

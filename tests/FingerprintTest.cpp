@@ -124,12 +124,9 @@ TEST(FingerprintTest, EdgeOrderInsensitive) {
 
 TEST(FingerprintTest, ContextOptionsHashDistinguishesConfigs) {
   RoutingContextOptions Default;
-  RoutingContextOptions Weighted;
-  Weighted.RequireWeightedDistances = true;
   RoutingContextOptions ExactEngine;
   ExactEngine.Weights.Engine = WeightEngine::Exact;
   EXPECT_EQ(fingerprint(Default), fingerprint(RoutingContextOptions{}));
-  EXPECT_NE(fingerprint(Default), fingerprint(Weighted));
   EXPECT_NE(fingerprint(Default), fingerprint(ExactEngine));
 }
 

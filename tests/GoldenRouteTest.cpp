@@ -10,9 +10,11 @@
 /// the identity placement, and checks (swaps, routed depth,
 /// fingerprintString(printQasm(routed))) against committed values. Any
 /// change to the frontend, a mapper or the printer that alters a routed
-/// response byte fails here. QMAP runs with an unlimited wall-clock
-/// budget, so its rows cannot depend on machine load; the daemon's QMAP,
-/// which stops on a budget, is not pinned here.
+/// response byte fails here. The error-aware rows route on a sherbrooke
+/// copy calibrated as the daemon calibrates it for `"calibration":1`, so
+/// they pin the edge-error tie-break too. QMAP runs with an unlimited
+/// wall-clock budget, so its rows cannot depend on machine load; the
+/// daemon's QMAP, which stops on a budget, is not pinned here.
 ///
 /// The printer renders angles with std::to_chars (general, precision 17);
 /// the last test checks that this matches printf's "%.17g" on a seeded
@@ -69,18 +71,23 @@ std::string goldenInput(const std::string &Name) {
   return qasm::printQasm(makeQaoa(16, 10));
 }
 
-/// The mappers under test; "qlosure-affine" is qlosure as the daemon
-/// builds it for an `"affine":true` request, and "qmap" never stops on
-/// its wall-clock budget.
+/// The mappers under test; "qlosure-affine" and "qlosure-error-aware"
+/// are qlosure as the daemon builds it for an `"affine":true` and an
+/// `"error_aware":true` request, and "qmap" never stops on its
+/// wall-clock budget.
 std::unique_ptr<Router> goldenMapper(const std::string &Name) {
   if (Name == "qmap") {
     QmapOptions Opts;
     Opts.TimeBudgetSeconds = 1e9;
     return std::make_unique<QmapAstarRouter>(Opts);
   }
+  QlosureOptions Opts;
+  if (Name == "qlosure-error-aware") {
+    Opts.ErrorAware = true;
+    return std::make_unique<QlosureRouter>(Opts);
+  }
   if (Name != "qlosure-affine")
     return makeRouterByName(Name);
-  QlosureOptions Opts;
   Opts.AffineReplay = true;
   Opts.UseDependencyWeights = false;
   return std::make_unique<QlosureRouter>(Opts);
@@ -101,6 +108,7 @@ const GoldenCase GoldenCases[] = {
     {"queko16", "cirq", 85, 63, 0x4b5faaca39de219full},
     {"queko16", "tket", 103, 99, 0xbac2aee1b78e2ba4ull},
     {"queko16", "qlosure-affine", 80, 85, 0x1f70f51b3e4e5219ull},
+    {"queko16", "qlosure-error-aware", 83, 57, 0xa41dfa0f2f63eb60ull},
     {"qft-kernel", "qlosure", 1595, 3475, 0xb4d8465846a55886ull},
     {"qft-kernel", "sabre", 1604, 3474, 0xe7e253fbff3e90acull},
     {"qft-kernel", "qmap", 2770, 3858, 0x36e8c89c095ed42eull},
@@ -113,6 +121,7 @@ const GoldenCase GoldenCases[] = {
     {"qaoa", "cirq", 280, 245, 0x5ec60c0a6e07c292ull},
     {"qaoa", "tket", 212, 205, 0x7aadb9f125d4eac7ull},
     {"qaoa", "qlosure-affine", 200, 169, 0xaaf2cb9aa15513dcull},
+    {"qaoa", "qlosure-error-aware", 205, 193, 0x9dc757520a7f828aull},
     {"queko54", "qlosure", 8206, 3129, 0xeecfcb98a79b2af5ull},
     {"queko54", "sabre", 7631, 2832, 0x0e915f18d0831688ull},
     {"queko54", "qmap", 19272, 5282, 0x8bc55eeb8b8042e3ull},
@@ -124,6 +133,8 @@ const GoldenCase GoldenCases[] = {
 
 TEST(GoldenRouteTest, RoutedOutputMatchesCommittedDigests) {
   CouplingGraph Hw = makeBackendByName("sherbrooke");
+  CouplingGraph Calibrated = Hw;
+  applySyntheticErrorModel(Calibrated, /*Seed=*/1);
   for (const GoldenCase &Case : GoldenCases) {
     qasm::ImportResult Imported =
         qasm::importQasm(goldenInput(Case.Input), "golden");
@@ -131,8 +142,9 @@ TEST(GoldenRouteTest, RoutedOutputMatchesCommittedDigests) {
     Circuit Logical =
         Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates();
     std::unique_ptr<Router> Mapper = goldenMapper(Case.Mapper);
-    RoutingContext Ctx =
-        RoutingContext::build(Logical, Hw, Mapper->contextOptions());
+    bool ErrorAware = std::strcmp(Case.Mapper, "qlosure-error-aware") == 0;
+    RoutingContext Ctx = RoutingContext::build(
+        Logical, ErrorAware ? Calibrated : Hw, Mapper->contextOptions());
     ASSERT_TRUE(Ctx.valid()) << Case.Input;
     RoutingResult Result = Mapper->routeWithIdentity(Ctx);
     size_t Depth = Result.Routed.depth();

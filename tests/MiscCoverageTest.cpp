@@ -198,14 +198,6 @@ TEST(WorkloadCornerTest, QuekoDepthOne) {
   EXPECT_GT(I.Circ.size(), 0u);
 }
 
-TEST(WorkloadCornerTest, WeightedDistanceSymmetry) {
-  CouplingGraph G = makeGrid(3, 3);
-  applySyntheticErrorModel(G, 23);
-  for (unsigned A = 0; A < 9; ++A)
-    for (unsigned B = 0; B < 9; ++B)
-      EXPECT_DOUBLE_EQ(G.weightedDistance(A, B), G.weightedDistance(B, A));
-}
-
 TEST(WorkloadCornerTest, SuiteCircuitsAreRoutableSmoke) {
   // Every suite circuit fits on Sherbrooke and has sane depth bounds.
   CouplingGraph Hw = makeSherbrooke();
