@@ -6,13 +6,17 @@
 ///
 /// \file
 /// Golden digests of routed output. Each case imports its input as QASM
-/// text, strips it the way the daemon does, routes it on sherbrooke from
-/// the identity placement, and checks (swaps, routed depth,
+/// text, strips it the way the daemon does, routes it on sherbrooke (or
+/// ankaa3, where a row names it) from the identity placement, and checks (swaps, routed depth,
 /// fingerprintString(printQasm(routed))) against committed values. Any
 /// change to the frontend, a mapper or the printer that alters a routed
 /// response byte fails here. The error-aware rows route on a sherbrooke
 /// copy calibrated as the daemon calibrates it for `"calibration":1`, so
-/// they pin the edge-error tie-break too. QMAP runs with an unlimited
+/// they pin the edge-error tie-break too. Further rows pin the kernel
+/// paths the daemon does not take by default: the Fig. 8 distance-only
+/// variant (window = front), a two-swap escape threshold (forced
+/// shortest-path chains), a bidirectionally derived placement (Fig. 8
+/// variant (d)) and ankaa3's 82 qubits. QMAP runs with an unlimited
 /// wall-clock budget, so its rows cannot depend on machine load; the
 /// daemon's QMAP, which stops on a budget, is not pinned here.
 ///
@@ -27,6 +31,7 @@
 #include "core/Qlosure.h"
 #include "qasm/Importer.h"
 #include "qasm/Printer.h"
+#include "route/InitialMapping.h"
 #include "route/RoutingContext.h"
 #include "support/Fingerprint.h"
 #include "support/Random.h"
@@ -74,7 +79,11 @@ std::string goldenInput(const std::string &Name) {
 /// The mappers under test; "qlosure-affine" and "qlosure-error-aware"
 /// are qlosure as the daemon builds it for an `"affine":true` and an
 /// `"error_aware":true` request, and "qmap" never stops on its
-/// wall-clock budget.
+/// wall-clock budget. "qlosure-distance-only" is Fig. 8 variant (a) as
+/// bench_fig8_ablation builds it, "qlosure-forced" forces a shortest-path
+/// chain after every two swaps without progress, and
+/// "qlosure-bidirectional" is default qlosure routed from the placement
+/// deriveBidirectionalMapping derives (Fig. 8 variant (d)).
 std::unique_ptr<Router> goldenMapper(const std::string &Name) {
   if (Name == "qmap") {
     QmapOptions Opts;
@@ -84,12 +93,18 @@ std::unique_ptr<Router> goldenMapper(const std::string &Name) {
   QlosureOptions Opts;
   if (Name == "qlosure-error-aware") {
     Opts.ErrorAware = true;
-    return std::make_unique<QlosureRouter>(Opts);
-  }
-  if (Name != "qlosure-affine")
+  } else if (Name == "qlosure-affine") {
+    Opts.AffineReplay = true;
+    Opts.UseDependencyWeights = false;
+  } else if (Name == "qlosure-distance-only") {
+    Opts.UseLayerStructure = false;
+    Opts.UseDependencyWeights = false;
+    Opts.DecayIncrement = 0.0;
+  } else if (Name == "qlosure-forced") {
+    Opts.MaxSwapsWithoutProgress = 2;
+  } else if (Name != "qlosure-bidirectional") {
     return makeRouterByName(Name);
-  Opts.AffineReplay = true;
-  Opts.UseDependencyWeights = false;
+  }
   return std::make_unique<QlosureRouter>(Opts);
 }
 
@@ -99,6 +114,7 @@ struct GoldenCase {
   size_t Swaps;
   size_t Depth;
   uint64_t Digest;
+  const char *Backend = "sherbrooke";
 };
 
 const GoldenCase GoldenCases[] = {
@@ -127,14 +143,31 @@ const GoldenCase GoldenCases[] = {
     {"queko54", "qmap", 19272, 5282, 0x8bc55eeb8b8042e3ull},
     {"queko54", "cirq", 10535, 4702, 0x63b49d0610808263ull},
     {"queko54", "tket", 10486, 3963, 0x1c98d1cd4b7d9d33ull},
+    {"queko16", "qlosure-distance-only", 105, 78, 0x000237870db4030bull},
+    {"qft-kernel", "qlosure-distance-only", 2389, 3132, 0xf2c0575738ff9c9full},
+    {"qaoa", "qlosure-distance-only", 463, 308, 0x944e5e6e02e48c93ull},
+    {"queko54", "qlosure-distance-only", 12257, 3043, 0xea8924edb058df82ull},
+    {"queko16", "qlosure-forced", 84, 63, 0xa4061b7987a725ecull},
+    {"qft-kernel", "qlosure-forced", 1602, 3576, 0xd9312277c7023869ull},
+    {"qaoa", "qlosure-forced", 463, 379, 0xa3f03d35b15eafe4ull},
+    {"queko54", "qlosure-forced", 8505, 2622, 0xdcfda3df5e12d47full},
+    {"queko16", "qlosure-bidirectional", 41, 44, 0xa860422c9396ea92ull},
+    {"qft-kernel", "qlosure-bidirectional", 1591, 3473, 0xa3474709e3e5bd92ull},
+    {"qaoa", "qlosure-bidirectional", 174, 158, 0xf26e59484e619924ull},
+    {"queko54", "qlosure-bidirectional", 6888, 2650, 0xb0012fe66006338bull},
+    {"queko54", "qlosure", 4002, 1991, 0xbc801a13b6677477ull, "ankaa3"},
+    {"queko54", "sabre", 4384, 2260, 0x40eec080d8c90260ull, "ankaa3"},
+    {"queko54", "cirq", 6036, 3586, 0xdc162e4c0c9da9b0ull, "ankaa3"},
+    {"queko54", "tket", 5752, 2864, 0x56484869fe40a481ull, "ankaa3"},
 };
 
 } // namespace
 
 TEST(GoldenRouteTest, RoutedOutputMatchesCommittedDigests) {
-  CouplingGraph Hw = makeBackendByName("sherbrooke");
-  CouplingGraph Calibrated = Hw;
+  CouplingGraph Sherbrooke = makeBackendByName("sherbrooke");
+  CouplingGraph Calibrated = Sherbrooke;
   applySyntheticErrorModel(Calibrated, /*Seed=*/1);
+  CouplingGraph Ankaa3 = makeBackendByName("ankaa3");
   for (const GoldenCase &Case : GoldenCases) {
     qasm::ImportResult Imported =
         qasm::importQasm(goldenInput(Case.Input), "golden");
@@ -142,17 +175,24 @@ TEST(GoldenRouteTest, RoutedOutputMatchesCommittedDigests) {
     Circuit Logical =
         Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates();
     std::unique_ptr<Router> Mapper = goldenMapper(Case.Mapper);
+    bool OnAnkaa3 = std::strcmp(Case.Backend, "ankaa3") == 0;
     bool ErrorAware = std::strcmp(Case.Mapper, "qlosure-error-aware") == 0;
     RoutingContext Ctx = RoutingContext::build(
-        Logical, ErrorAware ? Calibrated : Hw, Mapper->contextOptions());
+        Logical, OnAnkaa3 ? Ankaa3 : ErrorAware ? Calibrated : Sherbrooke,
+        Mapper->contextOptions());
     ASSERT_TRUE(Ctx.valid()) << Case.Input;
-    RoutingResult Result = Mapper->routeWithIdentity(Ctx);
+    RoutingResult Result =
+        std::strcmp(Case.Mapper, "qlosure-bidirectional") == 0
+            ? Mapper->route(Ctx, deriveBidirectionalMapping(*Mapper, Ctx))
+            : Mapper->routeWithIdentity(Ctx);
     size_t Depth = Result.Routed.depth();
     uint64_t Digest = fingerprintString(qasm::printQasm(Result.Routed));
-    char Actual[160];
+    char Actual[192];
     std::snprintf(Actual, sizeof(Actual),
-                  "{\"%s\", \"%s\", %zu, %zu, 0x%016" PRIx64 "ull},",
-                  Case.Input, Case.Mapper, Result.NumSwaps, Depth, Digest);
+                  "{\"%s\", \"%s\", %zu, %zu, 0x%016" PRIx64 "ull%s%s%s},",
+                  Case.Input, Case.Mapper, Result.NumSwaps, Depth, Digest,
+                  OnAnkaa3 ? ", \"" : "", OnAnkaa3 ? Case.Backend : "",
+                  OnAnkaa3 ? "\"" : "");
     EXPECT_EQ(Result.NumSwaps, Case.Swaps) << Actual;
     EXPECT_EQ(Depth, Case.Depth) << Actual;
     EXPECT_EQ(Digest, Case.Digest) << Actual;
