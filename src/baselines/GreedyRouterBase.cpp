@@ -9,8 +9,11 @@
 // route() calls sharing the scratch), the look-ahead window is the
 // epoch-stamped FrontLayerTracker one, and candidate physical qubits are
 // deduplicated with an epoch marker — no per-step heap allocation once the
-// scratch is warm. The golden digests (tests/GoldenRouteTest.cpp) pin the
-// decision sequence.
+// scratch is warm. The step state (the blocked front, the extended window
+// and their scored records) is built on a step that follows executed
+// gates and lives across the swap-only steps after it: each SWAP patches
+// the distances of the records on its two qubits. The golden digests
+// (tests/GoldenRouteTest.cpp) pin the decision sequence.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +29,7 @@
 #include <cassert>
 #include <limits>
 #include <numeric>
+#include <tuple>
 
 using namespace qlosure;
 
@@ -40,9 +44,6 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
 
   const CircuitDag &Dag = Ctx.dag();
   S.ensurePhys(Hw.numQubits());
-  // TouchingGates persists across route() calls; start from a clean slate
-  // in case the previous user of this scratch left entries behind.
-  S.clearTouchingGates();
   FrontLayerTracker Tracker(Dag, S);
   QubitMapping Phi = Initial;
   Rng TieBreaker(seed());
@@ -54,6 +55,9 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
   Result.RouterName = name();
 
   unsigned SwapsSinceProgress = 0;
+  // Tracker.numExecuted() when the step state was last built; it is valid
+  // while no gate has executed since, and starts invalid.
+  size_t StepBuiltAt = SIZE_MAX;
 
   auto physOf = [&Phi](int32_t L) { return Phi.physOf(L); };
 
@@ -78,6 +82,52 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
       if (L2 >= 0)
         S.Decay[static_cast<size_t>(L2)] += decayIncrement();
     }
+    if (StepBuiltAt == Tracker.numExecuted())
+      S.swapScored(P1, P2, [&](uint32_t J) {
+        S.GreedyBaseDists[J] = Hw.distance(S.ScoredPA[J], S.ScoredPB[J]);
+      });
+  };
+
+  // The step state: the blocked front gates (sorted), the extended window,
+  // and one scored record per gate of either — its current endpoints and
+  // base (no-swap) distance, listed under both hosting qubits. A candidate
+  // swap (P1, P2) can only change the distance of gates hosted on P1 or
+  // P2, so the per-candidate work is a handful of recomputed entries —
+  // instead of |front| + |extended| distance-matrix lookups per candidate.
+  auto buildStep = [&] {
+    S.FrontTwoQ.clear();
+    for (uint32_t G : Tracker.front())
+      if (Logical.gate(G).isTwoQubit())
+        S.FrontTwoQ.push_back(G);
+    std::sort(S.FrontTwoQ.begin(), S.FrontTwoQ.end());
+
+    size_t WantExtended = extendedWindowSize(S.FrontTwoQ.size());
+    S.Extended.clear();
+    if (WantExtended) {
+      // Topological window includes the front; skip those entries.
+      const std::vector<uint32_t> &Window =
+          Tracker.topologicalWindow(S.FrontTwoQ.size() + 4 * WantExtended);
+      for (uint32_t G : Window) {
+        if (Tracker.isInFront(G) || !Logical.gate(G).isTwoQubit())
+          continue;
+        S.Extended.push_back(G);
+        if (S.Extended.size() >= WantExtended)
+          break;
+      }
+    }
+
+    const size_t NumFront = S.FrontTwoQ.size();
+    S.clearScored();
+    S.GreedyBaseDists.clear();
+    for (size_t I = 0; I < NumFront + S.Extended.size(); ++I) {
+      const Gate &G = Logical.gate(I < NumFront ? S.FrontTwoQ[I]
+                                                : S.Extended[I - NumFront]);
+      unsigned PA = static_cast<unsigned>(Phi.physOf(G.Qubits[0]));
+      unsigned PB = static_cast<unsigned>(Phi.physOf(G.Qubits[1]));
+      S.addScored(PA, PB);
+      S.GreedyBaseDists.push_back(Hw.distance(PA, PB));
+    }
+    StepBuiltAt = Tracker.numExecuted();
   };
 
   // One coarse span for the whole greedy loop (never per-step); a null
@@ -139,88 +189,25 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
     }
 
     // Phase 2: choose one SWAP.
-    S.FrontTwoQ.clear();
-    for (uint32_t G : Tracker.front())
-      if (Logical.gate(G).isTwoQubit())
-        S.FrontTwoQ.push_back(G);
-    std::sort(S.FrontTwoQ.begin(), S.FrontTwoQ.end());
-
-    size_t WantExtended = extendedWindowSize(S.FrontTwoQ.size());
-    S.Extended.clear();
-    if (WantExtended) {
-      // Topological window includes the front; skip those entries.
-      const std::vector<uint32_t> &Window =
-          Tracker.topologicalWindow(S.FrontTwoQ.size() + 4 * WantExtended);
-      for (uint32_t G : Window) {
-        if (Tracker.isInFront(G) || !Logical.gate(G).isTwoQubit())
-          continue;
-        S.Extended.push_back(G);
-        if (S.Extended.size() >= WantExtended)
-          break;
-      }
+    if (StepBuiltAt != Tracker.numExecuted()) {
+      buildStep();
     }
-
-    // Candidate swaps on front physical qubits.
-    S.Candidates.clear();
-    {
-      S.PFront.clear();
-      S.PhysSeen.beginEpoch();
-      for (uint32_t GI : S.FrontTwoQ)
-        for (unsigned Q = 0; Q < 2; ++Q) {
-          unsigned P = static_cast<unsigned>(
-              Phi.physOf(Logical.gate(GI).Qubits[Q]));
-          if (!S.PhysSeen.fresh(P)) {
-            S.PhysSeen.set(P, 1);
-            S.PFront.push_back(P);
-          }
-        }
-      std::sort(S.PFront.begin(), S.PFront.end());
-      for (unsigned P1 : S.PFront)
-        for (unsigned P2 : Hw.neighbors(P1)) {
-          unsigned Lo = std::min(P1, P2), Hi = std::max(P1, P2);
-          bool Dup = false;
-          for (const auto &C : S.Candidates)
-            if (C.first == Lo && C.second == Hi) {
-              Dup = true;
-              break;
-            }
-          if (!Dup)
-            S.Candidates.push_back({Lo, Hi});
-        }
+#ifndef NDEBUG
+    else {
+      // Assertion builds only: the patched state must equal a rebuild.
+      auto Patched = std::make_tuple(S.FrontTwoQ, S.Extended, S.ScoredPA,
+                                     S.ScoredPB, S.TouchingGates,
+                                     S.GreedyBaseDists);
+      buildStep();
+      assert(Patched == std::tie(S.FrontTwoQ, S.Extended, S.ScoredPA,
+                                 S.ScoredPB, S.TouchingGates,
+                                 S.GreedyBaseDists) &&
+             "a patched step differs from a rebuild");
     }
-    assert(!S.Candidates.empty() && "no candidates on a connected graph");
-
-    // Delta-rescoring setup: record each scored gate's current physical
-    // endpoints and base (no-swap) distance once per step, plus which
-    // gates each physical qubit hosts. A candidate swap (P1, P2) can only
-    // change the distance of gates hosted on P1 or P2, so the per-candidate
-    // work is one flat copy of the base distances plus a handful of
-    // recomputed entries — instead of |front| + |extended| distance-matrix
-    // lookups per candidate. Distances are small integers, so the patched
-    // arrays are bit-identical to full recomputation.
+#endif
     const size_t NumFront = S.FrontTwoQ.size();
-    const size_t NumScored = NumFront + S.Extended.size();
-    S.GreedyEndA.resize(NumScored);
-    S.GreedyEndB.resize(NumScored);
-    S.GreedyBaseDists.resize(NumScored);
-    S.clearTouchingGates();
-    for (size_t I = 0; I < NumScored; ++I) {
-      const Gate &G = Logical.gate(I < NumFront ? S.FrontTwoQ[I]
-                                                : S.Extended[I - NumFront]);
-      unsigned PA = static_cast<unsigned>(Phi.physOf(G.Qubits[0]));
-      unsigned PB = static_cast<unsigned>(Phi.physOf(G.Qubits[1]));
-      S.GreedyEndA[I] = PA;
-      S.GreedyEndB[I] = PB;
-      S.GreedyBaseDists[I] = Hw.distance(PA, PB);
-      if (S.TouchingGates[PA].empty())
-        S.TouchedPhys.push_back(PA);
-      S.TouchingGates[PA].push_back(static_cast<uint32_t>(I));
-      if (PB != PA) {
-        if (S.TouchingGates[PB].empty())
-          S.TouchedPhys.push_back(PB);
-        S.TouchingGates[PB].push_back(static_cast<uint32_t>(I));
-      }
-    }
+    S.generateCandidates(Hw, NumFront);
+    assert(!S.Candidates.empty() && "no candidates on a connected graph");
 
     // Lane scoring: the base (no-swap) sums are computed once per step;
     // each candidate contributes integer deltas for its touched gates
@@ -258,8 +245,8 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
       S.TouchedNewD.clear();
       auto patchGatesOn = [&](unsigned P, unsigned Other) {
         for (uint32_t I : S.TouchingGates[P]) {
-          unsigned PA = S.GreedyEndA[I];
-          unsigned PB = S.GreedyEndB[I];
+          unsigned PA = S.ScoredPA[I];
+          unsigned PB = S.ScoredPB[I];
           // A gate hosted on both swapped qubits keeps its distance: skip
           // it so it is neither recomputed nor counted from both lists.
           if (PA == Other || PB == Other)

@@ -5,14 +5,16 @@
 //===----------------------------------------------------------------------===//
 //
 // The main loop runs out of the caller's RoutingScratch: the look-ahead
-// window and the per-gate level map are epoch-stamped (O(1) reset per step
-// instead of O(numGates) refills), the per-qubit touching-gate lists are
-// cleared surgically via the touched-set, and every candidate/score array
-// is a reused flat buffer. Only the gates hosted on the two swapped qubits
-// contribute per-candidate term deltas (delta rescoring against the cached
-// per-layer base sums); Eq. 2 is then evaluated element-wise over SoA
-// candidate lanes. The golden digests (tests/GoldenRouteTest.cpp) pin the
-// decision sequence.
+// window and the per-gate level map are epoch-stamped (O(1) reset per
+// build instead of O(numGates) refills), the per-qubit touching-gate lists
+// are cleared surgically via the touched-set, and every candidate/score
+// array is a reused flat buffer. The step state is built only on a step
+// that follows executed gates; the swap-only steps after it reuse it, with
+// each SWAP patching the records on its two qubits (emitSwap). Only the
+// gates hosted on a candidate's two qubits contribute per-candidate term
+// deltas (delta rescoring against the cached per-layer base sums); Eq. 2
+// is then evaluated element-wise over SoA candidate lanes. The golden
+// digests (tests/GoldenRouteTest.cpp) pin the decision sequence.
 //
 // Replay hooks: every observable emission (program gate, SWAP, tie-break
 // decision, look-ahead window) passes through the attached ReplayDriver
@@ -31,6 +33,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 using namespace qlosure;
 using qlosure::detail::RoutingLoop;
@@ -49,9 +52,6 @@ RoutingLoop::RoutingLoop(const QlosureOptions &Options,
   BreakTiesByEdgeError = Options.ErrorAware && Hw.hasErrorModel();
   if (Options.UseDependencyWeights)
     Weights = &Ctx.dependenceWeights(); // Memoized in the context.
-  // TouchingGates persists across route() calls; start from a clean
-  // slate in case the previous user left entries behind.
-  S.clearTouchingGates();
   Result.Routed = Circuit(Hw.numQubits(), Logical.name() + ".routed");
   Result.InitialMapping = Initial;
   Result.RouterName = "Qlosure";
@@ -145,20 +145,38 @@ void RoutingLoop::emitSwap(unsigned P1, unsigned P2) {
     S.Decay[static_cast<size_t>(L1)] += Options.DecayIncrement;
   if (L2 >= 0)
     S.Decay[static_cast<size_t>(L2)] += Options.DecayIncrement;
+  // The window and its layers outlive the swap: move the base terms of the
+  // scored gates on P1 and P2. Terms are (omega + 1) * D, integers far
+  // below 2^53, so the patched layer sums equal a rebuild's bit for bit.
+  if (StepBuiltAt == Tracker.numExecuted())
+    S.swapScored(P1, P2, [this](uint32_t J) {
+      double Base = S.WinOmega[J] * static_cast<double>(Hw.distance(
+                                        S.ScoredPA[J], S.ScoredPB[J]));
+      S.LayerBaseSum[S.WinLevel[J]] += Base - S.WinBase[J];
+      S.WinBase[J] = Base;
+    });
   if (Replay)
     Replay->noteSwapEmitted(P1, P2);
 }
 
-/// Builds the look-ahead window and its dependence-distance layers, then
-/// applies the best-scoring candidate SWAP.
+/// Applies the best-scoring candidate SWAP, building the look-ahead window
+/// and its dependence-distance layers first when a gate has executed since
+/// they were last built.
 void RoutingLoop::routeOneSwap() {
   if (SwapsSinceProgress >= Options.MaxSwapsWithoutProgress) {
     forceResolveOldestGate();
     return;
   }
 
-  buildWindowLayers();
-  generateCandidates();
+  if (StepBuiltAt != Tracker.numExecuted())
+    buildWindowLayers();
+  else
+    checkPatchedStep(); // A no-op unless assertions are on.
+  if (Replay)
+    Replay->noteWindow(S.Window);
+  // Every front gate is a blocked 2Q gate here, and the window opens with
+  // the sorted front, so the front's records come first.
+  S.generateCandidates(Hw, Tracker.front().size());
   assert(!S.Candidates.empty() && "no candidate SWAPs on a connected graph");
 
   scoreCandidates();
@@ -215,8 +233,9 @@ void RoutingLoop::forceResolveOldestGate() {
   SwapsSinceProgress = 0;
 }
 
-/// Populates S.Window / S.GateLevel / the layer accumulators for the
-/// current front.
+/// Populates S.Window / S.GateLevel / the layer accumulators and the
+/// scored records for the current front, and marks them valid until the
+/// next gate executes.
 void RoutingLoop::buildWindowLayers() {
   // n_f = distinct physical qubits hosting front-layer gate operands.
   S.PhysSeen.beginEpoch();
@@ -270,19 +289,21 @@ void RoutingLoop::buildWindowLayers() {
   }
 
   // Per-layer 2Q-gate membership and base distance sums, plus the flat
-  // per-scored-gate records (layer, endpoints, omega, cached base term)
+  // per-scored-gate records (endpoints, layer, omega, cached base term)
   // the candidate delta pass reads — TouchingGates stores the scored
-  // ordinal, so rescoring never goes back to the Gate objects. Per-qubit
-  // touching lists are cleared surgically (only last step's touched
-  // qubits), keeping their capacity.
+  // ordinal, so rescoring never goes back to the Gate objects. The term
+  // is omega_g * D(PA, PB), omega forced to 1 without dependency weights.
+  // D stays the hop metric even in error-aware mode — a weighted metric
+  // has a per-edge error floor, so swaps toward true adjacency would not
+  // reduce it and routing would stop converging; error-aware mode instead
+  // breaks exact score ties toward the least noisy coupler (see
+  // routeOneSwap).
   S.LayerGateCount.assign(MaxLevel + 1, 0);
   S.LayerBaseSum.assign(MaxLevel + 1, 0.0);
   S.WinLevel.clear();
-  S.WinPA.clear();
-  S.WinPB.clear();
   S.WinOmega.clear();
   S.WinBase.clear();
-  S.clearTouchingGates();
+  S.clearScored();
   for (uint32_t G : S.Window) {
     const Gate &Gate2 = Logical.gate(G);
     if (!Gate2.isTwoQubit())
@@ -291,74 +312,41 @@ void RoutingLoop::buildWindowLayers() {
     ++S.LayerGateCount[L];
     unsigned PA = static_cast<unsigned>(Phi.physOf(Gate2.Qubits[0]));
     unsigned PB = static_cast<unsigned>(Phi.physOf(Gate2.Qubits[1]));
-    double Base = gateTerm(G, PA, PB);
+    double Omega = Options.UseDependencyWeights
+                       ? static_cast<double>((*Weights)[G]) + 1.0
+                       : 1.0;
+    double Base = Omega * static_cast<double>(Hw.distance(PA, PB));
     S.LayerBaseSum[L] += Base;
-    uint32_t Ordinal = static_cast<uint32_t>(S.WinLevel.size());
+    S.addScored(PA, PB);
     S.WinLevel.push_back(L);
-    S.WinPA.push_back(PA);
-    S.WinPB.push_back(PB);
-    S.WinOmega.push_back(Options.UseDependencyWeights
-                             ? static_cast<double>((*Weights)[G]) + 1.0
-                             : 1.0);
+    S.WinOmega.push_back(Omega);
     S.WinBase.push_back(Base);
-    if (S.TouchingGates[PA].empty())
-      S.TouchedPhys.push_back(PA);
-    S.TouchingGates[PA].push_back(Ordinal);
-    if (S.TouchingGates[PB].empty())
-      S.TouchedPhys.push_back(PB);
-    S.TouchingGates[PB].push_back(Ordinal);
   }
-
-  if (Replay)
-    Replay->noteWindow(S.Window);
+  assert(std::all_of(S.Window.begin(),
+                     S.Window.begin() +
+                         static_cast<ptrdiff_t>(Tracker.front().size()),
+                     [this](uint32_t G) {
+                       return Tracker.isInFront(G) &&
+                              Logical.gate(G).isTwoQubit();
+                     }) &&
+         "the window must open with the front's blocked 2Q gates");
+  StepBuiltAt = Tracker.numExecuted();
 }
 
-/// The scored term of gate \p G when its operands sit on \p PA / \p PB:
-/// omega_g * D(PA, PB) (omega forced to 1 without dependency weights).
-/// D stays the hop metric even in error-aware mode — a weighted metric
-/// has a per-edge error floor, so swaps toward true adjacency would not
-/// reduce it and routing would stop converging; error-aware mode instead
-/// breaks exact score ties toward the least noisy coupler (see
-/// routeOneSwap).
-double RoutingLoop::gateTerm(uint32_t G, unsigned PA, unsigned PB) const {
-  double Omega = Options.UseDependencyWeights
-                     ? static_cast<double>((*Weights)[G]) + 1.0
-                     : 1.0;
-  return Omega * static_cast<double>(Hw.distance(PA, PB));
-}
-
-/// Fills S.Candidates with the swaps on P_front edges.
-void RoutingLoop::generateCandidates() {
-  // P_front: physical qubits of blocked front-layer 2Q gates.
-  S.PhysSeen.beginEpoch();
-  S.PFront.clear();
-  for (uint32_t GI : Tracker.front()) {
-    const Gate &G = Logical.gate(GI);
-    if (!G.isTwoQubit())
-      continue;
-    for (unsigned Q = 0; Q < 2; ++Q) {
-      unsigned P = static_cast<unsigned>(Phi.physOf(G.Qubits[Q]));
-      if (!S.PhysSeen.fresh(P)) {
-        S.PhysSeen.set(P, 1);
-        S.PFront.push_back(P);
-      }
-    }
-  }
-  std::sort(S.PFront.begin(), S.PFront.end());
-  S.Candidates.clear();
-  for (unsigned P1 : S.PFront) {
-    for (unsigned P2 : Hw.neighbors(P1)) {
-      unsigned Lo = std::min(P1, P2), Hi = std::max(P1, P2);
-      bool Duplicate = false;
-      for (const auto &C : S.Candidates)
-        if (C.first == Lo && C.second == Hi) {
-          Duplicate = true;
-          break;
-        }
-      if (!Duplicate)
-        S.Candidates.push_back({Lo, Hi});
-    }
-  }
+/// Assertion builds only: a step that reuses patched state must equal a
+/// rebuild of the same step, records, lists and layer sums alike.
+void RoutingLoop::checkPatchedStep() {
+#ifndef NDEBUG
+  auto Patched =
+      std::make_tuple(S.Window, S.ScoredPA, S.ScoredPB, S.TouchingGates,
+                      S.WinLevel, S.WinOmega, S.WinBase, S.LayerGateCount,
+                      S.LayerBaseSum);
+  buildWindowLayers();
+  assert(Patched == std::tie(S.Window, S.ScoredPA, S.ScoredPB,
+                             S.TouchingGates, S.WinLevel, S.WinOmega,
+                             S.WinBase, S.LayerGateCount, S.LayerBaseSum) &&
+         "a patched step differs from a rebuild");
+#endif
 }
 
 /// Evaluates Eq. 2 for every candidate SWAP at once. Per candidate, only
@@ -379,8 +367,8 @@ void RoutingLoop::scoreCandidates() {
     auto [P1, P2] = S.Candidates[CI];
     auto adjustGatesOn = [&](unsigned P, unsigned Other) {
       for (uint32_t J : S.TouchingGates[P]) {
-        unsigned PA = S.WinPA[J];
-        unsigned PB = S.WinPB[J];
+        unsigned PA = S.ScoredPA[J];
+        unsigned PB = S.ScoredPB[J];
         if (PA == Other || PB == Other)
           continue; // Gate touches both swapped qubits: delta is zero.
         unsigned NewPA = PA == P1 ? P2 : (PA == P2 ? P1 : PA);

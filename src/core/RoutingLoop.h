@@ -11,13 +11,14 @@
 /// every hook is a null check, and the decision sequence is the one the
 /// golden digests (tests/GoldenRouteTest.cpp) pin.
 ///
-/// The look-ahead window and the per-gate level map are epoch-stamped
-/// (O(1) reset per step instead of O(numGates) refills), the per-qubit
-/// touching-gate lists are cleared surgically via the touched-set, and
-/// every candidate/score array is a reused flat buffer. Only the gates
-/// hosted on the two swapped qubits contribute per-candidate term deltas;
-/// the deltas land in layer-major SoA lanes and Eq. 2 is then evaluated
-/// element-wise across all candidates at once.
+/// The step state (the look-ahead window, its levels, per-layer gate
+/// counts and base sums, and the scored-gate records) is built on a step
+/// that follows executed gates and lives across the swap-only steps after
+/// it: a SWAP leaves the front, the window and omega as they were, so
+/// emitSwap patches only the records on its two qubits. Only the gates
+/// hosted on a candidate's two qubits contribute per-candidate term
+/// deltas; the deltas land in layer-major SoA lanes and Eq. 2 is then
+/// evaluated element-wise across all candidates at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,8 +65,7 @@ private:
   void routeOneSwap();
   void forceResolveOldestGate();
   void buildWindowLayers();
-  double gateTerm(uint32_t G, unsigned PA, unsigned PB) const;
-  void generateCandidates();
+  void checkPatchedStep();
   void scoreCandidates();
 
   // --- Replay primitives (driver-only) ---------------------------------
@@ -97,6 +97,9 @@ private:
   ReplayDriver *Replay = nullptr;
   unsigned LookaheadC = 0;
   unsigned SwapsSinceProgress = 0;
+  /// Tracker.numExecuted() when buildWindowLayers last ran. The step state
+  /// is valid while no gate has executed since; it starts invalid.
+  size_t StepBuiltAt = SIZE_MAX;
   /// Error-aware mode on a calibrated graph: among exactly tied best
   /// candidates, keep only those on the least noisy coupler.
   bool BreakTiesByEdgeError = false;

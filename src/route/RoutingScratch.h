@@ -16,6 +16,12 @@
 /// O(numGates) refill, which removes the quadratic allocation/refill
 /// traffic the pre-PR-3 kernel paid on QUEKO-scale circuits.
 ///
+/// The scored-gate records (endpoints plus the per-qubit TouchingGates
+/// lists) are one layout for Qlosure and the greedy baselines. A kernel
+/// builds them on a step that follows executed gates and keeps them across
+/// the swap-only steps after it: each SWAP moves only the records hosted
+/// on its two qubits (swapScored), which equals a rebuild exactly.
+///
 /// Threading/ownership contract: none — a scratch is single-threaded by
 /// design; no member may be touched from two threads, even at different
 /// times without synchronization in between. Use one scratch per worker
@@ -31,6 +37,7 @@
 #define QLOSURE_ROUTE_ROUTINGSCRATCH_H
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -38,6 +45,7 @@
 
 namespace qlosure {
 
+class CouplingGraph;
 class Trace;
 
 /// A lazily sized array whose entries are "cleared" in O(1) by bumping a
@@ -193,14 +201,63 @@ public:
   /// Grows every per-physical-qubit buffer to at least \p NumPhys entries.
   void ensurePhys(unsigned NumPhys);
 
-  /// Empties every non-empty TouchingGates bucket (TouchedPhys lists
-  /// exactly those) and resets TouchedPhys — the surgical O(touched)
-  /// clear every user of the pair must perform before repopulating.
-  void clearTouchingGates() {
-    for (unsigned P : TouchedPhys)
+  /// Drops every scored record: empties the TouchingGates lists named in
+  /// TouchedPhys (O(touched), keeping their capacity) and the endpoints.
+  void clearScored() {
+    for (unsigned P : TouchedPhys) {
       TouchingGates[P].clear();
+      PhysListed[P] = 0;
+    }
     TouchedPhys.clear();
+    ScoredPA.clear();
+    ScoredPB.clear();
   }
+
+  /// Appends a scored gate on physical qubits \p PA / \p PB and returns
+  /// its ordinal.
+  uint32_t addScored(unsigned PA, unsigned PB) {
+    assert(PA != PB && "a two-qubit gate on one physical qubit");
+    uint32_t J = static_cast<uint32_t>(ScoredPA.size());
+    ScoredPA.push_back(PA);
+    ScoredPB.push_back(PB);
+    TouchingGates[PA].push_back(J);
+    listTouched(PA);
+    TouchingGates[PB].push_back(J);
+    listTouched(PB);
+    return J;
+  }
+
+  /// Moves the scored records across the SWAP (P1, P2): each endpoint on
+  /// one qubit moves to the other, \p Rederive(J) runs once per moved
+  /// record J (a record on both qubits moves once), and the two
+  /// TouchingGates lists trade places. A SWAP permutes physical qubits,
+  /// so every other record, and each list's ascending order, is what a
+  /// rebuild would produce.
+  template <typename Fn>
+  void swapScored(unsigned P1, unsigned P2, Fn &&Rederive) {
+    auto move = [P1, P2](unsigned &P) { P = P == P1 ? P2 : P == P2 ? P1 : P; };
+    for (uint32_t J : TouchingGates[P1]) {
+      move(ScoredPA[J]);
+      move(ScoredPB[J]);
+      Rederive(J);
+    }
+    for (uint32_t J : TouchingGates[P2]) {
+      if (ScoredPA[J] == P1 || ScoredPB[J] == P1)
+        continue; // On both qubits: already moved with P1's list.
+      move(ScoredPA[J]);
+      move(ScoredPB[J]);
+      Rederive(J);
+    }
+    std::swap(TouchingGates[P1], TouchingGates[P2]);
+    listTouched(P1);
+    listTouched(P2);
+  }
+
+  /// The swap candidates of a step: PFront gets the distinct endpoints of
+  /// scored records [0, NumFront) (the blocked front gates) in ascending
+  /// order, and Candidates every coupler at a PFront qubit as a
+  /// (lower, higher) pair, in PFront-then-neighbour order, each once.
+  void generateCandidates(const CouplingGraph &Hw, size_t NumFront);
 
   /// Request-scoped trace sink, or null when tracing is off (the default).
   /// The scratch is the natural carrier: it already rides through the
@@ -246,14 +303,26 @@ public:
   std::vector<double> Scores;
   std::vector<size_t> BestIdx;
   std::vector<double> Decay; ///< Per-logical-qubit SABRE decay.
-  /// Delta-rescoring state of GreedyRouterBase: per scored gate (front
-  /// then extended, one combined index space) the current physical
-  /// endpoints and the pre-swap base distance. Candidates only recompute
-  /// the gates listed under their two swapped qubits in TouchingGates;
-  /// everything else rides on the cached base sums.
-  std::vector<unsigned> GreedyEndA;
-  std::vector<unsigned> GreedyEndB;
+  /// GreedyRouterBase's term per scored record (front then extended, one
+  /// ordinal space): the current distance between its endpoints.
   std::vector<unsigned> GreedyBaseDists;
+
+  //===--------------------------------------------------------------------===//
+  // Scored-gate records (Qlosure and GreedyRouterBase)
+  //===--------------------------------------------------------------------===//
+
+  /// Current physical endpoints of each scored gate, by ordinal (the index
+  /// TouchingGates stores). The front's blocked gates come first.
+  std::vector<unsigned> ScoredPA;
+  std::vector<unsigned> ScoredPB;
+  /// Scored ordinals by hosting physical qubit, ascending. Persistent
+  /// across steps and route() calls; only the entries named in TouchedPhys
+  /// are cleared (keeping inner capacity), never the outer vector.
+  std::vector<std::vector<uint32_t>> TouchingGates;
+  /// Every physical qubit whose TouchingGates list may be non-empty, once
+  /// (PhysListed marks the members).
+  std::vector<unsigned> TouchedPhys;
+  std::vector<uint8_t> PhysListed;
 
   //===--------------------------------------------------------------------===//
   // SoA score lanes (one entry per candidate)
@@ -285,20 +354,13 @@ public:
   EpochArray<unsigned> GateLevel;
   std::vector<uint32_t> LayerGateCount;
   std::vector<double> LayerBaseSum;
-  /// Scored window 2Q gates of the current step, flat by scored ordinal
-  /// (the index TouchingGates stores): dependence layer, physical
-  /// endpoints, omega weight and the cached base term omega * D(PA, PB) —
-  /// so per-candidate deltas recompute only the post-swap distance.
+  /// Qlosure's terms per scored record (the window's 2Q gates):
+  /// dependence layer, omega weight and the cached base term
+  /// omega * D(PA, PB), so per-candidate deltas recompute only the
+  /// post-swap distance.
   std::vector<uint32_t> WinLevel;
-  std::vector<unsigned> WinPA;
-  std::vector<unsigned> WinPB;
   std::vector<double> WinOmega;
   std::vector<double> WinBase;
-  /// Window 2Q gates indexed by hosting physical qubit. Persistent across
-  /// steps; only the entries named in TouchedPhys are cleared (keeping
-  /// inner capacity), never the outer vector.
-  std::vector<std::vector<uint32_t>> TouchingGates;
-  std::vector<unsigned> TouchedPhys;
 
   //===--------------------------------------------------------------------===//
   // QMAP layered A* (baselines/QmapAstar.cpp)
@@ -348,6 +410,15 @@ public:
   std::vector<uint32_t> QmapLayerBounds; ///< Layer k = gates [B[k], B[k+1]).
   std::vector<uint8_t> QmapBusy;         ///< Per-logical-qubit layer marker.
   std::vector<uint32_t> QmapTwoQ;        ///< 2Q gates of the current layer.
+
+private:
+  /// Adds \p P to TouchedPhys when its list is non-empty and unlisted.
+  void listTouched(unsigned P) {
+    if (!TouchingGates[P].empty() && !PhysListed[P]) {
+      PhysListed[P] = 1;
+      TouchedPhys.push_back(P);
+    }
+  }
 };
 
 } // namespace qlosure
