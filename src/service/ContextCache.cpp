@@ -25,8 +25,7 @@ size_t estimateBytes(const Circuit &Circ, const CouplingGraph &Hw,
   Bytes += Circ.size() * sizeof(Gate);
   Bytes += Hw.numEdges() * 2 * sizeof(unsigned) + N * 32;
   Bytes += N * N * sizeof(uint32_t); // Hop distances.
-  if (Hw.hasErrorModel())
-    Bytes += N * N * sizeof(double); // Flat edge-error table.
+  Bytes += Hw.errorModelBytes(); // Edge-error rates, one per adjacency slot.
   // DAG: per-gate successor/predecessor edges (<= 2 each way for 2-qubit
   // gates) plus node bookkeeping.
   Bytes += Circ.size() * 48;

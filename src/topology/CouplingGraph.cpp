@@ -23,6 +23,10 @@ void CouplingGraph::addEdge(unsigned A, unsigned B) {
     return;
   Adjacency[A].push_back(B);
   Adjacency[B].push_back(A);
+  if (!EdgeErrors.empty()) { // Keep the rate slots parallel; 0 = no rate.
+    EdgeErrors[A].push_back(0.0);
+    EdgeErrors[B].push_back(0.0);
+  }
   Distances.clear(); // Invalidate the cached APSP matrix.
 }
 
@@ -97,15 +101,36 @@ void CouplingGraph::computeDistances() {
 void CouplingGraph::setEdgeError(unsigned A, unsigned B, double ErrorRate) {
   assert(areAdjacent(A, B) && "error rates attach to existing edges");
   assert(ErrorRate >= 0.0 && ErrorRate < 1.0 && "error rate out of range");
-  if (EdgeErrors.empty())
-    EdgeErrors.assign(static_cast<size_t>(NumQubits) * NumQubits, 0.0);
-  EdgeErrors[edgeKey(A, B)] = ErrorRate;
+  if (EdgeErrors.empty()) {
+    EdgeErrors.resize(NumQubits);
+    for (unsigned Q = 0; Q < NumQubits; ++Q)
+      EdgeErrors[Q].assign(Adjacency[Q].size(), 0.0);
+  }
+  for (auto [From, To] : {std::pair{A, B}, std::pair{B, A}}) {
+    const std::vector<unsigned> &Nbrs = Adjacency[From];
+    EdgeErrors[From][static_cast<size_t>(
+        std::find(Nbrs.begin(), Nbrs.end(), To) - Nbrs.begin())] = ErrorRate;
+  }
   ErrorModelInstalled = true;
 }
 
 double CouplingGraph::edgeError(unsigned A, unsigned B) const {
   assert(A < NumQubits && B < NumQubits && "qubit out of range");
-  return EdgeErrors.empty() ? 0.0 : EdgeErrors[edgeKey(A, B)];
+  if (EdgeErrors.empty())
+    return 0.0;
+  unsigned Lo = std::min(A, B), Hi = std::max(A, B);
+  const std::vector<unsigned> &Nbrs = Adjacency[Lo];
+  for (size_t I = 0; I < Nbrs.size(); ++I)
+    if (Nbrs[I] == Hi)
+      return EdgeErrors[Lo][I];
+  return 0.0;
+}
+
+size_t CouplingGraph::errorModelBytes() const {
+  size_t Bytes = EdgeErrors.size() * sizeof(std::vector<double>);
+  for (const std::vector<double> &Rates : EdgeErrors)
+    Bytes += Rates.size() * sizeof(double);
+  return Bytes;
 }
 
 void qlosure::applySyntheticErrorModel(CouplingGraph &Graph, uint64_t Seed,

@@ -89,25 +89,25 @@ public:
   /// Records the two-qubit gate error rate of the edge (A, B) (must exist).
   void setEdgeError(unsigned A, unsigned B, double ErrorRate);
 
-  /// Error rate of edge (A, B); 0 when no model was installed.
+  /// Error rate of edge (A, B); 0 off-edge or when no model was installed.
   double edgeError(unsigned A, unsigned B) const;
 
   bool hasErrorModel() const { return ErrorModelInstalled; }
 
+  /// Bytes the error model's rate table holds: one rate per adjacency
+  /// slot, so O(edges).
+  size_t errorModelBytes() const;
+
   static constexpr unsigned UnreachableDistance = 0x3FFFFFFF;
 
 private:
-  size_t edgeKey(unsigned A, unsigned B) const {
-    return static_cast<size_t>(std::min(A, B)) * NumQubits + std::max(A, B);
-  }
-
   unsigned NumQubits = 0;
   std::vector<std::vector<unsigned>> Adjacency;
   std::vector<uint32_t> Distances; // Row-major N x N.
-  /// Flat N x N table keyed by edgeKey (0 off-edge); sized lazily on the
-  /// first setEdgeError. A flat vector keeps the error-aware hot path
-  /// (one lookup per candidate SWAP per decision) free of tree walks.
-  std::vector<double> EdgeErrors;
+  /// EdgeErrors[A][I] is the rate of edge (A, Adjacency[A][I]), stored at
+  /// both endpoints; sized lazily on the first setEdgeError. A lookup
+  /// scans one neighbour list (a handful of entries on every backend).
+  std::vector<std::vector<double>> EdgeErrors;
   bool ErrorModelInstalled = false;
   std::string Name;
 };

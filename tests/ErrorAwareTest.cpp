@@ -41,6 +41,26 @@ TEST(ErrorModelTest, SyntheticModelCoversAllEdges) {
   EXPECT_TRUE(G.hasErrorModel());
 }
 
+TEST(ErrorModelTest, CalibratedGraphStoresRatesPerEdge) {
+  CouplingGraph G = makeSherbrooke();
+  applySyntheticErrorModel(G, 1);
+  // One rate per adjacency slot: two per edge plus one list per qubit,
+  // not an N x N table.
+  EXPECT_EQ(G.errorModelBytes(),
+            2 * G.numEdges() * sizeof(double) +
+                G.numQubits() * sizeof(std::vector<double>));
+  EXPECT_LT(G.errorModelBytes(),
+            size_t(G.numQubits()) * G.numQubits() * sizeof(double) / 10);
+  ASSERT_FALSE(G.areAdjacent(0, 2));
+  EXPECT_EQ(G.edgeError(0, 2), 0.0);
+  // An edge added after calibration has a slot and reads 0 until rated.
+  G.addEdge(0, 2);
+  EXPECT_EQ(G.edgeError(2, 0), 0.0);
+  G.setEdgeError(2, 0, 0.01);
+  EXPECT_EQ(G.edgeError(0, 2), 0.01);
+  EXPECT_EQ(CouplingGraph(4).errorModelBytes(), 0u);
+}
+
 TEST(ErrorModelTest, SyntheticModelDeterministicPerSeed) {
   CouplingGraph A = makeAnkaa3();
   CouplingGraph B = makeAnkaa3();
