@@ -10,6 +10,7 @@
 #include "qasm/Parser.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <map>
@@ -140,6 +141,15 @@ public:
             size_t NumParams, const Operand *Ops, size_t NumOps, size_t Width,
             unsigned Depth) {
     const BuiltinGate *Builtin = findBuiltin(Name);
+    uint64_t Each = 1;
+    if (!Builtin)
+      if (const GateDef *Def = findGate(Name))
+        Each += expansion(*Def, Depth + 1);
+    if (Lowered + Width * Each > MaxImportGates)
+      return fail(formatString("line %u: '%s' lowers to more than %llu gates",
+                               Line, std::string(Name).c_str(),
+                               static_cast<unsigned long long>(
+                                   MaxImportGates)));
     for (size_t B = 0; B < Width; ++B) {
       bool Ok = Builtin ? emitBuiltin(*Builtin, Name, Line, Params, NumParams,
                                       Ops, NumOps, B)
@@ -195,6 +205,10 @@ public:
     Operand Op;
     if (!resolve(Reg, HasIndex, Index, Op))
       return false;
+    if ((Lowered += Op.Count) > MaxImportGates)
+      return fail(formatString("circuit lowers to more than %llu gates",
+                               static_cast<unsigned long long>(
+                                   MaxImportGates)));
     for (uint32_t I = 0; I < Op.Count; ++I)
       Gates.push_back(Gate(Kind, Op.First + static_cast<int32_t>(I)));
     return true;
@@ -213,6 +227,30 @@ private:
   bool fail(std::string Message) {
     Error = std::move(Message);
     return false;
+  }
+
+  /// What one call of \p Def lowers to when its body is lowered at depth
+  /// \p Depth: its gates plus the user-gate calls it inlines, saturating
+  /// past MaxImportGates, memoized per definition. A callee that is
+  /// unknown, recursive or past the depth limit counts as its call alone;
+  /// inlining it fails, which ends the import.
+  uint64_t expansion(const GateDef &Def, unsigned Depth) {
+    if (Depth > 64)
+      return 0;
+    auto Memo = Expansion.find(&Def);
+    if (Memo != Expansion.end())
+      return Memo->second;
+    Expansion[&Def] = 0; // In progress: a recursive call counts as one.
+    uint64_t Total = 0;
+    for (const GateCall &Inner : Def.Body) {
+      uint64_t Each = 1;
+      if (!findBuiltin(Inner.Name))
+        if (const GateDef *Callee = findGate(Inner.Name))
+          Each += expansion(*Callee, Depth + 1);
+      Total = std::min(Total + Each, MaxImportGates + 1);
+    }
+    Expansion[&Def] = Total;
+    return Total;
   }
 
   bool emitBuiltin(const BuiltinGate &Builtin, std::string_view Name,
@@ -238,6 +276,7 @@ private:
           return fail(formatString("line %u: repeated qubit operand in '%s'",
                                    Line, std::string(Name).c_str()));
     Gates.push_back(G);
+    ++Lowered;
     return true;
   }
 
@@ -257,6 +296,7 @@ private:
       return fail(formatString("line %u: '%s' expects %zu parameters, got %zu",
                                Line, Def->Name.c_str(),
                                Def->ParamNames.size(), NumParams));
+    ++Lowered;
     FormalQubits BodyQubits;
     for (size_t I = 0; I < NumOps; ++I)
       BodyQubits[Def->QubitNames[I]] = Ops[I].at(B);
@@ -271,6 +311,9 @@ private:
 
   std::unordered_map<std::string_view, Qreg> Qregs;
   std::map<std::string, const GateDef *, std::less<>> UserGates;
+  /// Gates and inlined user-gate calls so far, against MaxImportGates.
+  uint64_t Lowered = 0;
+  std::unordered_map<const GateDef *, uint64_t> Expansion;
 };
 
 ImportResult failure(std::string Message) {

@@ -45,6 +45,13 @@ namespace qasm {
 inline constexpr unsigned MaxImportQubits =
     std::numeric_limits<int32_t>::max();
 
+/// The most gates an import lowers. Each broadcast element counts, and so
+/// does each inlined user-gate call, so a definition that lowers to
+/// nothing still pays for its calls. A call whose expansion would pass the
+/// bound fails before it is inlined. Four bytes (`x a;`) is the shortest
+/// gate statement, so no flat text within a 64 MiB request reaches it.
+inline constexpr uint64_t MaxImportGates = uint64_t{1} << 24;
+
 /// Outcome of an import: exactly one of Circ/Error is meaningful.
 struct ImportResult {
   std::optional<Circuit> Circ;

@@ -312,6 +312,42 @@ TEST(ImporterTest, EmptyRegisterOperandIsAnError) {
   EXPECT_TRUE(Ok.Circ->empty());
 }
 
+/// \p Levels + 1 nested definitions, each calling the previous one twice,
+/// then one call of the last: 2^Levels copies of \p Leaf's body.
+std::string doublingGates(int Levels, const char *Leaf = "cx a,b;") {
+  std::string Text = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n"
+                     "gate g0 a,b { " +
+                     std::string(Leaf) + " }\n";
+  for (int I = 1; I <= Levels; ++I)
+    Text += "gate g" + std::to_string(I) + " a,b { g" + std::to_string(I - 1) +
+            " a,b; g" + std::to_string(I - 1) + " b,a; }\n";
+  return Text + "g" + std::to_string(Levels) + " q[0],q[1];\n";
+}
+
+TEST(ImporterTest, BoundsUserGateExpansion) {
+  // 1.4 KB of text that inlines to 2^40 gates: refused before inlining.
+  std::string Huge = doublingGates(40);
+  EXPECT_LT(Huge.size(), 1500u);
+  const char *Expected = "line 45: 'g40' lowers to more than 16777216 gates";
+  auto R = importQasm(Huge);
+  EXPECT_FALSE(R.succeeded());
+  EXPECT_EQ(R.Error, Expected);
+  ParseResult Parsed = parseQasm(Huge);
+  ASSERT_TRUE(Parsed.succeeded()) << Parsed.Error;
+  EXPECT_EQ(importProgram(*Parsed.Prog).Error, Expected);
+  // Calls that lower to no gate still count: 2^40 empty inlinings.
+  EXPECT_EQ(importQasm(doublingGates(40, "")).Error, Expected);
+  // A chain that fits still inlines in full.
+  auto Fits = importQasm(doublingGates(10));
+  ASSERT_TRUE(Fits.succeeded()) << Fits.Error;
+  EXPECT_EQ(Fits.Circ->size(), 1024u);
+  // Register broadcasts count against the same bound.
+  EXPECT_EQ(importQasm("qreg q[16777217]; x q;").Error,
+            "line 1: 'x' lowers to more than 16777216 gates");
+  EXPECT_EQ(importQasm("qreg q[16777217]; barrier q;").Error,
+            "circuit lowers to more than 16777216 gates");
+}
+
 TEST(ParserTest, BoundsExpressionSize) {
   auto nested = [](size_t Depth) {
     return "qreg q[1]; rz(" + std::string(Depth, '(') + "1" +

@@ -891,6 +891,30 @@ TEST_P(ServerTransportTest, MalformedRequestsGetStructuredErrorsAndConnectionSur
   EXPECT_EQ(errorCode(parseResponse(Response)), errc::TooLarge);
 }
 
+TEST_P(ServerTransportTest, HostileGateExpansionIsRefusedAndDaemonSurvives) {
+  ServerFixture Fixture(1, GetParam());
+  Client Conn = Fixture.connect();
+  // 41 nested definitions, each calling the previous one twice: 2^40
+  // gates from 1.4 KB, which used to keep a worker busy with no end.
+  std::string Qasm = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n"
+                     "gate g0 a,b { cx a,b; }\n";
+  for (int I = 1; I <= 40; ++I)
+    Qasm += "gate g" + std::to_string(I) + " a,b { g" + std::to_string(I - 1) +
+            " a,b; g" + std::to_string(I - 1) + " b,a; }\n";
+  Qasm += "g40 q[0],q[1];\n";
+  std::string Response;
+  ASSERT_TRUE(Conn.request(routeRequest(Qasm, "sabre").dump(), Response).ok());
+  json::Value Doc = parseResponse(Response);
+  EXPECT_EQ(errorCode(Doc), errc::BadQasm) << Response;
+  const json::Value *Error = Doc.get("error");
+  ASSERT_NE(Error, nullptr) << Response;
+  ASSERT_NE(Error->get("message"), nullptr) << Response;
+  EXPECT_EQ(Error->get("message")->asString(),
+            "line 45: 'g40' lowers to more than 16777216 gates");
+  ASSERT_TRUE(Conn.request("{\"op\":\"ping\"}", Response).ok());
+  EXPECT_TRUE(responseOk(parseResponse(Response)));
+}
+
 TEST_P(ServerTransportTest, HostileRegisterSizesAreRefusedAndDaemonSurvives) {
   ServerFixture Fixture(1, GetParam());
   Client Conn = Fixture.connect();
