@@ -106,11 +106,7 @@ void CouplingGraph::setEdgeError(unsigned A, unsigned B, double ErrorRate) {
     for (unsigned Q = 0; Q < NumQubits; ++Q)
       EdgeErrors[Q].assign(Adjacency[Q].size(), 0.0);
   }
-  for (auto [From, To] : {std::pair{A, B}, std::pair{B, A}}) {
-    const std::vector<unsigned> &Nbrs = Adjacency[From];
-    EdgeErrors[From][static_cast<size_t>(
-        std::find(Nbrs.begin(), Nbrs.end(), To) - Nbrs.begin())] = ErrorRate;
-  }
+  EdgeErrors[std::min(A, B)][edgeSlot(A, B)] = ErrorRate;
   ErrorModelInstalled = true;
 }
 
@@ -118,12 +114,16 @@ double CouplingGraph::edgeError(unsigned A, unsigned B) const {
   assert(A < NumQubits && B < NumQubits && "qubit out of range");
   if (EdgeErrors.empty())
     return 0.0;
-  unsigned Lo = std::min(A, B), Hi = std::max(A, B);
-  const std::vector<unsigned> &Nbrs = Adjacency[Lo];
-  for (size_t I = 0; I < Nbrs.size(); ++I)
-    if (Nbrs[I] == Hi)
-      return EdgeErrors[Lo][I];
-  return 0.0;
+  size_t Slot = edgeSlot(A, B);
+  return Slot < EdgeErrors[std::min(A, B)].size()
+             ? EdgeErrors[std::min(A, B)][Slot]
+             : 0.0;
+}
+
+size_t CouplingGraph::edgeSlot(unsigned A, unsigned B) const {
+  const std::vector<unsigned> &Nbrs = Adjacency[std::min(A, B)];
+  return static_cast<size_t>(
+      std::find(Nbrs.begin(), Nbrs.end(), std::max(A, B)) - Nbrs.begin());
 }
 
 size_t CouplingGraph::errorModelBytes() const {

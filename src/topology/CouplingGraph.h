@@ -101,12 +101,17 @@ public:
   static constexpr unsigned UnreachableDistance = 0x3FFFFFFF;
 
 private:
+  /// Index of the higher endpoint in the lower one's adjacency list; the
+  /// list's size when (A, B) is no edge. A scan of a handful of entries
+  /// on every backend.
+  size_t edgeSlot(unsigned A, unsigned B) const;
+
   unsigned NumQubits = 0;
   std::vector<std::vector<unsigned>> Adjacency;
   std::vector<uint32_t> Distances; // Row-major N x N.
-  /// EdgeErrors[A][I] is the rate of edge (A, Adjacency[A][I]), stored at
-  /// both endpoints; sized lazily on the first setEdgeError. A lookup
-  /// scans one neighbour list (a handful of entries on every backend).
+  /// EdgeErrors[A][edgeSlot(A, B)] is the rate of edge (A, B) for A < B,
+  /// parallel to Adjacency (slots at the higher endpoint stay 0); sized
+  /// lazily on the first setEdgeError.
   std::vector<std::vector<double>> EdgeErrors;
   bool ErrorModelInstalled = false;
   std::string Name;
