@@ -168,10 +168,23 @@ void RoutingLoop::routeOneSwap() {
     return;
   }
 
-  if (StepBuiltAt != Tracker.numExecuted())
+  if (StepBuiltAt != Tracker.numExecuted()) {
     buildWindowLayers();
-  else
-    checkPatchedStep(); // A no-op unless assertions are on.
+  }
+#ifndef NDEBUG
+  else {
+    // Assertion builds only: the patched state must equal a rebuild.
+    auto Patched =
+        std::make_tuple(S.Window, S.ScoredPA, S.ScoredPB, S.TouchingGates,
+                        S.WinLevel, S.WinOmega, S.WinBase, S.LayerGateCount,
+                        S.LayerBaseSum);
+    buildWindowLayers();
+    assert(Patched == std::tie(S.Window, S.ScoredPA, S.ScoredPB,
+                               S.TouchingGates, S.WinLevel, S.WinOmega,
+                               S.WinBase, S.LayerGateCount, S.LayerBaseSum) &&
+           "a patched step differs from a rebuild");
+  }
+#endif
   if (Replay)
     Replay->noteWindow(S.Window);
   // Every front gate is a blocked 2Q gate here, and the window opens with
@@ -331,22 +344,6 @@ void RoutingLoop::buildWindowLayers() {
                      }) &&
          "the window must open with the front's blocked 2Q gates");
   StepBuiltAt = Tracker.numExecuted();
-}
-
-/// Assertion builds only: a step that reuses patched state must equal a
-/// rebuild of the same step, records, lists and layer sums alike.
-void RoutingLoop::checkPatchedStep() {
-#ifndef NDEBUG
-  auto Patched =
-      std::make_tuple(S.Window, S.ScoredPA, S.ScoredPB, S.TouchingGates,
-                      S.WinLevel, S.WinOmega, S.WinBase, S.LayerGateCount,
-                      S.LayerBaseSum);
-  buildWindowLayers();
-  assert(Patched == std::tie(S.Window, S.ScoredPA, S.ScoredPB,
-                             S.TouchingGates, S.WinLevel, S.WinOmega,
-                             S.WinBase, S.LayerGateCount, S.LayerBaseSum) &&
-         "a patched step differs from a rebuild");
-#endif
 }
 
 /// Evaluates Eq. 2 for every candidate SWAP at once. Per candidate, only

@@ -65,7 +65,6 @@ private:
   void routeOneSwap();
   void forceResolveOldestGate();
   void buildWindowLayers();
-  void checkPatchedStep();
   void scoreCandidates();
 
   // --- Replay primitives (driver-only) ---------------------------------

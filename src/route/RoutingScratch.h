@@ -213,9 +213,9 @@ public:
     ScoredPB.clear();
   }
 
-  /// Appends a scored gate on physical qubits \p PA / \p PB and returns
-  /// its ordinal.
-  uint32_t addScored(unsigned PA, unsigned PB) {
+  /// Appends a scored gate on physical qubits \p PA / \p PB; its ordinal
+  /// is the count of records before it.
+  void addScored(unsigned PA, unsigned PB) {
     assert(PA != PB && "a two-qubit gate on one physical qubit");
     uint32_t J = static_cast<uint32_t>(ScoredPA.size());
     ScoredPA.push_back(PA);
@@ -224,7 +224,6 @@ public:
     listTouched(PA);
     TouchingGates[PB].push_back(J);
     listTouched(PB);
-    return J;
   }
 
   /// Moves the scored records across the SWAP (P1, P2): each endpoint on
