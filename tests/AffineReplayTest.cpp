@@ -21,6 +21,7 @@
 #include "route/Verify.h"
 #include "support/Random.h"
 #include "topology/Backends.h"
+#include "workloads/QasmBench.h"
 #include "workloads/Structured.h"
 
 #include <gtest/gtest.h>
@@ -163,6 +164,63 @@ TEST(PeriodDetectorTest, ToleratesAperiodicTail) {
   std::optional<PeriodStructure> P = detectPeriod(Circ);
   ASSERT_TRUE(P.has_value());
   EXPECT_EQ(P->regionEnd(), static_cast<int64_t>(RegionGates));
+}
+
+TEST(AffineReplayTest, PeriodStructuresArePinned) {
+  // Replay is byte-identical whatever period the detector reports, so the
+  // golden digests cannot see a changed structure; these pins can. The
+  // first six circuits are perfbench's affine-batch items, and makeQft(16)
+  // has no period. The last body never touches qubits 5..7, so pi is
+  // completed there: 6 and 7 stay fixed and 5 takes the free image 0.
+  Circuit Partial(8, "partial");
+  for (int32_t Q = 0; Q < 4; ++Q)
+    Partial.addCx(Q, Q + 1);
+  const std::vector<int32_t> PartialShift = {1, 2, 3, 4, 5, 0, 6, 7};
+  struct Pin {
+    const char *Name;
+    Circuit Circ;
+    int64_t RegionStart, BodyGates, NumPeriods;
+    std::vector<int32_t> Perm; ///< Empty when no period is expected.
+  };
+  const std::vector<Pin> Pins = {
+      {"qft16x1000", qftLikeKernel(16, 1000), 0, 32, 1000,
+       cyclicShiftPermutation(16, 0)},
+      {"qft8x200", qftLikeKernel(8, 200), 0, 16, 200,
+       cyclicShiftPermutation(8, 0)},
+      {"ising16x100", makeIsing(16, 100), 0, 31, 100,
+       cyclicShiftPermutation(16, 0)},
+      {"qaoa16x50", makeQaoa(16, 50), 16, 40, 50,
+       cyclicShiftPermutation(16, 0)},
+      {"qugan16x100", makeQugan(16, 100), 0, 31, 100,
+       cyclicShiftPermutation(16, 0)},
+      {"conveyor24x40", layeredConveyor(makeLine(24), 3, 40, 1), 0, 33, 40,
+       cyclicShiftPermutation(24, 1)},
+      {"qft16", makeQft(16), 0, 0, 0, {}},
+      {"partial-shift",
+       repeatWithPermutation(Partial, PartialShift, 6, "partial-shift"), 0, 4,
+       6, PartialShift},
+  };
+  for (const Pin &P : Pins) {
+    SCOPED_TRACE(P.Name);
+    std::optional<PeriodStructure> Found = detectPeriod(P.Circ);
+    if (P.Perm.empty()) {
+      EXPECT_FALSE(Found.has_value());
+      continue;
+    }
+    ASSERT_TRUE(Found.has_value());
+    EXPECT_EQ(Found->RegionStart, P.RegionStart);
+    EXPECT_EQ(Found->BodyGates, P.BodyGates);
+    EXPECT_EQ(Found->NumPeriods, P.NumPeriods);
+    EXPECT_EQ(Found->Perm, P.Perm);
+    // pi is a bijection on every qubit, completed ones included.
+    std::vector<uint8_t> Seen(P.Circ.numQubits(), 0);
+    for (int32_t Image : Found->Perm) {
+      ASSERT_GE(Image, 0);
+      ASSERT_LT(Image, static_cast<int32_t>(Seen.size()));
+      EXPECT_FALSE(Seen[static_cast<size_t>(Image)]);
+      Seen[static_cast<size_t>(Image)] = 1;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
