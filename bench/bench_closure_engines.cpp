@@ -60,16 +60,12 @@ int main(int Argc, char **Argv) {
   Table T({"Circuit", "Gates", "Exact ms", "Affine ms", "Speedup",
            "Gates/stmt", "Mean over-approx"});
   for (auto &[Name, Circ] : Cases) {
-    WeightOptions Exact;
-    Exact.Engine = WeightEngine::Exact;
     Timer TE;
-    WeightResult E = computeDependenceWeights(Circ, Exact);
+    WeightResult E = computeDependenceWeights(Circ, WeightEngine::Exact);
     double ExactMs = TE.elapsedMilliseconds();
 
-    WeightOptions Affine;
-    Affine.Engine = WeightEngine::Affine;
     Timer TA;
-    WeightResult A = computeDependenceWeights(Circ, Affine);
+    WeightResult A = computeDependenceWeights(Circ, WeightEngine::Affine);
     double AffineMs = TA.elapsedMilliseconds();
 
     // Mean multiplicative over-approximation of the affine upper bound.

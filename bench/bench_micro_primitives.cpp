@@ -55,10 +55,8 @@ BENCHMARK(BM_DagBuild);
 
 static void BM_OmegaExact(benchmark::State &State) {
   Circuit C = mediumQueko();
-  WeightOptions Opts;
-  Opts.Engine = WeightEngine::Exact;
   for (auto _ : State) {
-    WeightResult R = computeDependenceWeights(C, Opts);
+    WeightResult R = computeDependenceWeights(C, WeightEngine::Exact);
     benchmark::DoNotOptimize(R.Weights.data());
   }
   State.SetItemsProcessed(State.iterations() *
@@ -68,10 +66,8 @@ BENCHMARK(BM_OmegaExact);
 
 static void BM_OmegaAffine(benchmark::State &State) {
   Circuit C = mediumQueko();
-  WeightOptions Opts;
-  Opts.Engine = WeightEngine::Affine;
   for (auto _ : State) {
-    WeightResult R = computeDependenceWeights(C, Opts);
+    WeightResult R = computeDependenceWeights(C, WeightEngine::Affine);
     benchmark::DoNotOptimize(R.Weights.data());
   }
   State.SetItemsProcessed(State.iterations() *
@@ -109,7 +105,7 @@ static void BM_RouteQlosureQft(benchmark::State &State) {
   QlosureRouter Router;
   // Context built once outside the loop: iterations measure pure routing,
   // with DAG/distances/omega reused from the shared precomputation.
-  RoutingContext Ctx = RoutingContext::build(C, Hw, Router.contextOptions());
+  RoutingContext Ctx = RoutingContext::build(C, Hw);
   for (auto _ : State) {
     RoutingResult R = Router.routeWithIdentity(Ctx);
     benchmark::DoNotOptimize(R.NumSwaps);

@@ -81,9 +81,7 @@ int main() {
   std::printf("\n\n");
 
   // --- Part 3: the omega weights of Eq. 1. ------------------------------
-  WeightOptions Exact;
-  Exact.Engine = WeightEngine::Exact;
-  WeightResult Omega = computeDependenceWeights(Fig1, Exact);
+  WeightResult Omega = computeDependenceWeights(Fig1, WeightEngine::Exact);
   std::printf("dependence weights omega (transitive dependents per "
               "gate):\n");
   for (size_t G = 0; G < Omega.Weights.size(); ++G)

@@ -51,15 +51,14 @@ struct Run {
 
 } // namespace
 
-AffineCircuit qlosure::liftCircuit(const Circuit &Circ,
-                                   const LifterOptions &Options) {
+AffineCircuit qlosure::liftCircuit(const Circuit &Circ) {
   std::vector<MacroGate> Statements;
   const auto &Gates = Circ.gates();
 
   /// Emits \p R as one statement, or as singletons when too short to be a
   /// meaningful affine run.
   auto emitRun = [&](const Run &R) {
-    if (R.Length >= Options.MinRunLength || R.Length == 1) {
+    if (R.Length >= MinRunLength || R.Length == 1) {
       Statements.push_back(R.finish());
       return;
     }

@@ -21,12 +21,9 @@
 
 namespace qlosure {
 
-/// Options controlling the lifter.
-struct LifterOptions {
-  /// Runs shorter than this stay as singleton statements (a length-2 "run"
-  /// whose stride is accidental provides no compression benefit).
-  int64_t MinRunLength = 3;
-};
+/// Runs shorter than this stay as singleton statements (a length-2 "run"
+/// whose stride is accidental provides no compression benefit).
+constexpr int64_t MinRunLength = 3;
 
 /// Recoverable precheck for circuits that reach the lifter from untrusted
 /// sources (the service path): an error naming the first barrier or
@@ -40,7 +37,7 @@ Status checkLiftable(const Circuit &Circ);
 /// (runs of them compress, stragglers become singleton statements), which
 /// keeps the trace tiling intact; analyses that require unitary-only input
 /// should gate on checkLiftable() first.
-AffineCircuit liftCircuit(const Circuit &Circ, const LifterOptions &Options = {});
+AffineCircuit liftCircuit(const Circuit &Circ);
 
 } // namespace qlosure
 

@@ -7,7 +7,6 @@
 #include "affine/PeriodDetector.h"
 
 #include "affine/Lifter.h"
-#include "presburger/Permutation.h"
 
 #include <algorithm>
 
@@ -50,43 +49,10 @@ struct TraceView {
   }
 };
 
-/// True when statements \p A and \p B have the same shape (everything but
-/// the offsets): their instances then pair up one-to-one.
-bool sameShape(const MacroGate &A, const MacroGate &B) {
-  if (A.Kind != B.Kind || A.NumOperands != B.NumOperands ||
-      A.TripCount != B.TripCount)
-    return false;
-  for (unsigned K = 0; K < A.NumOperands; ++K)
-    if (A.Scale[K] != B.Scale[K])
-      return false;
-  return true;
-}
-
-/// Derives pi from the presburger access relations of the statement pairs
-/// (r0 .. r0+k) vs (r0+k .. r0+2k), when those pairs align shape-for-shape
-/// (the paper's symbolic path: pi = union over pairs of
-/// reverse(A_S) . A_S'). nullopt when the statements do not align or the
-/// relation is not a partial injection.
-std::optional<std::vector<int32_t>>
-derivePermSymbolic(const AffineCircuit &AC, size_t R0, size_t K) {
-  if (R0 + 2 * K > AC.numStatements())
-    return std::nullopt;
-  presburger::IntegerMap Rel(1, 1);
-  for (size_t J = 0; J < K; ++J) {
-    const MacroGate &SA = AC.statement(R0 + J);
-    const MacroGate &SB = AC.statement(R0 + K + J);
-    if (!sameShape(SA, SB))
-      return std::nullopt;
-    for (unsigned Op = 0; Op < SA.NumOperands; ++Op)
-      Rel = Rel.unionWith(AC.accessRelation(R0 + J, Op)
-                              .reverse()
-                              .composeWith(AC.accessRelation(R0 + K + J, Op)));
-  }
-  return presburger::extractPermutation(Rel, AC.numQubits());
-}
-
-/// Derives pi pointwise from the gate pairs (t, t+B) of the first period,
-/// completing unconstrained qubits like extractPermutation does.
+/// Derives pi pointwise from the gate pairs (t, t+B) of the first period.
+/// Qubits the pairs leave unconstrained are completed deterministically:
+/// each keeps its own index when no constrained qubit maps there, and the
+/// rest take the free images in ascending order.
 std::optional<std::vector<int32_t>>
 derivePermPointwise(const TraceView &TV, size_t R, size_t B,
                     unsigned NumQubits) {
@@ -126,11 +92,10 @@ derivePermPointwise(const TraceView &TV, size_t R, size_t B,
 } // namespace
 
 std::optional<PeriodStructure>
-qlosure::detectPeriod(const AffineCircuit &AC,
-                      const PeriodDetectorOptions &O) {
+qlosure::detectPeriod(const AffineCircuit &AC) {
   const size_t M = AC.numStatements();
   const int64_t N = AC.numGates();
-  if (M == 0 || N < 2 * O.MinPeriods)
+  if (M == 0 || N < 2 * MinPeriods)
     return std::nullopt;
 
   TraceView TV(AC);
@@ -140,14 +105,14 @@ qlosure::detectPeriod(const AffineCircuit &AC,
   for (size_t S = 0; S < M; ++S)
     Starts[S] = AC.statement(S).Start;
 
-  for (size_t R0 = 0; R0 < std::min(O.MaxPrologueStatements + 1, M); ++R0) {
+  for (size_t R0 = 0; R0 < std::min(MaxPrologueStatements + 1, M); ++R0) {
     const int64_t R = Starts[R0];
     int64_t B = 0;
-    for (size_t K = 1; R0 + K <= M && K <= O.MaxBodyStatements; ++K) {
+    for (size_t K = 1; R0 + K <= M && K <= MaxBodyStatements; ++K) {
       B += AC.statement(R0 + K - 1).TripCount;
-      if (B > O.MaxBodyGates)
+      if (B > MaxBodyGates)
         break;
-      if ((N - R) / B < O.MinPeriods)
+      if ((N - R) / B < MinPeriods)
         break; // Larger bodies only fit fewer periods.
       if (R + 2 * B > N)
         break;
@@ -157,22 +122,14 @@ qlosure::detectPeriod(const AffineCircuit &AC,
       if (TV.Kind[R] != TV.Kind[R + B] || TV.Arity[R] != TV.Arity[R + B])
         continue;
 
-      // Derive pi. The pointwise pass over the first period runs first:
-      // its constraints are necessary for *any* pi, so it is also the
-      // cheap rejection filter for wrong candidate periods. Surviving
-      // candidates re-derive pi symbolically from the aligned statement
-      // access relations (the paper's presburger path); both derivations
-      // complete unconstrained qubits identically, so they agree whenever
-      // the statements align, and the pointwise verification below makes
-      // the result exact either way.
+      // Derive pi from the first period. Its constraints are necessary
+      // for *any* pi, so this is also the cheap rejection filter for wrong
+      // candidate periods; the verification below makes the result exact.
       std::optional<std::vector<int32_t>> Perm = derivePermPointwise(
           TV, static_cast<size_t>(R), static_cast<size_t>(B),
           AC.numQubits());
       if (!Perm)
         continue;
-      if (std::optional<std::vector<int32_t>> Symbolic =
-              derivePermSymbolic(AC, R0, K))
-        Perm = std::move(Symbolic);
 
       // Verify the candidate across the whole trace: count consecutive
       // matching pairs from the region start, then keep whole periods.
@@ -183,10 +140,10 @@ qlosure::detectPeriod(const AffineCircuit &AC,
         ++T;
       int64_t Matched = T - R; // Pairs (t, t+B) verified.
       int64_t Periods = Matched / B + 1;
-      if (Periods < O.MinPeriods)
+      if (Periods < MinPeriods)
         continue;
       if (static_cast<double>(Periods * B) <
-          O.MinCoverage * static_cast<double>(N - R))
+          MinPeriodCoverage * static_cast<double>(N - R))
         continue;
 
       PeriodStructure P;
@@ -200,7 +157,6 @@ qlosure::detectPeriod(const AffineCircuit &AC,
   return std::nullopt;
 }
 
-std::optional<PeriodStructure>
-qlosure::detectPeriod(const Circuit &Circ, const PeriodDetectorOptions &O) {
-  return detectPeriod(liftCircuit(Circ), O);
+std::optional<PeriodStructure> qlosure::detectPeriod(const Circuit &Circ) {
+  return detectPeriod(liftCircuit(Circ));
 }

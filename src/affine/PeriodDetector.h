@@ -16,10 +16,10 @@
 /// relabeling (pi = identity for a plain repeated body). The detector
 /// proposes candidate periods from the macro-gate statement structure (run
 /// boundaries are where the lifter's affine predictions break, which is
-/// exactly where loop iterations seam), derives pi from the presburger
-/// access relations of the first aligned statement pair when possible, and
-/// verifies the whole region pointwise so the result is exact regardless of
-/// how runs happen to align with iteration boundaries.
+/// exactly where loop iterations seam), derives pi pointwise from the gate
+/// pairs of the first two periods, and verifies the whole region pointwise
+/// so the result is exact regardless of how runs happen to align with
+/// iteration boundaries.
 ///
 /// The routing replay engine (route/ReplayPlan.h) consumes the result; it
 /// is memoized per RoutingContext so service-cached contexts pay for
@@ -54,31 +54,26 @@ struct PeriodStructure {
   int64_t regionEnd() const { return RegionStart + BodyGates * NumPeriods; }
 };
 
-/// Detection limits.
-struct PeriodDetectorOptions {
-  /// Minimum complete periods for a region to count as loop structure.
-  int64_t MinPeriods = 3;
-  /// Candidate prologues: region starts are tried at the first statement
-  /// boundaries only (a long irregular prologue means no loop anyway).
-  size_t MaxPrologueStatements = 8;
-  /// Candidate bodies span at most this many statements...
-  size_t MaxBodyStatements = 256;
-  /// ... and at most this many gates (bounds replay-plan memory).
-  int64_t MaxBodyGates = 1 << 20;
-  /// The region must cover at least this fraction of the trace after the
-  /// prologue, so an accidental local repetition is not mistaken for the
-  /// circuit's loop structure.
-  double MinCoverage = 0.5;
-};
+/// Minimum complete periods for a region to count as loop structure.
+constexpr int64_t MinPeriods = 3;
+/// Candidate prologues: region starts are tried at the first statement
+/// boundaries only (a long irregular prologue means no loop anyway).
+constexpr size_t MaxPrologueStatements = 8;
+/// Candidate bodies span at most this many statements...
+constexpr size_t MaxBodyStatements = 256;
+/// ... and at most this many gates (bounds replay-plan memory).
+constexpr int64_t MaxBodyGates = 1 << 20;
+/// The region must cover at least this fraction of the trace after the
+/// prologue, so an accidental local repetition is not mistaken for the
+/// circuit's loop structure.
+constexpr double MinPeriodCoverage = 0.5;
 
 /// Finds the leftmost periodic region with the smallest period, or nullopt
 /// when the circuit has no (detected) loop structure.
-std::optional<PeriodStructure>
-detectPeriod(const AffineCircuit &AC, const PeriodDetectorOptions &O = {});
+std::optional<PeriodStructure> detectPeriod(const AffineCircuit &AC);
 
-/// Convenience overload: lifts \p Circ (default lifter options) first.
-std::optional<PeriodStructure>
-detectPeriod(const Circuit &Circ, const PeriodDetectorOptions &O = {});
+/// Convenience overload: lifts \p Circ first.
+std::optional<PeriodStructure> detectPeriod(const Circuit &Circ);
 
 } // namespace qlosure
 

@@ -12,5 +12,5 @@ double CirqGreedyRouter::scoreFromSums(double FrontSum, double ExtSum,
                                        double /*FrontMax*/,
                                        double /*MaxDecay*/, size_t /*NumFront*/,
                                        size_t /*NumExt*/) const {
-  return FrontSum + Options.NextSliceWeight * ExtSum;
+  return FrontSum + NextSliceWeight * ExtSum;
 }

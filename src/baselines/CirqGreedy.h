@@ -19,31 +19,24 @@
 
 namespace qlosure {
 
-/// Cirq-style tuning options.
-struct CirqOptions {
-  /// The next-slice window scales with the current slice size.
-  double SliceWindowFactor = 1.0;
-  double NextSliceWeight = 0.5;
-};
-
 /// The Cirq-style baseline.
 class CirqGreedyRouter : public GreedyRouterBase {
 public:
-  explicit CirqGreedyRouter(CirqOptions Options = {}) : Options(Options) {}
-
   std::string name() const override { return "Cirq"; }
+
+  /// The next-slice window scales with the current slice size.
+  static constexpr double SliceWindowFactor = 1.0;
+  /// Weight of the next slice's distance sum.
+  static constexpr double NextSliceWeight = 0.5;
 
 protected:
   size_t extendedWindowSize(size_t NumFrontGates) const override {
     return static_cast<size_t>(
-        Options.SliceWindowFactor * static_cast<double>(NumFrontGates)) + 1;
+        SliceWindowFactor * static_cast<double>(NumFrontGates)) + 1;
   }
   double scoreFromSums(double FrontSum, double ExtSum, double FrontMax,
                        double MaxDecay, size_t NumFront,
                        size_t NumExt) const override;
-
-private:
-  CirqOptions Options;
 };
 
 } // namespace qlosure

@@ -172,7 +172,7 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
       break;
 
     // Escape hatch: force the oldest blocked gate along a shortest path.
-    if (SwapsSinceProgress >= maxSwapsWithoutProgress()) {
+    if (SwapsSinceProgress >= MaxSwapsWithoutProgress) {
       uint32_t Oldest = UINT32_MAX;
       for (uint32_t G : Tracker.front())
         if (Logical.gate(G).isTwoQubit())

@@ -70,7 +70,7 @@ protected:
 
   /// Escape-hatch threshold (swaps without progress before forcing
   /// shortest-path resolution).
-  virtual unsigned maxSwapsWithoutProgress() const { return 64; }
+  static constexpr unsigned MaxSwapsWithoutProgress = 64;
 };
 
 } // namespace qlosure

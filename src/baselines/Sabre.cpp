@@ -14,6 +14,6 @@ double SabreRouter::scoreFromSums(double FrontSum, double ExtSum,
   double Score =
       NumFront == 0 ? 0.0 : FrontSum / static_cast<double>(NumFront);
   if (NumExt != 0)
-    Score += Options.ExtendedWeight * ExtSum / static_cast<double>(NumExt);
+    Score += ExtendedWeight * ExtSum / static_cast<double>(NumExt);
   return MaxDecay * Score;
 }

@@ -23,35 +23,29 @@
 
 namespace qlosure {
 
-/// SABRE tuning options.
-struct SabreOptions {
-  size_t ExtendedSetSize = 20;
-  double ExtendedWeight = 0.5;
-  double DecayIncrement = 0.001;
-  uint64_t Seed = 0x5AB3E5EEDULL;
-};
-
 /// The SABRE baseline.
 class SabreRouter : public GreedyRouterBase {
 public:
-  explicit SabreRouter(SabreOptions Options = {}) : Options(Options) {}
-
   std::string name() const override { return "SABRE"; }
 
+  /// Two-qubit gates in the extended window past the front layer.
+  static constexpr size_t ExtendedSetSize = 20;
+  /// Weight W of the extended window's term.
+  static constexpr double ExtendedWeight = 0.5;
+  /// Decay increment per applied SWAP.
+  static constexpr double DecayIncrement = 0.001;
+  /// Seed of the random tie-break.
+  static constexpr uint64_t Seed = 0x5AB3E5EEDULL;
+
 protected:
-  size_t extendedWindowSize(size_t) const override {
-    return Options.ExtendedSetSize;
-  }
+  size_t extendedWindowSize(size_t) const override { return ExtendedSetSize; }
   double scoreFromSums(double FrontSum, double ExtSum, double FrontMax,
                        double MaxDecay, size_t NumFront,
                        size_t NumExt) const override;
   bool usesDecay() const override { return true; }
-  double decayIncrement() const override { return Options.DecayIncrement; }
+  double decayIncrement() const override { return DecayIncrement; }
   bool randomTieBreak() const override { return true; }
-  uint64_t seed() const override { return Options.Seed; }
-
-private:
-  SabreOptions Options;
+  uint64_t seed() const override { return Seed; }
 };
 
 } // namespace qlosure

@@ -14,5 +14,5 @@ double TketBoundedRouter::scoreFromSums(double FrontSum, double ExtSum,
                                         size_t /*NumExt*/) const {
   // Lexicographic (max distance, total distance) folded into one value:
   // the max dominates, the sum breaks ties among equal maxima.
-  return FrontMax * 1e6 + FrontSum + Options.LookaheadWeight * ExtSum;
+  return FrontMax * 1e6 + FrontSum + LookaheadWeight * ExtSum;
 }

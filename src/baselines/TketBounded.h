@@ -20,30 +20,22 @@
 
 namespace qlosure {
 
-/// tket-style tuning options.
-struct TketOptions {
-  size_t LookaheadGates = 8;
-  double LookaheadWeight = 0.25;
-};
-
 /// The tket-style baseline.
 class TketBoundedRouter : public GreedyRouterBase {
 public:
-  explicit TketBoundedRouter(TketOptions Options = {}) : Options(Options) {}
-
   std::string name() const override { return "Pytket"; }
 
+  /// Two-qubit gates in the look-ahead window past the front slice.
+  static constexpr size_t LookaheadGates = 8;
+  /// Weight of the look-ahead distance sum.
+  static constexpr double LookaheadWeight = 0.25;
+
 protected:
-  size_t extendedWindowSize(size_t) const override {
-    return Options.LookaheadGates;
-  }
+  size_t extendedWindowSize(size_t) const override { return LookaheadGates; }
   double scoreFromSums(double FrontSum, double ExtSum, double FrontMax,
                        double MaxDecay, size_t NumFront,
                        size_t NumExt) const override;
   bool usesFrontMax() const override { return true; }
-
-private:
-  TketOptions Options;
 };
 
 } // namespace qlosure

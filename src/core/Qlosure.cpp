@@ -34,15 +34,6 @@ std::string QlosureRouter::name() const {
   return "Qlosure(distance-only)";
 }
 
-RoutingContextOptions QlosureRouter::contextOptions() const {
-  // Error-aware mode needs nothing from the context: it reads the graph's
-  // per-edge error rates to break exact score ties (see
-  // RoutingLoop::routeOneSwap).
-  RoutingContextOptions CtxOptions;
-  CtxOptions.Weights = Options.Weights;
-  return CtxOptions;
-}
-
 namespace {
 
 /// Folds every option that can influence a routing decision into the

@@ -23,7 +23,6 @@
 #ifndef QLOSURE_CORE_QLOSURE_H
 #define QLOSURE_CORE_QLOSURE_H
 
-#include "deps/TransitiveWeights.h"
 #include "route/Router.h"
 
 #include <cstdint>
@@ -51,9 +50,6 @@ struct QlosureOptions {
   /// which satisfies the paper's "exceed the maximum degree" rule and
   /// measured best in our sweeps (see bench_fig8_ablation).
   unsigned LookaheadConstant = 0;
-
-  /// omega computation engine (Auto = affine beyond a size threshold).
-  WeightOptions Weights;
 
   /// Error-aware extension (the paper's future work): among candidate
   /// SWAPs whose Eq. 2 scores tie exactly, prefer the one on the least
@@ -91,10 +87,6 @@ public:
   RoutingResult route(const RoutingContext &Ctx, const QubitMapping &Initial,
                       RoutingScratch &Scratch,
                       const CancellationToken *Cancel) override;
-
-  /// Forwards the omega engine choice so the 3-arg adapter builds
-  /// contexts matching this router's configuration.
-  RoutingContextOptions contextOptions() const override;
 
   const QlosureOptions &options() const { return Options; }
 

@@ -50,8 +50,12 @@ RoutingLoop::RoutingLoop(const QlosureOptions &Options,
   LookaheadC = Options.LookaheadConstant ? Options.LookaheadConstant
                                          : Ctx.defaultLookahead();
   BreakTiesByEdgeError = Options.ErrorAware && Hw.hasErrorModel();
-  if (Options.UseDependencyWeights)
-    Weights = &Ctx.dependenceWeights(); // Memoized in the context.
+  if (Options.UseDependencyWeights) {
+    // Computed by the context's first reader and memoized for the rest:
+    // the span times omega on a route that computes it, a lookup after.
+    ScopedSpan Span(S.TraceSink, "ctx_weights");
+    Weights = &Ctx.dependenceWeights();
+  }
   Result.Routed = Circuit(Hw.numQubits(), Logical.name() + ".routed");
   Result.InitialMapping = Initial;
   Result.RouterName = "Qlosure";
@@ -203,10 +207,9 @@ void RoutingLoop::routeOneSwap() {
   // margins, and with folding errors into the distance metric, both
   // ballooned swap counts on dense circuits — cost slack compounds over
   // thousands of decisions).
-  double TieMargin = 0.0;
   S.BestIdx.clear();
   for (size_t CI = 0; CI < S.Candidates.size(); ++CI)
-    if (S.Scores[CI] <= BestScore + TieMargin + 1e-12)
+    if (S.Scores[CI] <= BestScore + 1e-12)
       S.BestIdx.push_back(CI);
   if (BreakTiesByEdgeError && S.BestIdx.size() > 1) {
     double MinError = std::numeric_limits<double>::infinity();

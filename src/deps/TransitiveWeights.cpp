@@ -143,7 +143,7 @@ static WeightResult computeAffine(const Circuit &Circ) {
 }
 
 WeightResult qlosure::computeDependenceWeights(const Circuit &Circ,
-                                               const WeightOptions &Options) {
+                                               WeightEngine Engine) {
   assert(std::none_of(Circ.gates().begin(), Circ.gates().end(),
                       [](const Gate &G) {
                         return G.Kind == GateKind::Barrier ||
@@ -151,7 +151,7 @@ WeightResult qlosure::computeDependenceWeights(const Circuit &Circ,
                       }) &&
          "omega is defined over unitary gates only");
 
-  switch (Options.Engine) {
+  switch (Engine) {
   case WeightEngine::Exact:
     return computeExact(Circ);
   case WeightEngine::Affine:

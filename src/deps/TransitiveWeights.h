@@ -12,13 +12,18 @@
 /// i.e. the number of transitive dependents of each gate. Two engines:
 ///
 ///  * Exact: reverse-topological bitset closure over the gate-level DAG.
-///    Ground truth, O(V^2/64) memory — fine up to a few thousand gates.
+///    Ground truth, O(V^2/64) memory: Auto runs it up to ExactGateLimit
+///    (30k gates), where the reach sets take ~120 MB.
 ///  * Affine: the paper's scalable path. The circuit is lifted to
 ///    macro-gates, the statement-level dependence graph is closed, and
 ///    per-gate counts are evaluated in O(1) amortized from piecewise-affine
 ///    instance counts (exact single-stride self-dependences use the
 ///    closed-form closure count). Produces a sound upper bound of the
-///    exact weights, exact on purely uniform traces.
+///    exact weights (IsExact is false): for a reachable statement it counts
+///    every later instance, reachable or not. On a uniform loop the bound
+///    is close but not tight: 29,986 of the 32,000 weights of
+///    qftLikeKernel(16, 1000) exceed exact, by 0.4% on average and by up
+///    to 8x near the end of the trace.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,15 +58,10 @@ struct WeightResult {
   double CompressionRatio = 1.0;
 };
 
-/// Options for computeDependenceWeights.
-struct WeightOptions {
-  WeightEngine Engine = WeightEngine::Auto;
-};
-
 /// Computes omega for every gate of \p Circ (which must contain unitary
-/// gates only).
+/// gates only) with \p Engine.
 WeightResult computeDependenceWeights(const Circuit &Circ,
-                                      const WeightOptions &Options = {});
+                                      WeightEngine Engine = WeightEngine::Auto);
 
 } // namespace qlosure
 

@@ -37,10 +37,7 @@ namespace qlosure {
 /// must outlive the batch run; one context is typically shared by the five
 /// jobs routing the same circuit with different mappers, and one mapper by
 /// every job using it — both are safe because contexts are immutable and
-/// routers stateless. A shared context carries one set of
-/// RoutingContextOptions for everyone: mappers configured with a
-/// non-default omega engine need their own context (built from their
-/// contextOptions()) to see those weights.
+/// routers stateless.
 struct BatchJob {
   Router *Mapper = nullptr;
   const RoutingContext *Ctx = nullptr;

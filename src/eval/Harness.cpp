@@ -57,7 +57,7 @@ RunRecord qlosure::runOnce(Router &Mapper, const RoutingContext &Ctx,
           Mapper.name().c_str(), Ctx.hardware().name().c_str(),
           Ctx.circuit().name().c_str(), V.Message.c_str()));
   }
-  Record.RoutedDepth = Result.Routed.depth(Config.DepthModel);
+  Record.RoutedDepth = Result.routedDepth();
   Record.Swaps = Result.NumSwaps;
   Record.Seconds = Result.MappingSeconds;
   Record.TimedOut = Result.TimedOut;
@@ -68,8 +68,7 @@ RunRecord qlosure::runOnce(Router &Mapper, const RoutingContext &Ctx,
 RunRecord qlosure::runOnce(Router &Mapper, const Circuit &Circ,
                            const CouplingGraph &Backend,
                            size_t BaselineDepth, const EvalConfig &Config) {
-  RoutingContext Ctx =
-      RoutingContext::build(Circ, Backend, Mapper.contextOptions());
+  RoutingContext Ctx = RoutingContext::build(Circ, Backend);
   return runOnce(Mapper, Ctx, BaselineDepth, Config);
 }
 

@@ -37,6 +37,7 @@ struct RunRecord {
   /// For QUEKO runs this is the provably optimal depth; for QASMBench runs
   /// the pre-mapping circuit depth.
   size_t BaselineDepth = 0;
+  /// Depth after routing, an inserted SWAP counting as one gate.
   size_t RoutedDepth = 0;
   size_t Swaps = 0;
   double Seconds = 0;
@@ -60,7 +61,6 @@ struct EvalConfig {
   /// Independently verify every routing (adjacency + dependence
   /// preservation); failures abort, making every reported number trusted.
   bool Verify = true;
-  SwapCostModel DepthModel = SwapCostModel::SwapAsOneGate;
 };
 
 /// Routes \p Ctx's circuit with \p Mapper from the identity placement and
@@ -77,8 +77,8 @@ RunRecord runOnce(Router &Mapper, const RoutingContext &Ctx,
                   size_t BaselineDepth, const EvalConfig &Config,
                   RoutingScratch &Scratch);
 
-/// One-shot convenience: builds a context for (\p Circ, \p Backend) with
-/// the mapper's contextOptions() and delegates to the context overload.
+/// One-shot convenience: builds a default context for (\p Circ,
+/// \p Backend) and delegates to the context overload.
 RunRecord runOnce(Router &Mapper, const Circuit &Circ,
                   const CouplingGraph &Backend, size_t BaselineDepth,
                   const EvalConfig &Config = {});

@@ -19,7 +19,7 @@ QubitMapping qlosure::deriveBidirectionalMapping(Router &R,
                                                  const Circuit &Circ,
                                                  const CouplingGraph &Hw,
                                                  unsigned NumPasses) {
-  RoutingContext Ctx = RoutingContext::build(Circ, Hw, R.contextOptions());
+  RoutingContext Ctx = RoutingContext::build(Circ, Hw);
   return deriveBidirectionalMapping(R, Ctx, NumPasses);
 }
 
@@ -31,8 +31,7 @@ QubitMapping qlosure::deriveBidirectionalMapping(Router &R,
                                                      *Cancel) {
   QubitMapping Mapping = Ctx.identityMapping();
   Circuit Reversed = reverseCircuit(Ctx.circuit());
-  RoutingContext ReversedCtx = RoutingContext::build(
-      Reversed, Ctx.hardware(), R.contextOptions());
+  RoutingContext ReversedCtx = RoutingContext::build(Reversed, Ctx.hardware());
   RoutingScratch Local;
   RoutingScratch &S = Scratch ? *Scratch : Local;
   for (unsigned Pass = 0; Pass < NumPasses; ++Pass) {

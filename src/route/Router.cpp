@@ -21,13 +21,13 @@ RoutingResult Router::route(const RoutingContext &Ctx,
 
 RoutingResult Router::route(const Circuit &Logical, const CouplingGraph &Hw,
                             const QubitMapping &Initial) {
-  RoutingContext Ctx = RoutingContext::build(Logical, Hw, contextOptions());
+  RoutingContext Ctx = RoutingContext::build(Logical, Hw);
   return route(Ctx, Initial);
 }
 
 RoutingResult Router::routeWithIdentity(const Circuit &Logical,
                                         const CouplingGraph &Hw) {
-  RoutingContext Ctx = RoutingContext::build(Logical, Hw, contextOptions());
+  RoutingContext Ctx = RoutingContext::build(Logical, Hw);
   return routeWithIdentity(Ctx);
 }
 

@@ -124,8 +124,8 @@ public:
   /// scratch overload in sweeps and batch drivers.
   RoutingResult route(const RoutingContext &Ctx, const QubitMapping &Initial);
 
-  /// Thin adapter for one-shot callers: builds a context internally
-  /// (using contextOptions()) and routes through it. Prefer building one
+  /// Thin adapter for one-shot callers: builds a default context
+  /// internally and routes through it. Prefer building one
   /// RoutingContext and reusing it when routing the same (circuit,
   /// backend) pair more than once.
   RoutingResult route(const Circuit &Logical, const CouplingGraph &Hw,
@@ -145,10 +145,9 @@ public:
   static Status validate(const RoutingContext &Ctx,
                          const QubitMapping &Initial);
 
-  /// Context construction options this router wants when the 3-arg
-  /// adapter builds a context on its behalf (e.g. Qlosure forwards its
-  /// omega engine choice and error-aware flag).
-  virtual RoutingContextOptions contextOptions() const { return {}; }
+  /// The default context options: no router configures its context.
+  /// perfbench's per-layer pass builds its contexts through this call.
+  RoutingContextOptions contextOptions() const { return {}; }
 
 protected:
   /// Fatal wrapper over validate() for direct route() calls, where a

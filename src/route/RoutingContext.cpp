@@ -75,7 +75,7 @@ RoutingContext RoutingContext::build(const Circuit &Logical,
 
 const std::vector<uint64_t> &RoutingContext::dependenceWeights() const {
   std::call_once(Lazy->WeightsOnce, [this] {
-    Lazy->Weights = computeDependenceWeights(*Logical, Options.Weights);
+    Lazy->Weights = computeDependenceWeights(*Logical, Options.Engine);
   });
   return Lazy->Weights.Weights;
 }

@@ -50,7 +50,7 @@ class Trace;
 /// Knobs for context construction.
 struct RoutingContextOptions {
   /// omega engine used when a mapper asks for dependenceWeights().
-  WeightOptions Weights;
+  WeightEngine Engine = WeightEngine::Auto;
 };
 
 /// Immutable per-(circuit, backend) routing state. Movable, not copyable;

@@ -7,7 +7,6 @@
 #include "service/ContextCache.h"
 
 #include "circuit/Dag.h"
-#include "support/Trace.h"
 
 using namespace qlosure;
 using namespace qlosure::service;
@@ -16,10 +15,11 @@ namespace {
 
 /// Rough memory footprint of one cached bundle: the gate list, the
 /// adjacency lists, the distance matrix, the edge-error table of a
-/// calibrated graph, and the per-gate weight/DAG arrays. Close enough for
-/// byte-budget eviction; exactness is not the point.
-size_t estimateBytes(const Circuit &Circ, const CouplingGraph &Hw,
-                     bool HasWeights) {
+/// calibrated graph, and the per-gate weight/DAG arrays. The weights count
+/// even before a route computes them, so a bundle never outgrows the
+/// estimate it was inserted with. Close enough for byte-budget eviction;
+/// exactness is not the point.
+size_t estimateBytes(const Circuit &Circ, const CouplingGraph &Hw) {
   size_t N = Hw.numQubits();
   size_t Bytes = sizeof(CachedContext);
   Bytes += Circ.size() * sizeof(Gate);
@@ -29,30 +29,20 @@ size_t estimateBytes(const Circuit &Circ, const CouplingGraph &Hw,
   // DAG: per-gate successor/predecessor edges (<= 2 each way for 2-qubit
   // gates) plus node bookkeeping.
   Bytes += Circ.size() * 48;
-  if (HasWeights)
-    Bytes += Circ.size() * sizeof(uint64_t);
+  Bytes += Circ.size() * sizeof(uint64_t); // Omega, once a route reads it.
   return Bytes;
 }
 
 } // namespace
 
 std::shared_ptr<const CachedContext>
-CachedContext::build(const Circuit &Circ, const CouplingGraph &Hw,
-                     const RoutingContextOptions &Options, bool WarmWeights,
-                     Trace *T) {
+CachedContext::build(const Circuit &Circ, const CouplingGraph &Hw, Trace *T) {
   // The bundle owns copies; the context is built against those copies'
   // stable heap addresses (shared_ptr control block pins them).
   auto Bundle = std::shared_ptr<CachedContext>(new CachedContext());
   Bundle->Circ = Circ;
   Bundle->Hw = Hw;
-  Bundle->Ctx.emplace(
-      RoutingContext::build(Bundle->Circ, Bundle->Hw, Options, T));
-  bool Warmed = false;
-  if (WarmWeights && Bundle->Ctx->valid()) {
-    ScopedSpan Span(T, "ctx_weights");
-    Bundle->Ctx->dependenceWeights();
-    Warmed = true;
-  }
-  Bundle->Bytes = estimateBytes(Bundle->Circ, Bundle->Hw, Warmed);
+  Bundle->Ctx.emplace(RoutingContext::build(Bundle->Circ, Bundle->Hw, {}, T));
+  Bundle->Bytes = estimateBytes(Bundle->Circ, Bundle->Hw);
   return Bundle;
 }

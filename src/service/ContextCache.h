@@ -8,12 +8,13 @@
 /// The memoization heart of the qlosured service: a mutex-striped, sharded
 /// LRU cache with a byte budget, instantiated three times —
 ///
-///  * ContextCache maps (circuit fingerprint, backend fingerprint, context
-///    config fingerprint) to a shared CachedContext bundle that owns the
-///    circuit, the coupling graph, and the fully built RoutingContext
-///    (distances, DAG, eagerly warmed omega weights). A warm request skips
-///    the entire per-(circuit, backend) precomputation the paper's
-///    abstraction made cheap and this cache makes free.
+///  * ContextCache maps (circuit fingerprint, backend fingerprint) to a
+///    shared CachedContext bundle that owns the circuit, the coupling
+///    graph, and the built RoutingContext (distances and DAG; omega and
+///    the loop structure are computed by the first route that reads them
+///    and memoized in the context). A warm request skips the entire
+///    per-(circuit, backend) precomputation the paper's abstraction made
+///    cheap and this cache makes free.
 ///
 ///  * ResultCache maps the result key (service/RequestKey.h) to a shared
 ///    CachedResult holding the routed QASM text and its statistics.
@@ -219,16 +220,13 @@ private:
 /// entry's whole lifetime, independent of the request that built it.
 class CachedContext {
 public:
-  /// Builds a bundle over copies of \p Circ and \p Hw. The context's
-  /// omega weights are computed eagerly when \p WarmWeights is set and the
-  /// context is valid — a cached context will be routed with, so first-use
-  /// laziness only moves the cost into the first request's latency.
-  /// \p T, when non-null, receives the construction-phase spans
-  /// (ctx_distances, ctx_dag, ctx_weights) of a traced cold build.
+  /// Builds a bundle over copies of \p Circ and \p Hw. Omega is not
+  /// computed here: only weighted Qlosure routes read it, and the first of
+  /// them computes it once for every later reader. \p T, when non-null,
+  /// receives the construction-phase spans (ctx_distances, ctx_dag) of a
+  /// traced cold build.
   static std::shared_ptr<const CachedContext>
-  build(const Circuit &Circ, const CouplingGraph &Hw,
-        const RoutingContextOptions &Options, bool WarmWeights = true,
-        Trace *T = nullptr);
+  build(const Circuit &Circ, const CouplingGraph &Hw, Trace *T = nullptr);
 
   const RoutingContext &context() const { return *Ctx; }
   const Circuit &circuit() const { return Circ; }

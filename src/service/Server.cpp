@@ -860,18 +860,13 @@ Server::executeRoute(const Triage &Item, const PooledBackend &Backend,
   const Circuit &Logical = *Item.Logical;
   std::unique_ptr<Router> Mapper =
       makeServiceRouter(Params.Mapper, Params.ErrorAware, Params.Affine);
-  RoutingContextOptions CtxOptions = Mapper->contextOptions();
-  CacheKey ContextKey{Item.CircuitFp, Backend.Fingerprint,
-                      fingerprint(CtxOptions)};
+  CacheKey ContextKey{Item.CircuitFp, Backend.Fingerprint};
   Outcome Out;
   const auto CtxStart = Trace::Clock::now();
   int CtxSpan = T ? T->begin("context_build") : -1;
   auto Bundle = Contexts.getOrBuild(
       ContextKey,
-      [&] {
-        return CachedContext::build(Logical, *Backend.Graph, CtxOptions,
-                                    /*WarmWeights=*/true, T);
-      },
+      [&] { return CachedContext::build(Logical, *Backend.Graph, T); },
       &Out.ContextHit);
   if (T)
     T->end(CtxSpan);

@@ -127,7 +127,8 @@ struct RouterServer::Connection : LineConnection {
     std::thread Forwarder;
     std::mutex SendMu;
     /// Op names of forwarded id-less requests, FIFO: uncorrelatable by
-    /// design, these get `unavailable` frames if the upstream dies.
+    /// design, these get `unavailable` frames if the upstream dies. Only
+    /// the connection's reader thread queues them, one at a time.
     std::deque<std::string> AnonOps;
   };
 
@@ -322,7 +323,8 @@ void RouterServer::spawnForwarder(const std::shared_ptr<Connection> &Conn,
 }
 
 bool RouterServer::sendToShard(const std::shared_ptr<Connection> &Conn,
-                               size_t Shard, const std::string &Line) {
+                               size_t Shard, const std::string &Line,
+                               const std::string *AnonOp) {
   Connection::Upstream &Up = Conn->Upstreams[Shard];
   {
     std::lock_guard<std::mutex> Lock(Conn->Mu);
@@ -353,11 +355,27 @@ bool RouterServer::sendToShard(const std::shared_ptr<Connection> &Conn,
       Up.Up = true;
       spawnForwarder(Conn, Shard, NewFd);
     }
+    // An id-less final is matched to its request by order alone, so the
+    // request joins the queue of the upstream that carries it before its
+    // bytes go out: its final can never arrive first.
+    if (AnonOp)
+      Up.AnonOps.push_back(*AnonOp);
   }
-  std::lock_guard<std::mutex> SendLock(Up.SendMu);
-  if (Up.Fd < 0)
-    return false;
-  return sendAll(Up.Fd, Line + "\n", /*MaxSeconds=*/30.0);
+  bool Sent;
+  {
+    std::lock_guard<std::mutex> SendLock(Up.SendMu);
+    Sent = Up.Fd >= 0 && sendAll(Up.Fd, Line + "\n", /*MaxSeconds=*/30.0);
+  }
+  if (Sent || !AnonOp)
+    return Sent;
+  // Take the request back to spill it, unless the upstream's death has
+  // already answered it (onUpstreamDown empties the queue). No request
+  // was queued after ours, so ours is the last entry while it is queued.
+  std::lock_guard<std::mutex> Lock(Conn->Mu);
+  if (Up.AnonOps.empty())
+    return true;
+  Up.AnonOps.pop_back();
+  return false;
 }
 
 void RouterServer::onShardFinal(const std::shared_ptr<Connection> &Conn,
@@ -596,7 +614,8 @@ void RouterServer::dispatch(const std::shared_ptr<Connection> &Conn,
       break;
     size_t Shard = static_cast<size_t>(Picked);
     // Register (or re-point) the tracked entry *before* the bytes go
-    // out, so the final response can never race an absent entry.
+    // out, so the final response can never race an absent entry;
+    // sendToShard queues an id-less request the same way.
     if (!Id.empty()) {
       std::lock_guard<std::mutex> Lock(Conn->Mu);
       Connection::Tracked &Entry = Conn->InFlight[Id];
@@ -610,11 +629,8 @@ void RouterServer::dispatch(const std::shared_ptr<Connection> &Conn,
       Entry.ParkedNs = ParkedNs;
       Entry.DispatchNs = DispatchNs;
     }
-    if (sendToShard(Conn, Shard, Line)) {
-      if (Id.empty()) {
-        std::lock_guard<std::mutex> Lock(Conn->Mu);
-        Conn->Upstreams[Shard].AnonOps.push_back(OpName);
-      } else {
+    if (sendToShard(Conn, Shard, Line, Id.empty() ? &OpName : nullptr)) {
+      if (!Id.empty()) {
         const auto Sent = std::chrono::steady_clock::now();
         std::lock_guard<std::mutex> Lock(Conn->Mu);
         auto It = Conn->InFlight.find(Id);

@@ -177,9 +177,12 @@ private:
                     const Request &Req);
   /// Opens (or reuses) the upstream of (Conn, Shard) — spawning its
   /// forwarder thread on a fresh connect — and writes \p Line into it.
-  /// Returns false when the shard is unreachable.
+  /// \p AnonOp names an id-less request, which is queued on the upstream
+  /// before its bytes go out. Returns false when the shard is unreachable
+  /// and the request is still unanswered, so the caller should spill it.
   bool sendToShard(const std::shared_ptr<Connection> &Conn, size_t Shard,
-                   const std::string &Line);
+                   const std::string &Line,
+                   const std::string *AnonOp = nullptr);
   /// Starts the reader thread of one upstream connection: events pass
   /// through to the client, finals go through onShardFinal, EOF/error
   /// ends in onUpstreamDown.

@@ -7,7 +7,6 @@
 #include "support/Fingerprint.h"
 
 #include "circuit/Circuit.h"
-#include "route/RoutingContext.h"
 #include "topology/CouplingGraph.h"
 
 #include <algorithm>
@@ -83,7 +82,3 @@ uint64_t qlosure::fingerprint(const CouplingGraph &Graph) {
   return Hash;
 }
 
-uint64_t qlosure::fingerprint(const RoutingContextOptions &Options) {
-  return hashU64(0xC0F1605EEDULL,
-                 static_cast<uint64_t>(Options.Weights.Engine));
-}

@@ -29,7 +29,6 @@ namespace qlosure {
 
 class Circuit;
 class CouplingGraph;
-struct RoutingContextOptions;
 
 /// FNV-1a over \p Size raw bytes, seeded with \p Seed (chain calls by
 /// passing the previous result as the seed).
@@ -52,11 +51,6 @@ uint64_t fingerprint(const Circuit &Circ);
 /// same topology key different cache entries). Derived state (the distance
 /// matrix) and the name are excluded.
 uint64_t fingerprint(const CouplingGraph &Graph);
-
-/// Content hash of context-construction options (the omega engine):
-/// contexts built with different options are not interchangeable and must
-/// key different cache entries.
-uint64_t fingerprint(const RoutingContextOptions &Options);
 
 } // namespace qlosure
 

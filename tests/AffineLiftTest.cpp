@@ -194,26 +194,20 @@ TEST(LifterTest, MinRunLengthBoundary) {
 }
 
 TEST(LifterTest, MinRunLengthIsConfigurable) {
-  Circuit C(8);
-  C.addCx(0, 1);
-  C.addCx(2, 3);
-
-  LifterOptions Pairs;
-  Pairs.MinRunLength = 2;
-  AffineCircuit AC = liftCircuit(C, Pairs);
-  ASSERT_EQ(AC.numStatements(), 1u);
-  EXPECT_EQ(AC.statement(0).TripCount, 2);
-
-  // Raising the bar past an existing run length splits it back apart.
-  Circuit Triple(8);
-  Triple.addCx(0, 1);
-  Triple.addCx(2, 3);
-  Triple.addCx(4, 5);
-  LifterOptions Strict;
-  Strict.MinRunLength = 4;
-  AffineCircuit Split = liftCircuit(Triple, Strict);
-  EXPECT_EQ(Split.numStatements(), 3u);
-  EXPECT_EQ(static_cast<size_t>(Split.numGates()), Triple.size());
+  // The threshold is the constant MinRunLength, whatever its value: a
+  // stride run one gate shorter stays singletons, and a run of exactly
+  // that length lifts to one statement.
+  auto strideRun = [](int64_t Length) {
+    Circuit C(static_cast<unsigned>(2 * Length));
+    for (int32_t I = 0; I < Length; ++I)
+      C.addCx(2 * I, 2 * I + 1);
+    return C;
+  };
+  AffineCircuit Short = liftCircuit(strideRun(MinRunLength - 1));
+  EXPECT_EQ(Short.numStatements(), static_cast<size_t>(MinRunLength - 1));
+  AffineCircuit Run = liftCircuit(strideRun(MinRunLength));
+  ASSERT_EQ(Run.numStatements(), 1u);
+  EXPECT_EQ(Run.statement(0).TripCount, MinRunLength);
 }
 
 TEST(LifterTest, NegativeStridesLift) {

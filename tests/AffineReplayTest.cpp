@@ -6,17 +6,14 @@
 ///
 /// \file
 /// Tests for the affine routing fast path: period detection on lifted
-/// traces, presburger permutation extraction, and the replay engine's
-/// byte-identity contract — routing with AffineReplay on must produce
-/// exactly the result of the scalar kernel, whatever fraction of the
-/// periods actually replayed.
+/// traces and the replay engine's byte-identity contract — routing with
+/// AffineReplay on must produce exactly the result of the scalar kernel,
+/// whatever fraction of the periods actually replayed.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "affine/Lifter.h"
 #include "affine/PeriodDetector.h"
 #include "core/Qlosure.h"
-#include "presburger/Permutation.h"
 #include "route/ReplayPlan.h"
 #include "route/Verify.h"
 #include "support/Random.h"
@@ -224,54 +221,6 @@ TEST(AffineReplayTest, PeriodStructuresArePinned) {
 }
 
 //===----------------------------------------------------------------------===//
-// Presburger permutation extraction
-//===----------------------------------------------------------------------===//
-
-TEST(PermutationExtractTest, FromAccessRelations) {
-  // Two aligned strided statements: CX(i, i+1) for i in [0,4) vs the same
-  // run shifted up by one qubit. reverse(A) . A' maps i-th operand of the
-  // first run to the i-th operand of the second: q -> q + 1 on [0,5).
-  Circuit First(8, "a");
-  for (int32_t I = 0; I < 4; ++I)
-    First.addCx(I, I + 1);
-  for (int32_t I = 0; I < 4; ++I)
-    First.addCx(I + 1, I + 2);
-  AffineCircuit AC = liftCircuit(First);
-  ASSERT_EQ(AC.numStatements(), 2u);
-  presburger::IntegerMap Rel(1, 1);
-  for (unsigned Op = 0; Op < 2; ++Op)
-    Rel = Rel.unionWith(AC.accessRelation(0, Op).reverse().composeWith(
-        AC.accessRelation(1, Op)));
-  std::optional<std::vector<int32_t>> Perm =
-      presburger::extractPermutation(Rel, 8);
-  ASSERT_TRUE(Perm.has_value());
-  for (int32_t Q = 0; Q < 5; ++Q)
-    EXPECT_EQ((*Perm)[static_cast<size_t>(Q)], Q + 1);
-  // Unconstrained qubits complete deterministically into a bijection.
-  std::vector<uint8_t> Seen(8, 0);
-  for (int32_t Image : *Perm) {
-    ASSERT_GE(Image, 0);
-    ASSERT_LT(Image, 8);
-    EXPECT_FALSE(Seen[static_cast<size_t>(Image)]);
-    Seen[static_cast<size_t>(Image)] = 1;
-  }
-}
-
-TEST(PermutationExtractTest, RejectsNonInjective) {
-  // i -> 0 for all i: functional but not injective.
-  Circuit C(4, "ni");
-  for (int32_t I = 1; I < 4; ++I)
-    C.addCx(I, 0); // Operand 1 accesses constant 0; operand 0 is i.
-  AffineCircuit AC = liftCircuit(C);
-  ASSERT_GE(AC.numStatements(), 1u);
-  // Map both operands of the statement onto operand 1 (the constant):
-  // sources 1..3 all map to 0.
-  presburger::IntegerMap Rel =
-      AC.accessRelation(0, 0).reverse().composeWith(AC.accessRelation(0, 1));
-  EXPECT_FALSE(presburger::extractPermutation(Rel, 4).has_value());
-}
-
-//===----------------------------------------------------------------------===//
 // Replay engine
 //===----------------------------------------------------------------------===//
 
@@ -312,8 +261,7 @@ TEST(AffineReplayTest, WarmContextCacheReplaysSecondRoute) {
   Circuit Circ = qftLikeKernel(12, 24);
   CouplingGraph Hw = makeLine(12);
   QlosureRouter Fast(replayProfile(true));
-  RoutingContext Ctx =
-      RoutingContext::build(Circ, Hw, Fast.contextOptions());
+  RoutingContext Ctx = RoutingContext::build(Circ, Hw);
   ASSERT_TRUE(Ctx.valid());
 
   RoutingResult Cold = Fast.routeWithIdentity(Ctx);

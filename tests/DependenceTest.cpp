@@ -124,9 +124,7 @@ TEST(WeightsTest, ExactEngineOnChain) {
   Circuit C(2);
   for (int I = 0; I < 5; ++I)
     C.addCx(0, 1);
-  WeightOptions Opts;
-  Opts.Engine = WeightEngine::Exact;
-  WeightResult R = computeDependenceWeights(C, Opts);
+  WeightResult R = computeDependenceWeights(C, WeightEngine::Exact);
   EXPECT_TRUE(R.IsExact);
   EXPECT_EQ(R.Weights, (std::vector<uint64_t>{4, 3, 2, 1, 0}));
 }
@@ -137,12 +135,8 @@ TEST(WeightsTest, AffineEngineExactOnUniformChain) {
   Circuit C(12);
   for (int I = 0; I < 11; ++I)
     C.addCx(I, I + 1);
-  WeightOptions Exact;
-  Exact.Engine = WeightEngine::Exact;
-  WeightOptions Affine;
-  Affine.Engine = WeightEngine::Affine;
-  auto E = computeDependenceWeights(C, Exact);
-  auto A = computeDependenceWeights(C, Affine);
+  auto E = computeDependenceWeights(C, WeightEngine::Exact);
+  auto A = computeDependenceWeights(C, WeightEngine::Affine);
   EXPECT_EQ(E.Weights, A.Weights);
   EXPECT_GT(A.CompressionRatio, 5.0);
 }
@@ -159,12 +153,8 @@ TEST(WeightsTest, AffineIsUpperBoundOfExact) {
   Spec.Seed = 5;
   Cases.push_back(generateQueko(makeAspen16(), Spec).Circ);
   for (const Circuit &C : Cases) {
-    WeightOptions Exact;
-    Exact.Engine = WeightEngine::Exact;
-    WeightOptions Affine;
-    Affine.Engine = WeightEngine::Affine;
-    auto E = computeDependenceWeights(C, Exact);
-    auto A = computeDependenceWeights(C, Affine);
+    auto E = computeDependenceWeights(C, WeightEngine::Exact);
+    auto A = computeDependenceWeights(C, WeightEngine::Affine);
     ASSERT_EQ(E.Weights.size(), A.Weights.size());
     for (size_t I = 0; I < E.Weights.size(); ++I)
       EXPECT_GE(A.Weights[I], E.Weights[I])
@@ -175,22 +165,18 @@ TEST(WeightsTest, AffineIsUpperBoundOfExact) {
 TEST(WeightsTest, LastGateAlwaysZero) {
   Circuit C = makeGhz(10);
   for (WeightEngine Engine : {WeightEngine::Exact, WeightEngine::Affine}) {
-    WeightOptions Opts;
-    Opts.Engine = Engine;
-    auto R = computeDependenceWeights(C, Opts);
+    auto R = computeDependenceWeights(C, Engine);
     EXPECT_EQ(R.Weights.back(), 0u);
   }
 }
 
 TEST(WeightsTest, AutoSwitchesEngineBySize) {
-  WeightOptions Opts;
-  Opts.Engine = WeightEngine::Auto;
-  EXPECT_EQ(computeDependenceWeights(makeGhz(5), Opts).UsedEngine,
+  EXPECT_EQ(computeDependenceWeights(makeGhz(5)).UsedEngine,
             WeightEngine::Exact);
   // makeGhz(N) has N gates: one H and a CX chain.
   Circuit Big = makeGhz(static_cast<unsigned>(ExactGateLimit + 1));
   ASSERT_EQ(Big.size(), ExactGateLimit + 1);
-  EXPECT_EQ(computeDependenceWeights(Big, Opts).UsedEngine,
+  EXPECT_EQ(computeDependenceWeights(Big).UsedEngine,
             WeightEngine::Affine);
 }
 
@@ -203,9 +189,7 @@ TEST(WeightsTest, PaperExampleWeights) {
   C.addCx(3, 5);
   C.addCx(0, 2);
   C.addCx(1, 5);
-  WeightOptions Opts;
-  Opts.Engine = WeightEngine::Exact;
-  auto R = computeDependenceWeights(C, Opts);
+  auto R = computeDependenceWeights(C, WeightEngine::Exact);
   EXPECT_EQ(R.Weights[0], 3u); // G2, G4, G5.
   EXPECT_EQ(R.Weights[1], 4u); // G2, G3, G4, G5.
   EXPECT_EQ(R.Weights[2], 2u); // G4, G5.

@@ -122,14 +122,6 @@ TEST(FingerprintTest, EdgeOrderInsensitive) {
   EXPECT_EQ(fingerprint(A), fingerprint(B));
 }
 
-TEST(FingerprintTest, ContextOptionsHashDistinguishesConfigs) {
-  RoutingContextOptions Default;
-  RoutingContextOptions ExactEngine;
-  ExactEngine.Weights.Engine = WeightEngine::Exact;
-  EXPECT_EQ(fingerprint(Default), fingerprint(RoutingContextOptions{}));
-  EXPECT_NE(fingerprint(Default), fingerprint(ExactEngine));
-}
-
 // The satellite edge cases: the degenerate circuits a fingerprint can key
 // must actually be routable (or cleanly rejected) by the mappers behind
 // the cache — never a crash.
@@ -139,8 +131,7 @@ TEST(FingerprintTest, EmptyCircuitKeysAndRoutes) {
   EXPECT_EQ(Fp, fingerprint(Circuit(0, "also-empty")));
 
   CouplingGraph Hw = makeAspen16();
-  auto Bundle = service::CachedContext::build(
-      Empty, Hw, RoutingContextOptions{});
+  auto Bundle = service::CachedContext::build(Empty, Hw);
   ASSERT_TRUE(Bundle->context().valid());
   for (const std::string &Name : paperRouterNames()) {
     auto Mapper = makeRouterByName(Name);
@@ -158,8 +149,7 @@ TEST(FingerprintTest, OneQubitCircuitKeysAndRoutes) {
   EXPECT_NE(Fp, fingerprint(Circuit(1, "empty-one")));
 
   CouplingGraph Hw = makeAspen16();
-  auto Bundle = service::CachedContext::build(
-      OneQubit, Hw, RoutingContextOptions{});
+  auto Bundle = service::CachedContext::build(OneQubit, Hw);
   ASSERT_TRUE(Bundle->context().valid());
   for (const std::string &Name : paperRouterNames()) {
     auto Mapper = makeRouterByName(Name);

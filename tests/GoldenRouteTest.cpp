@@ -178,8 +178,7 @@ TEST(GoldenRouteTest, RoutedOutputMatchesCommittedDigests) {
     bool OnAnkaa3 = std::strcmp(Case.Backend, "ankaa3") == 0;
     bool ErrorAware = std::strcmp(Case.Mapper, "qlosure-error-aware") == 0;
     RoutingContext Ctx = RoutingContext::build(
-        Logical, OnAnkaa3 ? Ankaa3 : ErrorAware ? Calibrated : Sherbrooke,
-        Mapper->contextOptions());
+        Logical, OnAnkaa3 ? Ankaa3 : ErrorAware ? Calibrated : Sherbrooke);
     ASSERT_TRUE(Ctx.valid()) << Case.Input;
     RoutingResult Result =
         std::strcmp(Case.Mapper, "qlosure-bidirectional") == 0

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "affine/Lifter.h"
-#include "baselines/Sabre.h"
 #include "circuit/Dag.h"
 #include "eval/Harness.h"
 #include "presburger/Counting.h"
@@ -66,21 +65,10 @@ TEST(QasmCornerTest, BarrierInsideGateBodySkipped) {
 }
 
 //===----------------------------------------------------------------------===//
-// Lifter options
+// Lifter
 //===----------------------------------------------------------------------===//
 
-TEST(LifterOptionsTest, MinRunLengthOneKeepsShortRuns) {
-  Circuit C(6);
-  C.addCx(0, 1);
-  C.addCx(2, 3); // Accidental stride-2 run of two.
-  LifterOptions Keep;
-  Keep.MinRunLength = 2;
-  AffineCircuit AC = liftCircuit(C, Keep);
-  EXPECT_EQ(AC.numStatements(), 1u);
-  EXPECT_EQ(AC.statement(0).TripCount, 2);
-}
-
-TEST(LifterOptionsTest, CompressionRatioDefinition) {
+TEST(LifterTest, CompressionRatioDefinition) {
   Circuit C(2);
   for (int I = 0; I < 10; ++I)
     C.addCx(0, 1);
@@ -111,28 +99,6 @@ TEST(FrontLayerWindowTest, TwoQubitCountingSkipsOneQGates) {
     NumTwoQ += Dag.isTwoQubitGate(G);
   EXPECT_EQ(NumTwoQ, 2u);
   EXPECT_GT(TwoQ.size(), 2u); // The traversed 1Q gates come along.
-}
-
-//===----------------------------------------------------------------------===//
-// SABRE options
-//===----------------------------------------------------------------------===//
-
-TEST(SabreOptionsTest, ExtendedWindowChangesBehavior) {
-  // With no extended window, SABRE becomes purely local; both variants
-  // must still verify, and options must be respected (smoke check via
-  // differing swap sequences on a long-range workload).
-  CouplingGraph Hw = makeLine(10);
-  Circuit C(10);
-  for (int I = 0; I < 8; ++I)
-    C.addCx(0, 9 - I % 3);
-  SabreOptions NoExt;
-  NoExt.ExtendedSetSize = 0;
-  SabreRouter A(NoExt);
-  SabreRouter B; // Default 20.
-  auto RA = A.routeWithIdentity(C, Hw);
-  auto RB = B.routeWithIdentity(C, Hw);
-  EXPECT_GT(RA.NumSwaps, 0u);
-  EXPECT_GT(RB.NumSwaps, 0u);
 }
 
 //===----------------------------------------------------------------------===//

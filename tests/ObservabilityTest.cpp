@@ -459,15 +459,37 @@ struct TracedServerFixture {
   }
 };
 
-json::Value tracedRouteRequest(const std::string &Id) {
+json::Value tracedRouteRequest(const std::string &Id,
+                               const std::string &Mapper = "qlosure") {
   json::Value Req = json::Value::object();
   Req.set("op", "route");
   Req.set("qasm", sampleQasm());
-  Req.set("mapper", "qlosure");
+  Req.set("mapper", Mapper);
   Req.set("backend", "aspen16");
   Req.set("id", Id);
   Req.set("trace", true);
   return Req;
+}
+
+/// The first span named \p Name in \p Spans, or null.
+const json::Value *findSpan(const json::Value &Spans,
+                           const std::string &Name) {
+  for (const json::Value &S : Spans.items())
+    if (S.get("name")->asString() == Name)
+      return &S;
+  return nullptr;
+}
+
+/// True when \p Inner lies within \p Outer, one level deeper. Offsets are
+/// whole microseconds, truncated, so an end may read up to 2 us late.
+bool nestedIn(const json::Value &Inner, const json::Value &Outer) {
+  auto num = [](const json::Value &S, const char *Key) {
+    return S.get(Key)->asNumber();
+  };
+  return num(Inner, "depth") == num(Outer, "depth") + 1 &&
+         num(Inner, "start_us") >= num(Outer, "start_us") &&
+         num(Inner, "start_us") + num(Inner, "dur_us") <=
+             num(Outer, "start_us") + num(Outer, "dur_us") + 2;
 }
 
 } // namespace
@@ -512,6 +534,13 @@ TEST(TracedServiceTest, TracedRouteReturnsAttributedSpans) {
   // cannot exceed the client-observed wall clock.
   EXPECT_LE(DepthZeroSumUs, WallUs) << Response;
   EXPECT_GT(DepthZeroSumUs, 0) << Response;
+  // Omega is computed by the first route that reads it, so this cold
+  // qlosure route times it inside its routing loop.
+  const json::Value *Loop = findSpan(*Spans, "routing_loop");
+  const json::Value *Omega = findSpan(*Spans, "ctx_weights");
+  ASSERT_NE(Loop, nullptr) << Response;
+  ASSERT_NE(Omega, nullptr) << Response;
+  EXPECT_TRUE(nestedIn(*Omega, *Loop)) << Response;
 
   // A client-supplied trace_id is echoed.
   json::Value Custom = tracedRouteRequest("r2");
@@ -526,10 +555,22 @@ TEST(TracedServiceTest, TracedRouteReturnsAttributedSpans) {
   json::Value Doc3 = parseLine(Response);
   ASSERT_TRUE(responseOk(Doc3)) << Response;
   ASSERT_TRUE(Doc3.get("cache_hit")->asBool()) << Response;
-  bool SawMarker = false;
-  for (const json::Value &S : Doc3.get("trace")->get("spans")->items())
-    SawMarker |= S.get("name")->asString() == "result_cache_hit";
-  EXPECT_TRUE(SawMarker) << Response;
+  EXPECT_NE(findSpan(*Doc3.get("trace")->get("spans"), "result_cache_hit"),
+            nullptr)
+      << Response;
+
+  // A cold sabre route never reads omega, so nothing computes it.
+  json::Value Sabre = tracedRouteRequest("r4", "sabre");
+  Sabre.set("qasm", sampleQasm() + "cx q[3],q[4];\n");
+  ASSERT_TRUE(Conn.request(Sabre.dump(), Response).ok());
+  json::Value Doc4 = parseLine(Response);
+  ASSERT_TRUE(responseOk(Doc4)) << Response;
+  ASSERT_FALSE(Doc4.get("cache_hit")->asBool()) << Response;
+  ASSERT_NE(Doc4.get("trace"), nullptr) << Response;
+  const json::Value *SabreSpans = Doc4.get("trace")->get("spans");
+  ASSERT_NE(SabreSpans, nullptr) << Response;
+  EXPECT_NE(findSpan(*SabreSpans, "context_build"), nullptr) << Response;
+  EXPECT_EQ(findSpan(*SabreSpans, "ctx_weights"), nullptr) << Response;
 }
 
 TEST(TracedServiceTest, UntracedRouteCarriesNoTraceSection) {

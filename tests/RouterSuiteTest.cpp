@@ -212,13 +212,17 @@ TEST(QlosureSpecificTest, AblationVariantsAllRouteCorrectly) {
 TEST(QlosureSpecificTest, WeightEngineChoiceDoesNotBreakRouting) {
   CouplingGraph Hw = makeAspen16();
   Circuit C = makeAdder(14);
+  QlosureRouter Router;
   for (WeightEngine Engine :
        {WeightEngine::Exact, WeightEngine::Affine, WeightEngine::Auto}) {
-    QlosureOptions Opts;
-    Opts.Weights.Engine = Engine;
-    QlosureRouter Router(Opts);
-    RoutingResult R = Router.routeWithIdentity(C, Hw);
+    RoutingContextOptions Opts;
+    Opts.Engine = Engine;
+    RoutingContext Ctx = RoutingContext::build(C, Hw, Opts);
+    RoutingResult R = Router.routeWithIdentity(Ctx);
     EXPECT_TRUE(verifyRouting(C, Hw, R).Ok);
+    EXPECT_EQ(Ctx.dependenceWeightResult().UsedEngine,
+              Engine == WeightEngine::Affine ? WeightEngine::Affine
+                                             : WeightEngine::Exact);
   }
 }
 

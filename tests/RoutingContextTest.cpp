@@ -85,7 +85,7 @@ TEST(RoutingContextTest, ReuseAcrossRoutersMatchesFreshContexts) {
   for (Router *R : std::initializer_list<Router *>{&Qlosure, &Sabre}) {
     RoutingResult FromShared1 = R->routeWithIdentity(Shared);
     RoutingResult FromShared2 = R->routeWithIdentity(Shared);
-    RoutingContext Fresh = RoutingContext::build(C, Hw, R->contextOptions());
+    RoutingContext Fresh = RoutingContext::build(C, Hw);
     RoutingResult FromFresh = R->routeWithIdentity(Fresh);
     RoutingResult FromAdapter = R->routeWithIdentity(C, Hw);
     expectSameRouting(FromShared1, FromShared2);

@@ -11,7 +11,7 @@
 /// (2) routing through one long-lived scratch is byte-identical to routing
 /// with a fresh scratch per call, for every mapper and in any interleaving.
 /// Plus the livelock regression test for GreedyRouterBase's
-/// maxSwapsWithoutProgress escape hatch, and FlatHashSet64, the
+/// MaxSwapsWithoutProgress escape hatch, and FlatHashSet64, the
 /// epoch-stamped closed list the pooled QMAP A* leans on.
 ///
 //===----------------------------------------------------------------------===//
@@ -125,8 +125,7 @@ TEST(RoutingScratchTest, RepeatedRoutesThroughOneScratchAreIdentical) {
   Circuit C = generateQueko(makeKingsGrid(4, 4), Spec).Circ;
   for (const std::string &Name : paperRouterNames()) {
     auto Router = makeRouterByName(Name);
-    RoutingContext Ctx =
-        RoutingContext::build(C, Hw, Router->contextOptions());
+    RoutingContext Ctx = RoutingContext::build(C, Hw);
     RoutingScratch Shared;
     RoutingResult First = Router->routeWithIdentity(Ctx, Shared);
     // Second run reuses a dirty scratch; any stale epoch/buffer leak
@@ -149,8 +148,7 @@ TEST(RoutingScratchTest, CrossMapperScratchSharingIsIdentical) {
   RoutingScratch Shared;
   for (const std::string &Name : paperRouterNames()) {
     auto Router = makeRouterByName(Name);
-    RoutingContext Ctx =
-        RoutingContext::build(C, Hw, Router->contextOptions());
+    RoutingContext Ctx = RoutingContext::build(C, Hw);
     RoutingResult SharedRun = Router->routeWithIdentity(Ctx, Shared);
     RoutingResult CleanRun = Router->routeWithIdentity(Ctx);
     EXPECT_TRUE(sameRouting(SharedRun, CleanRun)) << Name;
@@ -167,10 +165,8 @@ TEST(RoutingScratchTest, ScratchSurvivesGrowingAndShrinkingCircuits) {
   Circuit Large = generateQueko(makeKingsGrid(4, 4), Big).Circ;
   Circuit Small = makeGhz(5);
   auto Router = makeRouterByName("qlosure");
-  RoutingContext LargeCtx =
-      RoutingContext::build(Large, Hw, Router->contextOptions());
-  RoutingContext SmallCtx =
-      RoutingContext::build(Small, Hw, Router->contextOptions());
+  RoutingContext LargeCtx = RoutingContext::build(Large, Hw);
+  RoutingContext SmallCtx = RoutingContext::build(Small, Hw);
   RoutingScratch Shared;
   RoutingResult L1 = Router->routeWithIdentity(LargeCtx, Shared);
   RoutingResult S1 = Router->routeWithIdentity(SmallCtx, Shared);
@@ -203,7 +199,7 @@ TEST(RoutingScratchTest, TopologicalWindowIdenticalOnDirtyScratch) {
 }
 
 //===----------------------------------------------------------------------===//
-// Livelock escape hatch (maxSwapsWithoutProgress)
+// Livelock escape hatch (MaxSwapsWithoutProgress)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -211,10 +207,11 @@ namespace {
 /// Adversarial greedy router: every candidate SWAP scores the same, so
 /// the base class always applies the first candidate — which swaps one
 /// pair back and forth forever and never unblocks the distant gate. Only
-/// the maxSwapsWithoutProgress escape hatch can terminate the routing.
+/// the MaxSwapsWithoutProgress escape hatch can terminate the routing.
 class ThrashingRouter : public GreedyRouterBase {
 public:
   std::string name() const override { return "Thrash"; }
+  using GreedyRouterBase::MaxSwapsWithoutProgress;
 
 protected:
   size_t extendedWindowSize(size_t) const override { return 0; }
@@ -222,7 +219,6 @@ protected:
                        size_t) const override {
     return 0.0; // Constant: greedy descent gets no signal at all.
   }
-  unsigned maxSwapsWithoutProgress() const override { return 4; }
 };
 
 } // namespace
@@ -236,10 +232,10 @@ TEST(LivelockEscapeTest, ThrashingScoreStillTerminatesVerified) {
   RoutingResult R = Router.routeWithIdentity(C, Hw);
   VerifyResult V = verifyRouting(C, Hw, R);
   EXPECT_TRUE(V.Ok) << V.Message;
-  // The constant score thrashes the first candidate pair for 4 swaps,
-  // then the escape hatch walks qubit 0 down the line: strictly more
+  // The constant score thrashes the first candidate pair until the escape
+  // hatch fires, then the hatch walks qubit 0 down the line: strictly more
   // swaps than the shortest-path minimum, and at least one thrash round.
-  EXPECT_GE(R.NumSwaps, 4u + 6u);
+  EXPECT_GE(R.NumSwaps, ThrashingRouter::MaxSwapsWithoutProgress + 6u);
   EXPECT_EQ(R.Routed.size(), C.size() + R.NumSwaps);
 }
 

@@ -512,7 +512,7 @@ TEST(ContextCacheTest, CachedContextSharesAcrossThreads) {
   for (size_t I = 0; I < Results.size(); ++I)
     Threads.emplace_back([&, I] {
       Results[I] = Cache.getOrBuild(Key, [&] {
-        return CachedContext::build(C, Hw, RoutingContextOptions{});
+        return CachedContext::build(C, Hw);
       });
     });
   for (std::thread &T : Threads)
@@ -524,6 +524,24 @@ TEST(ContextCacheTest, CachedContextSharesAcrossThreads) {
     // may build twice, but the cache keeps exactly one).
     EXPECT_EQ(Bundle.get(), Results[0].get());
   }
+
+  // The bundle holds no omega until a route reads it. Eight first readers
+  // at once all get the one memoized vector.
+  std::vector<const std::vector<uint64_t> *> Weights(Results.size());
+  std::atomic<bool> Go{false};
+  Threads.clear();
+  for (size_t I = 0; I < Weights.size(); ++I)
+    Threads.emplace_back([&, I] {
+      while (!Go.load())
+        std::this_thread::yield();
+      Weights[I] = &Results[I]->context().dependenceWeights();
+    });
+  Go = true;
+  for (std::thread &T : Threads)
+    T.join();
+  for (const std::vector<uint64_t> *W : Weights)
+    EXPECT_EQ(W, Weights[0]);
+  EXPECT_EQ(*Weights[0], computeDependenceWeights(C).Weights);
 }
 
 //===----------------------------------------------------------------------===//

@@ -645,9 +645,16 @@ TEST(ShardRouterTest, ServesDegradedAfterShardDeath) {
   ASSERT_TRUE(Conn.request("{\"op\":\"stats\"}", Response).ok());
   json::Value Doc = parseResponse(Response);
   ASSERT_TRUE(responseOk(Doc)) << Response;
-  EXPECT_EQ(Doc.get("router")->get("shards_up")->asNumber(), 1);
-  ASSERT_EQ(Doc.get("shards")->items().size(), 2u);
-  EXPECT_FALSE(Doc.get("shards")->items()[1].get("up")->asBool());
+  const json::Value *RouterStats = Doc.get("router");
+  ASSERT_NE(RouterStats, nullptr) << Response;
+  ASSERT_NE(RouterStats->get("shards_up"), nullptr) << Response;
+  EXPECT_EQ(RouterStats->get("shards_up")->asNumber(), 1);
+  const json::Value *ShardStats = Doc.get("shards");
+  ASSERT_NE(ShardStats, nullptr) << Response;
+  ASSERT_EQ(ShardStats->items().size(), 2u);
+  const json::Value *DeadUp = ShardStats->items()[1].get("up");
+  ASSERT_NE(DeadUp, nullptr) << Response;
+  EXPECT_FALSE(DeadUp->asBool());
 
   // With *no* shard left, requests answer `unavailable` instead of
   // hanging.
@@ -659,6 +666,34 @@ TEST(ShardRouterTest, ServesDegradedAfterShardDeath) {
   json::Value Fail = parseResponse(Response);
   EXPECT_FALSE(responseOk(Fail));
   EXPECT_EQ(errorCode(Fail), errc::Unavailable) << Response;
+}
+
+TEST(ShardRouterTest, AnonymousAnswersLeaveNothingForShardDeath) {
+  // An id-less request is queued on its upstream before its bytes go out.
+  // Queued after the send instead, a fast answer could arrive first and
+  // pop nothing; the stale entry then drew an extra `unavailable` frame
+  // when the shard died, and every later answer on the connection came
+  // one request late.
+  FleetFixture Fleet(1);
+  Client Conn = Fleet.connect();
+  const std::string Line = routeRequest(sampleQasm()).dump();
+  std::string Response;
+  for (int I = 0; I < 3000; ++I) {
+    ASSERT_TRUE(Conn.request(Line, Response).ok());
+    ASSERT_TRUE(responseOk(parseResponse(Response))) << Response;
+  }
+  Fleet.Shards[0]->stop();
+  for (int Spin = 0; Spin < 100 && Fleet.Router->shardHealth()[0]; ++Spin)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_FALSE(Fleet.Router->shardHealth()[0]);
+  // Let the upstream's forwarder finish its teardown before reading.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  json::Value Stats = Fleet.Router->statsJson();
+  const json::Value *RouterStats = Stats.get("router");
+  ASSERT_NE(RouterStats, nullptr) << Stats.dump();
+  const json::Value *Unavailable = RouterStats->get("unavailable");
+  ASSERT_NE(Unavailable, nullptr) << Stats.dump();
+  EXPECT_EQ(Unavailable->asNumber(), 0) << Stats.dump();
 }
 
 TEST(ShardRouterTest, OverlongRequestLineIsRefusedLikeTheDaemon) {

@@ -150,8 +150,7 @@ int main(int Argc, char **Argv) {
   // One context carries every precomputed structure (distances, DAG,
   // dependence weights) through the bidirectional passes and the final
   // routing; malformed inputs surface here as a diagnostic, not an abort.
-  RoutingContext Ctx =
-      RoutingContext::build(Logical, Device, Mapper->contextOptions());
+  RoutingContext Ctx = RoutingContext::build(Logical, Device);
   if (!Ctx.valid()) {
     std::fprintf(stderr, "error: %s\n", Ctx.status().message().c_str());
     return 1;
