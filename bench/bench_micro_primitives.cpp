@@ -7,9 +7,10 @@
 /// \file
 /// google-benchmark microbenchmarks for the library's primitives: APSP,
 /// DAG construction, the two omega engines, affine lifting, the symbolic
-/// transitive closure, and end-to-end routing of a mid-size circuit. These
-/// back the performance claims in EXPERIMENTS.md with reproducible
-/// numbers (run with --benchmark_filter=... as usual).
+/// transitive closure, and end-to-end routing of a mid-size circuit. They
+/// locate time inside one primitive; a speedup claim for a route comes
+/// from perfbench (run with --benchmark_filter=... as usual, e.g.
+/// --benchmark_filter='DagBuild|OmegaExact').
 ///
 //===----------------------------------------------------------------------===//
 

@@ -101,22 +101,19 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
         S.FrontTwoQ.push_back(G);
     std::sort(S.FrontTwoQ.begin(), S.FrontTwoQ.end());
 
-    size_t WantExtended = extendedWindowSize(S.FrontTwoQ.size());
+    const size_t NumFront = S.FrontTwoQ.size();
+    size_t WantExtended = extendedWindowSize(NumFront);
     S.Extended.clear();
     if (WantExtended) {
-      // Topological window includes the front; skip those entries.
-      const std::vector<uint32_t> &Window =
-          Tracker.topologicalWindow(S.FrontTwoQ.size() + 4 * WantExtended);
-      for (uint32_t G : Window) {
-        if (Tracker.isInFront(G) || !Logical.gate(G).isTwoQubit())
-          continue;
-        S.Extended.push_back(G);
-        if (S.Extended.size() >= WantExtended)
-          break;
-      }
+      // The extended set is the first WantExtended non-front 2Q gates of
+      // the window within NumFront + 4 * WantExtended gates. The window
+      // opens with the front, so it stops once those 2Q gates are in.
+      for (uint32_t G : Tracker.topologicalWindow(
+               NumFront + 4 * WantExtended, NumFront + WantExtended))
+        if (!Tracker.isInFront(G) && Logical.gate(G).isTwoQubit())
+          S.Extended.push_back(G);
     }
 
-    const size_t NumFront = S.FrontTwoQ.size();
     S.clearScored();
     S.GreedyBaseDists.clear();
     for (size_t I = 0; I < NumFront + S.Extended.size(); ++I) {

@@ -6,8 +6,6 @@
 
 #include "circuit/Dag.h"
 
-#include "support/DynamicBitset.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -15,37 +13,53 @@ using namespace qlosure;
 
 CircuitDag::CircuitDag(const Circuit &C) {
   size_t N = C.size();
-  Successors.resize(N);
-  Predecessors.resize(N);
   TwoQubit.resize(N);
-  for (size_t GI = 0; GI < N; ++GI)
-    TwoQubit[GI] = C.gate(GI).isTwoQubit();
+  PredOff.resize(N + 1);
+  SuccOff.assign(N + 1, 0);
+  size_t MaxEdges = 0;
+  for (const Gate &G : C.gates())
+    MaxEdges += G.numQubits();
+  PredIdx.reserve(MaxEdges);
 
-  // Last gate seen on each wire.
-  std::vector<int64_t> LastOnWire(C.numQubits(), -1);
+  // Predecessors in program order: the last gate seen on each operand's
+  // wire, once. Successor counts accumulate one slot ahead (SuccOff[P + 1])
+  // for the prefix sum below.
+  constexpr uint32_t None = UINT32_MAX;
+  std::vector<uint32_t> LastOnWire(C.numQubits(), None);
   for (size_t GI = 0; GI < N; ++GI) {
     const Gate &G = C.gate(GI);
+    TwoQubit[GI] = G.isTwoQubit();
+    PredOff[GI] = static_cast<uint32_t>(PredIdx.size());
     unsigned NQ = G.numQubits();
-    bool HasPred = false;
     for (unsigned Q = 0; Q < NQ; ++Q) {
-      int64_t Prev = LastOnWire[static_cast<size_t>(G.Qubits[Q])];
-      if (Prev >= 0) {
-        // Avoid duplicate edges when both operands last met the same gate.
-        auto &Preds = Predecessors[GI];
-        if (std::find(Preds.begin(), Preds.end(),
-                      static_cast<uint32_t>(Prev)) == Preds.end()) {
-          Successors[static_cast<size_t>(Prev)].push_back(
-              static_cast<uint32_t>(GI));
-          Preds.push_back(static_cast<uint32_t>(Prev));
-        }
-        HasPred = true;
+      uint32_t &Last = LastOnWire[static_cast<size_t>(G.Qubits[Q])];
+      // Avoid duplicate edges when two operands last met the same gate.
+      if (Last != None &&
+          std::find(PredIdx.begin() + PredOff[GI], PredIdx.end(), Last) ==
+              PredIdx.end()) {
+        PredIdx.push_back(Last);
+        ++SuccOff[Last + 1];
       }
-      LastOnWire[static_cast<size_t>(G.Qubits[Q])] =
-          static_cast<int64_t>(GI);
+      Last = static_cast<uint32_t>(GI);
     }
-    if (!HasPred)
+    if (PredIdx.size() == PredOff[GI])
       Roots.push_back(static_cast<uint32_t>(GI));
   }
+  PredOff[N] = static_cast<uint32_t>(PredIdx.size());
+
+  // Successors: prefix-sum the counts, scatter each edge at its source's
+  // cursor (ascending targets, since targets are visited in order), then
+  // shift the advanced cursors back into start offsets.
+  for (size_t GI = 0; GI < N; ++GI)
+    SuccOff[GI + 1] += SuccOff[GI];
+  SuccIdx.resize(PredIdx.size());
+  for (size_t GI = 0; GI < N; ++GI)
+    for (uint32_t P : predecessors(GI))
+      SuccIdx[SuccOff[P]++] = static_cast<uint32_t>(GI);
+  for (size_t GI = N; GI > 0; --GI)
+    SuccOff[GI] = SuccOff[GI - 1];
+  SuccOff[0] = 0;
+  assert(SuccOff[N] == SuccIdx.size() && "successor offsets out of step");
 }
 
 std::vector<uint32_t> CircuitDag::asapLevels() const {
@@ -54,27 +68,16 @@ std::vector<uint32_t> CircuitDag::asapLevels() const {
   // Gates are stored in a topological order (program order), so one forward
   // sweep suffices.
   for (size_t GI = 0; GI < N; ++GI)
-    for (uint32_t Succ : Successors[GI])
+    for (uint32_t Succ : successors(GI))
       Level[Succ] = std::max(Level[Succ], Level[GI] + 1);
   return Level;
 }
 
-std::vector<uint64_t> CircuitDag::exactTransitiveSuccessorCounts() const {
-  size_t N = numGates();
-  std::vector<uint64_t> Counts(N, 0);
-  if (N == 0)
-    return Counts;
-
-  // Reverse topological order is just reverse program order.
-  std::vector<DynamicBitset> Reach(N);
-  for (size_t GI = N; GI-- > 0;) {
-    DynamicBitset &Set = Reach[GI];
-    Set.resize(N);
-    for (uint32_t Succ : Successors[GI]) {
-      Set.set(Succ);
-      Set |= Reach[Succ];
-    }
-    Counts[GI] = Set.count();
-  }
-  return Counts;
+size_t CircuitDag::memoryBytes() const {
+  auto bytesOf = [](const auto &V) {
+    return V.capacity() * sizeof(V[0]);
+  };
+  return sizeof(*this) + bytesOf(SuccOff) + bytesOf(SuccIdx) +
+         bytesOf(PredOff) + bytesOf(PredIdx) + bytesOf(Roots) +
+         bytesOf(TwoQubit);
 }

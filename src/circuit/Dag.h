@@ -10,6 +10,10 @@
 /// dependence); the transitive closure of these edges equals the full
 /// shared-qubit dependence relation Rdep+ of the paper.
 ///
+/// Both adjacency directions are compressed sparse rows: one offset array
+/// of numGates() + 1 entries and one flat index array each, filled by
+/// counting passes, so a DAG is six flat arrays however large the circuit.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef QLOSURE_CIRCUIT_DAG_H
@@ -22,6 +26,22 @@
 
 namespace qlosure {
 
+/// A read-only run of gate ids inside one of the DAG's index arrays. Valid
+/// while the DAG lives.
+class GateRange {
+public:
+  GateRange(const uint32_t *First, const uint32_t *Last)
+      : First(First), Last(Last) {}
+
+  const uint32_t *begin() const { return First; }
+  const uint32_t *end() const { return Last; }
+  size_t size() const { return static_cast<size_t>(Last - First); }
+
+private:
+  const uint32_t *First;
+  const uint32_t *Last;
+};
+
 /// Immutable dependence DAG over the gates of one circuit. Gate identity is
 /// the index into Circuit::gates().
 class CircuitDag {
@@ -31,18 +51,20 @@ public:
   /// undesired).
   explicit CircuitDag(const Circuit &C);
 
-  size_t numGates() const { return Successors.size(); }
+  size_t numGates() const { return TwoQubit.size(); }
 
-  const std::vector<uint32_t> &successors(size_t Gate) const {
-    return Successors[Gate];
+  /// Direct successors of \p Gate, ascending.
+  GateRange successors(size_t Gate) const {
+    return {SuccIdx.data() + SuccOff[Gate], SuccIdx.data() + SuccOff[Gate + 1]};
   }
-  const std::vector<uint32_t> &predecessors(size_t Gate) const {
-    return Predecessors[Gate];
+  /// Direct predecessors of \p Gate, in operand order.
+  GateRange predecessors(size_t Gate) const {
+    return {PredIdx.data() + PredOff[Gate], PredIdx.data() + PredOff[Gate + 1]};
   }
 
   /// Number of direct predecessors (in-degree).
   unsigned inDegree(size_t Gate) const {
-    return static_cast<unsigned>(Predecessors[Gate].size());
+    return PredOff[Gate + 1] - PredOff[Gate];
   }
 
   /// Gates with no predecessors (the initial front layer).
@@ -55,14 +77,14 @@ public:
   /// ASAP level of each gate (roots at level 0).
   std::vector<uint32_t> asapLevels() const;
 
-  /// Number of transitive successors of each gate, computed exactly with
-  /// a reverse-topological bitset sweep. O(V^2/64 + V*E) time, O(V^2/8)
-  /// memory; use the affine engine (deps/TransitiveWeights) for scale.
-  std::vector<uint64_t> exactTransitiveSuccessorCounts() const;
+  /// Heap and object bytes this DAG holds.
+  size_t memoryBytes() const;
 
 private:
-  std::vector<std::vector<uint32_t>> Successors;
-  std::vector<std::vector<uint32_t>> Predecessors;
+  std::vector<uint32_t> SuccOff;
+  std::vector<uint32_t> SuccIdx;
+  std::vector<uint32_t> PredOff;
+  std::vector<uint32_t> PredIdx;
   std::vector<uint32_t> Roots;
   std::vector<uint8_t> TwoQubit;
 };

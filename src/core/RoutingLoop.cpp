@@ -5,16 +5,17 @@
 //===----------------------------------------------------------------------===//
 //
 // The main loop runs out of the caller's RoutingScratch: the look-ahead
-// window and the per-gate level map are epoch-stamped (O(1) reset per
-// build instead of O(numGates) refills), the per-qubit touching-gate lists
-// are cleared surgically via the touched-set, and every candidate/score
-// array is a reused flat buffer. The step state is built only on a step
-// that follows executed gates; the swap-only steps after it reuse it, with
-// each SWAP patching the records on its two qubits (emitSwap). Only the
-// gates hosted on a candidate's two qubits contribute per-candidate term
-// deltas (delta rescoring against the cached per-layer base sums); Eq. 2
-// is then evaluated element-wise over SoA candidate lanes. The golden
-// digests (tests/GoldenRouteTest.cpp) pin the decision sequence.
+// window and its dependence levels come from one BFS whose per-gate state
+// is epoch-stamped (O(1) reset per build instead of O(numGates) refills),
+// the per-qubit touching-gate lists are cleared surgically via the
+// touched-set, and every candidate/score array is a reused flat buffer.
+// The step state is built only on a step that follows executed gates; the
+// swap-only steps after it reuse it, with each SWAP patching the records
+// on its two qubits (emitSwap). Only the gates hosted on a candidate's two
+// qubits contribute per-candidate term deltas (delta rescoring against the
+// cached per-layer base sums); Eq. 2 is then evaluated element-wise over
+// SoA candidate lanes. The golden digests (tests/GoldenRouteTest.cpp) pin
+// the decision sequence.
 //
 // Replay hooks: every observable emission (program gate, SWAP, tie-break
 // decision, look-ahead window) passes through the attached ReplayDriver
@@ -24,7 +25,6 @@
 
 #include "core/RoutingLoop.h"
 
-#include "circuit/Dag.h"
 #include "route/ReplayPlan.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
@@ -43,7 +43,7 @@ RoutingLoop::RoutingLoop(const QlosureOptions &Options,
                          const QubitMapping &Initial, RoutingScratch &Scratch,
                          const CancellationToken *Cancel)
     : Options(Options), Logical(Ctx.circuit()), Hw(Ctx.hardware()),
-      Dag(Ctx.dag()), S(Scratch), Tracker(Ctx.dag(), Scratch), Phi(Initial),
+      S(Scratch), Tracker(Ctx.dag(), Scratch), Phi(Initial),
       TieBreaker(Options.Seed), Cancel(Cancel) {
   S.ensurePhys(Hw.numQubits());
   S.Decay.assign(Logical.numQubits(), 1.0);
@@ -249,7 +249,7 @@ void RoutingLoop::forceResolveOldestGate() {
   SwapsSinceProgress = 0;
 }
 
-/// Populates S.Window / S.GateLevel / the layer accumulators and the
+/// Populates S.Window / S.WindowLevel / the layer accumulators and the
 /// scored records for the current front, and marks them valid until the
 /// next gate executes.
 void RoutingLoop::buildWindowLayers() {
@@ -268,41 +268,25 @@ void RoutingLoop::buildWindowLayers() {
     }
   }
 
-  // Dependence-distance levels within the window: level 1 for window
-  // gates with no unexecuted predecessor inside the window, otherwise
-  // the maximum predecessor level, incremented for two-qubit gates.
-  // Single-qubit gates transmit their level without incrementing it —
-  // only routable gates define dependence distance for Eq. 2. A stale
-  // GateLevel entry reads 0 = "outside the window", so a step resets the
-  // map with an epoch bump instead of an O(numGates) zero-fill.
-  S.GateLevel.beginEpoch();
-  unsigned MaxLevel = 0;
+  // Dependence-distance levels within the window come with it (see
+  // FrontLayerTracker::windowLevels): only two-qubit gates deepen a level,
+  // since only routable gates define dependence distance for Eq. 2.
   if (!Options.UseLayerStructure) {
     // Distance-only / front-only variants: the window is just L_f.
     S.Window.assign(Tracker.front().begin(), Tracker.front().end());
     std::sort(S.Window.begin(), S.Window.end());
-    for (uint32_t G : S.Window)
-      S.GateLevel.set(G, 1);
-    MaxLevel = 1;
+    S.WindowLevel.assign(S.Window.size(), 1);
   } else {
     size_t WindowSize = static_cast<size_t>(LookaheadC) * NumFrontQubits;
     // The budget counts two-qubit gates: they are the ones the cost
     // function scores, so sparse circuits with many interleaved 1Q
-    // gates keep a comparable routing horizon.
-    Tracker.topologicalWindow(std::max<size_t>(WindowSize, 1),
-                              /*CountTwoQubitOnly=*/true); // Fills S.Window.
-    for (uint32_t G : S.Window) {
-      unsigned Level = 0;
-      for (uint32_t Pred : Dag.predecessors(G))
-        Level = std::max(Level, S.GateLevel.get(Pred)); // 0 if outside.
-      bool IsTwoQubit = Logical.gate(G).isTwoQubit();
-      unsigned GLevel = Level + (IsTwoQubit ? 1 : 0);
-      if (!IsTwoQubit && GLevel == 0)
-        GLevel = 1; // 1Q window roots sit in the front layer.
-      S.GateLevel.set(G, GLevel);
-      MaxLevel = std::max(MaxLevel, GLevel);
-    }
+    // gates keep a comparable routing horizon, within 8x that many gates.
+    WindowSize = std::max<size_t>(WindowSize, 1);
+    Tracker.topologicalWindow(8 * WindowSize, WindowSize); // Fills S.Window.
   }
+  unsigned MaxLevel = 0;
+  for (uint32_t L : S.WindowLevel)
+    MaxLevel = std::max(MaxLevel, L);
 
   // Per-layer 2Q-gate membership and base distance sums, plus the flat
   // per-scored-gate records (endpoints, layer, omega, cached base term)
@@ -320,16 +304,16 @@ void RoutingLoop::buildWindowLayers() {
   S.WinOmega.clear();
   S.WinBase.clear();
   S.clearScored();
-  for (uint32_t G : S.Window) {
-    const Gate &Gate2 = Logical.gate(G);
+  for (size_t I = 0; I < S.Window.size(); ++I) {
+    const Gate &Gate2 = Logical.gate(S.Window[I]);
     if (!Gate2.isTwoQubit())
       continue;
-    unsigned L = S.GateLevel.get(G);
+    unsigned L = S.WindowLevel[I];
     ++S.LayerGateCount[L];
     unsigned PA = static_cast<unsigned>(Phi.physOf(Gate2.Qubits[0]));
     unsigned PB = static_cast<unsigned>(Phi.physOf(Gate2.Qubits[1]));
     double Omega = Options.UseDependencyWeights
-                       ? static_cast<double>((*Weights)[G]) + 1.0
+                       ? static_cast<double>((*Weights)[S.Window[I]]) + 1.0
                        : 1.0;
     double Base = Omega * static_cast<double>(Hw.distance(PA, PB));
     S.LayerBaseSum[L] += Base;

@@ -86,7 +86,6 @@ private:
   const QlosureOptions &Options;
   const Circuit &Logical;
   const CouplingGraph &Hw;
-  const CircuitDag &Dag;
   RoutingScratch &S;
   FrontLayerTracker Tracker;
   QubitMapping Phi;

@@ -11,9 +11,10 @@
 ///
 /// i.e. the number of transitive dependents of each gate. Two engines:
 ///
-///  * Exact: reverse-topological bitset closure over the gate-level DAG.
-///    Ground truth, O(V^2/64) memory: Auto runs it up to ExactGateLimit
-///    (30k gates), where the reach sets take ~120 MB.
+///  * Exact: one reverse sweep over the gates. On each wire the gates that
+///    g reaches form a suffix, so omega(g) sums one suffix count per wire.
+///    O(gates x qubits) time; at most qubits + 1 per-wire count vectors
+///    are live. Auto runs it up to ExactGateLimit gates.
 ///  * Affine: the paper's scalable path. The circuit is lifted to
 ///    macro-gates, the statement-level dependence graph is closed, and
 ///    per-gate counts are evaluated in O(1) amortized from piecewise-affine
@@ -39,13 +40,15 @@ namespace qlosure {
 
 /// Which omega engine to run.
 enum class WeightEngine : uint8_t {
-  Exact,  ///< Gate-level bitset closure (ground truth).
+  Exact,  ///< Per-wire reverse sweep over the gates (ground truth).
   Affine, ///< Statement-level closure over the lifted IR (scalable).
   Auto    ///< Affine beyond ExactGateLimit gates, Exact below.
 };
 
 /// Auto switches to the affine engine above this many gates. The exact
-/// engine costs O(V^2/64) words of memory (~120 MB at 30k gates).
+/// sweep would serve larger circuits too (it needs no V^2 memory); the
+/// limit stays so that weighted routes of circuits past it, which read the
+/// affine bound, do not change.
 constexpr size_t ExactGateLimit = 30000;
 
 /// Result of a weight computation.

@@ -20,7 +20,6 @@ FrontLayerTracker::FrontLayerTracker(const CircuitDag &DagIn,
   // per-run state); the capacity itself is reused across calls.
   for (size_t G = 0; G < N; ++G)
     S.PendingPreds[G] = Dag.inDegree(G);
-  std::fill_n(S.Executed.begin(), N, static_cast<uint8_t>(0));
   std::fill_n(S.FrontPos.begin(), N, RoutingScratch::NotInFront);
   S.Front.clear();
   for (uint32_t Root : Dag.roots()) {
@@ -32,8 +31,6 @@ FrontLayerTracker::FrontLayerTracker(const CircuitDag &DagIn,
 void FrontLayerTracker::execute(uint32_t GateId) {
   assert(S.FrontPos[GateId] != RoutingScratch::NotInFront &&
          "executing a gate that is not ready");
-  assert(!S.Executed[GateId] && "double execution");
-  S.Executed[GateId] = 1;
   ++NumExecuted;
   // Swap-with-back removal at the recorded position (replaces the old
   // O(|front|) std::find).
@@ -54,42 +51,45 @@ void FrontLayerTracker::execute(uint32_t GateId) {
 
 const std::vector<uint32_t> &
 FrontLayerTracker::topologicalWindow(size_t MaxGates,
-                                     bool CountTwoQubitOnly) const {
+                                     size_t MaxTwoQubit) const {
   std::vector<uint32_t> &Window = S.Window;
+  std::vector<uint32_t> &Levels = S.WindowLevel;
   Window.clear();
-  if (MaxGates == 0)
+  Levels.clear();
+  if (MaxGates == 0 || MaxTwoQubit == 0)
     return Window;
-  size_t TotalCap = CountTwoQubitOnly ? 8 * MaxGates : MaxGates;
-  size_t Counted = 0;
   // BFS from the front through unexecuted gates, releasing a gate once all
   // its unexecuted predecessors have been visited. This yields gates in
-  // topological order of the residual DAG. Predecessor counts are lazily
-  // initialized under an epoch stamp (no O(numGates) refill per call), and
-  // the FIFO is a head cursor over a reused flat vector — each gate is
-  // enqueued at most once, so no wraparound is needed.
+  // topological order of the residual DAG. A gate's entry is stamped on
+  // its first touch with the tracker's own unexecuted-predecessor count
+  // (no O(numGates) refill per call, no predecessor rescan), and the FIFO
+  // is a head cursor over a reused flat vector — each gate is enqueued at
+  // most once, so no wraparound is needed.
   S.WindowNeeded.beginEpoch();
   std::vector<uint32_t> &Queue = S.BfsQueue;
   Queue.assign(S.Front.begin(), S.Front.end());
   // Sort the seeds for determinism (Front order depends on history).
   std::sort(Queue.begin(), Queue.end());
   size_t Head = 0;
-  while (Head < Queue.size() && Counted < MaxGates &&
-         Window.size() < TotalCap) {
+  size_t TwoQubit = 0;
+  while (Head < Queue.size() && Window.size() < MaxGates &&
+         TwoQubit < MaxTwoQubit) {
     uint32_t G = Queue[Head++];
+    bool IsTwoQubit = Dag.isTwoQubitGate(G);
+    TwoQubit += IsTwoQubit;
+    // A front gate has no entry (its predecessors have all executed), so
+    // it reads level 0 from its predecessors.
+    uint32_t Level =
+        std::max<uint32_t>(S.WindowNeeded.get(G).PredLevel + IsTwoQubit, 1);
     Window.push_back(G);
-    if (!CountTwoQubitOnly || Dag.isTwoQubitGate(G))
-      ++Counted;
+    Levels.push_back(Level);
     for (uint32_t Succ : Dag.successors(G)) {
-      // Count unexecuted predecessors lazily on first touch.
-      if (!S.WindowNeeded.fresh(Succ)) {
-        uint32_t Pending = 0;
-        for (uint32_t Pred : Dag.predecessors(Succ))
-          if (!S.Executed[Pred])
-            ++Pending;
-        S.WindowNeeded.set(Succ, Pending);
-      }
-      assert(S.WindowNeeded.ref(Succ) > 0 && "successor released twice");
-      if (--S.WindowNeeded.ref(Succ) == 0)
+      if (!S.WindowNeeded.fresh(Succ))
+        S.WindowNeeded.set(Succ, {S.PendingPreds[Succ], 0});
+      RoutingScratch::WindowEntry &Entry = S.WindowNeeded.ref(Succ);
+      assert(Entry.Pending > 0 && "successor released twice");
+      Entry.PredLevel = std::max(Entry.PredLevel, Level);
+      if (--Entry.Pending == 0)
         Queue.push_back(Succ);
     }
   }

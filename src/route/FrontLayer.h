@@ -50,19 +50,31 @@ public:
   }
 
   /// Collects unexecuted gates in topological order starting from the
-  /// front (the paper's look-ahead window candidates, before layer
-  /// formation), until \p MaxGates gates have been gathered. When
-  /// \p CountTwoQubitOnly is set, only two-qubit gates count toward the
-  /// budget (single-qubit gates are still traversed and returned so layer
-  /// construction sees the full dependence structure); the total is then
-  /// capped at 8x MaxGates as a safety bound.
+  /// sorted front (the paper's look-ahead window candidates, before layer
+  /// formation). The BFS stops once \p MaxGates gates, or \p MaxTwoQubit
+  /// two-qubit gates, have been gathered; single-qubit gates are traversed
+  /// and returned either way, so layer construction sees the full
+  /// dependence structure. The window is a prefix of one fixed BFS order,
+  /// so a smaller budget only cuts it shorter.
+  ///
+  /// One pass also gives each window gate its dependence level (see
+  /// windowLevels()): a gate is released once its last unexecuted
+  /// predecessor is visited (PendingPreds seeds the count), and each
+  /// visited gate pushes its level along its out-edges.
   ///
   /// The returned reference aliases scratch storage: it is valid until the
   /// next topologicalWindow call on the same scratch, and allocates
-  /// nothing once the scratch is warm (epoch-stamped predecessor counts +
-  /// a reused BFS ring).
+  /// nothing once the scratch is warm (epoch-stamped per-gate entries + a
+  /// reused BFS queue).
   const std::vector<uint32_t> &
-  topologicalWindow(size_t MaxGates, bool CountTwoQubitOnly = false) const;
+  topologicalWindow(size_t MaxGates, size_t MaxTwoQubit = SIZE_MAX) const;
+
+  /// The dependence level of each gate of the last window, by window
+  /// position: the highest level among its window predecessors (0 when
+  /// it has none), plus one for a two-qubit gate, and at least 1. Only
+  /// two-qubit gates deepen it, so the front sits at level 1 and a
+  /// single-qubit gate shares its predecessor's level (Eq. 2's layers).
+  const std::vector<uint32_t> &windowLevels() const { return S.WindowLevel; }
 
 private:
   const CircuitDag &Dag;

@@ -13,11 +13,9 @@ using namespace qlosure;
 void RoutingScratch::ensureGates(size_t NumGates) {
   if (PendingPreds.size() < NumGates) {
     PendingPreds.resize(NumGates);
-    Executed.resize(NumGates);
     FrontPos.resize(NumGates);
   }
   WindowNeeded.ensure(NumGates);
-  GateLevel.ensure(NumGates);
 }
 
 void RoutingScratch::ensurePhys(unsigned NumPhys) {

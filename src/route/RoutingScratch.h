@@ -272,7 +272,6 @@ public:
   //===--------------------------------------------------------------------===//
 
   std::vector<uint32_t> PendingPreds; ///< Unexecuted predecessor counts.
-  std::vector<uint8_t> Executed;
   std::vector<uint32_t> FrontPos; ///< Index into Front, or NotInFront.
   std::vector<uint32_t> Front;    ///< Ready, unexecuted gates (unordered).
 
@@ -280,14 +279,21 @@ public:
   // Topological look-ahead window (FrontLayerTracker::topologicalWindow)
   //===--------------------------------------------------------------------===//
 
-  /// Remaining-unvisited-predecessor counts, lazily initialized per call
-  /// via the epoch stamp (the pre-PR-3 kernel refilled an O(numGates)
-  /// array here on every routing step).
-  EpochArray<uint32_t> WindowNeeded;
+  /// A gate's window BFS state: its unexecuted predecessors not yet
+  /// visited (seeded from PendingPreds on the gate's first touch in a
+  /// call) and the highest level among those visited.
+  struct WindowEntry {
+    uint32_t Pending = 0;
+    uint32_t PredLevel = 0;
+  };
+  /// Epoch-stamped, so a window build clears it in O(1) instead of an
+  /// O(numGates) refill.
+  EpochArray<WindowEntry> WindowNeeded;
   /// Flat FIFO for the window BFS. Each gate is enqueued at most once, so
   /// a head cursor over a plain vector replaces the old per-call deque.
   std::vector<uint32_t> BfsQueue;
   std::vector<uint32_t> Window; ///< The produced window (topological order).
+  std::vector<uint32_t> WindowLevel; ///< Dependence level per Window entry.
 
   //===--------------------------------------------------------------------===//
   // Greedy step buffers (GreedyRouterBase and Qlosure)
@@ -348,9 +354,7 @@ public:
   // Qlosure layer structure (core/Qlosure.cpp)
   //===--------------------------------------------------------------------===//
 
-  /// Dependence-distance level per gate; stale entries read 0 = "outside
-  /// the window", replacing the old per-step O(numGates) zero-fill.
-  EpochArray<unsigned> GateLevel;
+  /// Per dependence level: the window's 2Q-gate count and base term sum.
   std::vector<uint32_t> LayerGateCount;
   std::vector<double> LayerBaseSum;
   /// Qlosure's terms per scored record (the window's 2Q gates):

@@ -91,9 +91,9 @@ TEST(FrontLayerWindowTest, TwoQubitCountingSkipsOneQGates) {
   CircuitDag Dag(C);
   RoutingScratch Scratch;
   FrontLayerTracker T(Dag, Scratch);
-  auto Plain = T.topologicalWindow(2, /*CountTwoQubitOnly=*/false);
+  auto Plain = T.topologicalWindow(2);
   EXPECT_EQ(Plain.size(), 2u); // Two 1Q gates only.
-  auto TwoQ = T.topologicalWindow(2, /*CountTwoQubitOnly=*/true);
+  auto TwoQ = T.topologicalWindow(16, /*MaxTwoQubit=*/2);
   size_t NumTwoQ = 0;
   for (uint32_t G : TwoQ)
     NumTwoQ += Dag.isTwoQubitGate(G);

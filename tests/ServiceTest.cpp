@@ -542,6 +542,19 @@ TEST(ContextCacheTest, CachedContextSharesAcrossThreads) {
   for (const std::vector<uint64_t> *W : Weights)
     EXPECT_EQ(W, Weights[0]);
   EXPECT_EQ(*Weights[0], computeDependenceWeights(C).Weights);
+
+  // The bundle charges its DAG's own bytes: a longer circuit on the same
+  // graph costs exactly its extra gates, their weights and the DAG growth.
+  Circuit Longer = C;
+  for (int I = 0; I < 40; ++I)
+    Longer.addCx(I % 2, 2);
+  auto Big = CachedContext::build(Longer, Hw);
+  const CircuitDag &SmallDag = Results[0]->context().dag();
+  const CircuitDag &BigDag = Big->context().dag();
+  EXPECT_GT(BigDag.memoryBytes(), SmallDag.memoryBytes());
+  EXPECT_EQ(Big->approxBytes() - Results[0]->approxBytes(),
+            (Longer.size() - C.size()) * (sizeof(Gate) + sizeof(uint64_t)) +
+                BigDag.memoryBytes() - SmallDag.memoryBytes());
 }
 
 //===----------------------------------------------------------------------===//
