@@ -269,8 +269,8 @@ void RoutingLoop::buildWindowLayers() {
   }
 
   // Dependence-distance levels within the window come with it (see
-  // FrontLayerTracker::windowLevels): only two-qubit gates deepen a level,
-  // since only routable gates define dependence distance for Eq. 2.
+  // FrontLayerTracker::topologicalWindow): only two-qubit gates deepen a
+  // level, since only routable gates define dependence distance for Eq. 2.
   if (!Options.UseLayerStructure) {
     // Distance-only / front-only variants: the window is just L_f.
     S.Window.assign(Tracker.front().begin(), Tracker.front().end());

@@ -57,10 +57,14 @@ public:
   /// dependence structure. The window is a prefix of one fixed BFS order,
   /// so a smaller budget only cuts it shorter.
   ///
-  /// One pass also gives each window gate its dependence level (see
-  /// windowLevels()): a gate is released once its last unexecuted
-  /// predecessor is visited (PendingPreds seeds the count), and each
-  /// visited gate pushes its level along its out-edges.
+  /// One pass also leaves each window gate's dependence level in the
+  /// scratch's WindowLevel, by window position: the highest level among
+  /// its window predecessors (0 when it has none), plus one for a
+  /// two-qubit gate, and at least 1. Only two-qubit gates deepen it, so
+  /// the front sits at level 1 and a single-qubit gate shares its
+  /// predecessor's level (Eq. 2's layers). A gate is released once its
+  /// last unexecuted predecessor is visited (PendingPreds seeds the
+  /// count), and each visited gate pushes its level along its out-edges.
   ///
   /// The returned reference aliases scratch storage: it is valid until the
   /// next topologicalWindow call on the same scratch, and allocates
@@ -68,13 +72,6 @@ public:
   /// reused BFS queue).
   const std::vector<uint32_t> &
   topologicalWindow(size_t MaxGates, size_t MaxTwoQubit = SIZE_MAX) const;
-
-  /// The dependence level of each gate of the last window, by window
-  /// position: the highest level among its window predecessors (0 when
-  /// it has none), plus one for a two-qubit gate, and at least 1. Only
-  /// two-qubit gates deepen it, so the front sits at level 1 and a
-  /// single-qubit gate shares its predecessor's level (Eq. 2's layers).
-  const std::vector<uint32_t> &windowLevels() const { return S.WindowLevel; }
 
 private:
   const CircuitDag &Dag;

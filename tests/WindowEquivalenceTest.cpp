@@ -147,7 +147,8 @@ void compareAlongRandomPrefixes(const Circuit &C, uint64_t Seed,
       Window Ref = referenceWindow(Dag, Executed, Front, B, true);
       const std::vector<uint32_t> &Got = T.topologicalWindow(8 * B, B);
       ASSERT_EQ(Got, Ref.Gates) << "seed " << Seed << " B " << B;
-      ASSERT_EQ(T.windowLevels(), Ref.Levels) << "seed " << Seed << " B " << B;
+      ASSERT_EQ(Scratch.WindowLevel, Ref.Levels)
+          << "seed " << Seed << " B " << B;
       ++Cov.Windows;
       Cov.QlosureCapBound += Ref.Gates.size() == 8 * B;
     }
