@@ -4,97 +4,42 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The inner loop runs entirely out of the caller's RoutingScratch: the
-// ready/candidate/distance arrays are reused across steps (and across
-// route() calls sharing the scratch), the look-ahead window is the
-// epoch-stamped FrontLayerTracker one, and candidate physical qubits are
-// deduplicated with an epoch marker — no per-step heap allocation once the
-// scratch is warm. The step state (the blocked front, the extended window
-// and their scored records) is built on a step that follows executed
-// gates and lives across the swap-only steps after it: each SWAP patches
-// the distances of the records on its two qubits. The golden digests
-// (tests/GoldenRouteTest.cpp) pin the decision sequence.
+// The kernel runs entirely out of the caller's RoutingScratch: the
+// candidate/distance arrays are reused across steps (and across route()
+// calls sharing the scratch), and the look-ahead window is the
+// epoch-stamped FrontLayerTracker one — no per-step heap allocation once
+// the scratch is warm. The step state is the blocked front, the extended
+// window and one scored record per gate of either; a SWAP re-derives the
+// distances of the records on its two qubits (rederive).
 //
 //===----------------------------------------------------------------------===//
 
 #include "baselines/GreedyRouterBase.h"
 
-#include "circuit/Dag.h"
-#include "route/FrontLayer.h"
-#include "support/Random.h"
-#include "support/Timer.h"
-#include "support/Trace.h"
+#include "route/SwapLoop.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <numeric>
 #include <tuple>
 
 using namespace qlosure;
 
-RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
-                                      const QubitMapping &Initial,
-                                      RoutingScratch &S,
-                                      const CancellationToken *Cancel) {
-  checkPreconditions(Ctx, Initial);
-  const Circuit &Logical = Ctx.circuit();
-  const CouplingGraph &Hw = Ctx.hardware();
-  Timer Clock;
+class GreedyRouterBase::Kernel {
+public:
+  Kernel(detail::SwapLoopState &Loop, const GreedyRouterBase &Router)
+      : Loop(Loop), Router(Router), Logical(Loop.Logical), Hw(Loop.Hw),
+        S(Loop.S), Tracker(Loop.Tracker), Phi(Loop.Out.placement()),
+        NeedMax(Router.usesFrontMax()) {}
 
-  const CircuitDag &Dag = Ctx.dag();
-  S.ensurePhys(Hw.numQubits());
-  FrontLayerTracker Tracker(Dag, S);
-  QubitMapping Phi = Initial;
-  Rng TieBreaker(seed());
-  S.Decay.assign(Logical.numQubits(), 1.0);
-
-  RoutingResult Result;
-  Result.Routed = Circuit(Hw.numQubits(), Logical.name() + ".routed");
-  Result.InitialMapping = Initial;
-  Result.RouterName = name();
-
-  unsigned SwapsSinceProgress = 0;
-  // Tracker.numExecuted() when the step state was last built; it is valid
-  // while no gate has executed since, and starts invalid.
-  size_t StepBuiltAt = SIZE_MAX;
-
-  auto physOf = [&Phi](int32_t L) { return Phi.physOf(L); };
-
-  auto isExecutable = [&](uint32_t GI) {
-    const Gate &G = Logical.gate(GI);
-    if (!G.isTwoQubit())
-      return true;
-    return Hw.areAdjacent(static_cast<unsigned>(Phi.physOf(G.Qubits[0])),
-                          static_cast<unsigned>(Phi.physOf(G.Qubits[1])));
-  };
-
-  auto emitSwap = [&](unsigned P1, unsigned P2) {
-    Result.Routed.addSwap(static_cast<int32_t>(P1), static_cast<int32_t>(P2));
-    Result.InsertedSwapFlags.push_back(1);
-    ++Result.NumSwaps;
-    int32_t L1 = Phi.logOf(static_cast<int32_t>(P1));
-    int32_t L2 = Phi.logOf(static_cast<int32_t>(P2));
-    Phi.swapPhysical(static_cast<int32_t>(P1), static_cast<int32_t>(P2));
-    if (usesDecay()) {
-      if (L1 >= 0)
-        S.Decay[static_cast<size_t>(L1)] += decayIncrement();
-      if (L2 >= 0)
-        S.Decay[static_cast<size_t>(L2)] += decayIncrement();
-    }
-    if (StepBuiltAt == Tracker.numExecuted())
-      S.swapScored(P1, P2, [&](uint32_t J) {
-        S.GreedyBaseDists[J] = Hw.distance(S.ScoredPA[J], S.ScoredPB[J]);
-      });
-  };
-
-  // The step state: the blocked front gates (sorted), the extended window,
-  // and one scored record per gate of either — its current endpoints and
-  // base (no-swap) distance, listed under both hosting qubits. A candidate
-  // swap (P1, P2) can only change the distance of gates hosted on P1 or
-  // P2, so the per-candidate work is a handful of recomputed entries —
-  // instead of |front| + |extended| distance-matrix lookups per candidate.
-  auto buildStep = [&] {
+  /// The step state: the blocked front gates (sorted), the extended
+  /// window, and one scored record per gate of either — its current
+  /// endpoints and base (no-swap) distance, listed under both hosting
+  /// qubits. A candidate swap (P1, P2) can only change the distance of
+  /// gates hosted on P1 or P2, so the per-candidate work is a handful of
+  /// recomputed entries — instead of |front| + |extended| distance-matrix
+  /// lookups per candidate.
+  void buildStep() {
     S.FrontTwoQ.clear();
     for (uint32_t G : Tracker.front())
       if (Logical.gate(G).isTwoQubit())
@@ -102,7 +47,7 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
     std::sort(S.FrontTwoQ.begin(), S.FrontTwoQ.end());
 
     const size_t NumFront = S.FrontTwoQ.size();
-    size_t WantExtended = extendedWindowSize(NumFront);
+    size_t WantExtended = Router.extendedWindowSize(NumFront);
     S.Extended.clear();
     if (WantExtended) {
       // The extended set is the first WantExtended non-front 2Q gates of
@@ -124,101 +69,55 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
       S.addScored(PA, PB);
       S.GreedyBaseDists.push_back(Hw.distance(PA, PB));
     }
-    StepBuiltAt = Tracker.numExecuted();
-  };
+  }
 
-  // One coarse span for the whole greedy loop (never per-step); a null
-  // sink — the default — costs a single pointer test.
-  ScopedSpan LoopSpan(S.TraceSink, "greedy_loop");
-  while (!Tracker.allExecuted()) {
-    // One cancellation poll + progress report per front-layer step; a
-    // null token never perturbs the decision sequence.
-    if (Cancel) {
-      if (Cancel->cancelled()) {
-        Result.Cancelled = true;
-        break;
-      }
-      Cancel->reportProgress(Tracker.numExecuted(), Logical.size());
-    }
-    // Phase 1: drain every executable gate.
-    bool Progress = false;
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      // Snapshot: execute() mutates the front.
-      S.Ready.clear();
-      for (uint32_t G : Tracker.front())
-        if (isExecutable(G))
-          S.Ready.push_back(G);
-      std::sort(S.Ready.begin(), S.Ready.end());
-      for (uint32_t G : S.Ready) {
-        Result.Routed.addGate(Logical.gate(G).withMappedQubits(physOf));
-        Result.InsertedSwapFlags.push_back(0);
-        Tracker.execute(G);
-        Progress = true;
-        Changed = true;
+  void rederive(uint32_t J) {
+    S.GreedyBaseDists[J] = Hw.distance(S.ScoredPA[J], S.ScoredPB[J]);
+  }
+
+  size_t chooseSwap() {
+    scoreCandidates();
+    // Selection, in candidate order: a strictly better score clears
+    // earlier ties; later within-tolerance scores join without lowering
+    // the bar.
+    double BestScore = std::numeric_limits<double>::infinity();
+    S.BestIdx.clear();
+    for (size_t CI = 0; CI < S.Candidates.size(); ++CI) {
+      double Score = S.Scores[CI];
+      if (Score < BestScore - 1e-12) {
+        BestScore = Score;
+        S.BestIdx.clear();
+        S.BestIdx.push_back(CI);
+      } else if (Score <= BestScore + 1e-12) {
+        S.BestIdx.push_back(CI);
       }
     }
-    if (Progress) {
-      if (usesDecay())
-        std::fill(S.Decay.begin(), S.Decay.end(), 1.0);
-      SwapsSinceProgress = 0;
-      continue;
-    }
-    if (Tracker.allExecuted())
-      break;
+    return Router.randomTieBreak()
+               ? S.BestIdx[static_cast<size_t>(
+                     Loop.drawTie(S.BestIdx.size()))]
+               : S.BestIdx.front();
+  }
 
-    // Escape hatch: force the oldest blocked gate along a shortest path.
-    if (SwapsSinceProgress >= MaxSwapsWithoutProgress) {
-      uint32_t Oldest = UINT32_MAX;
-      for (uint32_t G : Tracker.front())
-        if (Logical.gate(G).isTwoQubit())
-          Oldest = std::min(Oldest, G);
-      assert(Oldest != UINT32_MAX && "stuck without a blocked 2Q gate");
-      const Gate &G = Logical.gate(Oldest);
-      std::vector<unsigned> Path = Hw.shortestPath(
-          static_cast<unsigned>(Phi.physOf(G.Qubits[0])),
-          static_cast<unsigned>(Phi.physOf(G.Qubits[1])));
-      for (size_t I = 0; I + 2 < Path.size(); ++I)
-        emitSwap(Path[I], Path[I + 1]);
-      SwapsSinceProgress = 0;
-      continue;
-    }
+  auto snapshot() const {
+    return std::make_tuple(S.FrontTwoQ, S.Extended, S.ScoredPA, S.ScoredPB,
+                           S.TouchingGates, S.GreedyBaseDists);
+  }
 
-    // Phase 2: choose one SWAP.
-    if (StepBuiltAt != Tracker.numExecuted()) {
-      buildStep();
-    }
-#ifndef NDEBUG
-    else {
-      // Assertion builds only: the patched state must equal a rebuild.
-      auto Patched = std::make_tuple(S.FrontTwoQ, S.Extended, S.ScoredPA,
-                                     S.ScoredPB, S.TouchingGates,
-                                     S.GreedyBaseDists);
-      buildStep();
-      assert(Patched == std::tie(S.FrontTwoQ, S.Extended, S.ScoredPA,
-                                 S.ScoredPB, S.TouchingGates,
-                                 S.GreedyBaseDists) &&
-             "a patched step differs from a rebuild");
-    }
-#endif
+private:
+  /// Lane scoring: the base (no-swap) sums are computed once per step;
+  /// each candidate contributes integer deltas for its touched gates
+  /// only, and the mapper's formula is then evaluated over the
+  /// per-candidate SoA lanes (bit-identical to the full per-candidate
+  /// recomputation because distance sums of small integers are exact in
+  /// double).
+  void scoreCandidates() {
     const size_t NumFront = S.FrontTwoQ.size();
-    S.generateCandidates(Hw, NumFront);
-    assert(!S.Candidates.empty() && "no candidates on a connected graph");
-
-    // Lane scoring: the base (no-swap) sums are computed once per step;
-    // each candidate contributes integer deltas for its touched gates
-    // only, and the mapper's formula is then evaluated over the
-    // per-candidate SoA lanes (bit-identical to the full per-candidate
-    // recomputation because distance sums of small integers are exact in
-    // double).
     const size_t NumExt = S.Extended.size();
     const auto FrontEnd = S.GreedyBaseDists.begin() + NumFront;
     const uint64_t BaseFrontSum =
         std::accumulate(S.GreedyBaseDists.begin(), FrontEnd, uint64_t{0});
     const uint64_t BaseExtSum =
         std::accumulate(FrontEnd, FrontEnd + NumExt, uint64_t{0});
-    const bool NeedMax = usesFrontMax();
     unsigned BaseFrontMax = 0;
     if (NeedMax) {
       for (size_t I = 0; I < NumFront; ++I)
@@ -290,47 +189,36 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
           --S.DistHist[S.TouchedNewD[T]];
         }
       }
-      double MaxDecay = 1.0;
-      if (usesDecay()) {
-        int32_t L1 = Phi.logOf(static_cast<int32_t>(P1));
-        int32_t L2 = Phi.logOf(static_cast<int32_t>(P2));
-        double D1 = L1 >= 0 ? S.Decay[static_cast<size_t>(L1)] : 1.0;
-        double D2 = L2 >= 0 ? S.Decay[static_cast<size_t>(L2)] : 1.0;
-        MaxDecay = std::max(D1, D2);
-      }
-      S.LaneDecay[CI] = MaxDecay;
+      S.LaneDecay[CI] = Loop.maxDecay(P1, P2);
     }
 
     S.Scores.resize(NumCand);
     for (size_t CI = 0; CI < NumCand; ++CI)
-      S.Scores[CI] = scoreFromSums(S.LaneFrontSum[CI], S.LaneExtSum[CI],
-                                   NeedMax ? S.LaneFrontMax[CI] : 0.0,
-                                   S.LaneDecay[CI], NumFront, NumExt);
-
-    // Selection, in candidate order: a strictly better score clears
-    // earlier ties; later within-tolerance scores join without lowering
-    // the bar.
-    double BestScore = std::numeric_limits<double>::infinity();
-    S.BestIdx.clear();
-    for (size_t CI = 0; CI < NumCand; ++CI) {
-      double Score = S.Scores[CI];
-      if (Score < BestScore - 1e-12) {
-        BestScore = Score;
-        S.BestIdx.clear();
-        S.BestIdx.push_back(CI);
-      } else if (Score <= BestScore + 1e-12) {
-        S.BestIdx.push_back(CI);
-      }
-    }
-    size_t Pick = randomTieBreak()
-                      ? S.BestIdx[static_cast<size_t>(
-                            TieBreaker.nextBounded(S.BestIdx.size()))]
-                      : S.BestIdx.front();
-    emitSwap(S.Candidates[Pick].first, S.Candidates[Pick].second);
-    ++SwapsSinceProgress;
+      S.Scores[CI] = Router.scoreFromSums(
+          S.LaneFrontSum[CI], S.LaneExtSum[CI],
+          NeedMax ? S.LaneFrontMax[CI] : 0.0, S.LaneDecay[CI], NumFront,
+          NumExt);
   }
 
-  Result.FinalMapping = Phi;
-  Result.MappingSeconds = Clock.elapsedSeconds();
-  return Result;
+  detail::SwapLoopState &Loop;
+  const GreedyRouterBase &Router;
+  const Circuit &Logical;
+  const CouplingGraph &Hw;
+  RoutingScratch &S;
+  const FrontLayerTracker &Tracker;
+  const QubitMapping &Phi;
+  const bool NeedMax;
+};
+
+RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
+                                      const QubitMapping &Initial,
+                                      RoutingScratch &Scratch,
+                                      const CancellationToken *Cancel) {
+  checkPreconditions(Ctx, Initial);
+  detail::SwapLoop<Kernel> Loop(
+      Ctx, Initial, Scratch, Cancel,
+      {seed(), decayIncrement(), MaxSwapsWithoutProgress}, name(), *this);
+  // One coarse span for the whole greedy loop (never per-step); a null
+  // sink — the default — costs a single pointer test.
+  return Loop.run("greedy_loop");
 }

@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Template-method skeleton shared by the SABRE-, Cirq- and tket-style
-/// baseline routers: execute every feasible front gate, otherwise generate
-/// candidate SWAPs on front qubits and apply the subclass-scored minimum.
-/// Subclasses only provide the cost function and window sizing — the
-/// differences Table I of the paper identifies.
+/// The kernel of the shared swap loop (route/SwapLoop.h) behind the
+/// SABRE-, Cirq- and tket-style baseline routers: the step state is the
+/// blocked front plus a flat extended window, a candidate SWAP is scored
+/// from the post-swap distance sums of the two, and the first minimal
+/// candidate wins unless the subclass draws among ties. Subclasses only
+/// provide the cost function and window sizing — the differences Table I
+/// of the paper identifies; Qlosure is the loop's other kernel.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,9 +24,6 @@
 #include <vector>
 
 namespace qlosure {
-
-class CircuitDag;
-class FrontLayerTracker;
 
 /// Base class for one-swap-at-a-time greedy routers.
 class GreedyRouterBase : public Router {
@@ -44,9 +43,9 @@ protected:
   /// the blocked front gates and the extended-window gates (exact
   /// integers in double), \p FrontMax the post-swap maximum front
   /// distance (only meaningful when usesFrontMax()), \p MaxDecay is
-  /// max(delta_q1, delta_q2) of the swapped logical qubits (always 1.0 if
-  /// the subclass never increments decay). \p NumFront / \p NumExt are
-  /// the gate counts behind the sums.
+  /// max(delta_q1, delta_q2) of the swapped logical qubits (always 1.0
+  /// under a zero decayIncrement()). \p NumFront / \p NumExt are the gate
+  /// counts behind the sums.
   virtual double scoreFromSums(double FrontSum, double ExtSum,
                                double FrontMax, double MaxDecay,
                                size_t NumFront, size_t NumExt) const = 0;
@@ -55,11 +54,8 @@ protected:
   /// lexicographic fold); gates the per-candidate histogram upkeep.
   virtual bool usesFrontMax() const { return false; }
 
-  /// Whether to apply SABRE decay bookkeeping.
-  virtual bool usesDecay() const { return false; }
-
-  /// Decay increment per swap (only used when usesDecay()).
-  virtual double decayIncrement() const { return 0.001; }
+  /// SABRE decay increment per swap; 0 leaves every decay at 1.0.
+  virtual double decayIncrement() const { return 0.0; }
 
   /// Deterministic tie-breaking: first minimal candidate wins when false,
   /// seeded-random selection among ties when true.
@@ -71,6 +67,11 @@ protected:
   /// Escape-hatch threshold (swaps without progress before forcing
   /// shortest-path resolution).
   static constexpr unsigned MaxSwapsWithoutProgress = 64;
+
+private:
+  /// The loop kernel over this router's window and cost (defined in
+  /// GreedyRouterBase.cpp).
+  class Kernel;
 };
 
 } // namespace qlosure

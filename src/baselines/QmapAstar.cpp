@@ -17,6 +17,7 @@
 
 #include "baselines/QmapAstar.h"
 
+#include "route/RouteWriter.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
@@ -65,11 +66,8 @@ RoutingResult QmapAstarRouter::route(const RoutingContext &Ctx,
   const CouplingGraph &Hw = Ctx.hardware();
   Timer Clock;
 
-  RoutingResult Result;
-  Result.Routed = Circuit(Hw.numQubits(), Logical.name() + ".routed");
-  Result.InitialMapping = Initial;
-  Result.RouterName = name();
-  QubitMapping Phi = Initial;
+  RouteWriter Out(Logical, Hw, Initial, name());
+  RoutingResult &Result = Out.result();
 
   // Time-sliced layer partition: a gate joins the current layer unless one
   // of its qubits is already busy there. Gates enter layers in index
@@ -93,19 +91,6 @@ RoutingResult QmapAstarRouter::route(const RoutingContext &Ctx,
       S.QmapBusy[static_cast<size_t>(G.Qubits[Q])] = 1;
   }
   Bounds.push_back(static_cast<uint32_t>(Logical.size()));
-
-  auto emitSwap = [&](unsigned P1, unsigned P2) {
-    Result.Routed.addSwap(static_cast<int32_t>(P1), static_cast<int32_t>(P2));
-    Result.InsertedSwapFlags.push_back(1);
-    ++Result.NumSwaps;
-    Phi.swapPhysical(static_cast<int32_t>(P1), static_cast<int32_t>(P2));
-  };
-
-  auto emitProgramGate = [&](uint32_t GI) {
-    Result.Routed.addGate(Logical.gate(GI).withMappedQubits(
-        [&Phi](int32_t Q) { return Phi.physOf(Q); }));
-    Result.InsertedSwapFlags.push_back(0);
-  };
 
   /// Routes one chunk of mutually disjoint 2Q gates with a bounded A*
   /// search over the joint placement of the chunk's qubits, then emits the
@@ -189,7 +174,7 @@ RoutingResult QmapAstarRouter::route(const RoutingContext &Ctx,
     {
       Arena.resize(K);
       for (size_t I = 0; I < K; ++I)
-        Arena[I] = static_cast<unsigned>(Phi.physOf(Tracked[I]));
+        Arena[I] = Out.physOf(Tracked[I]);
       RoutingScratch::AstarNode Root;
       Root.Slot = 0;
       Nodes.push_back(Root);
@@ -302,9 +287,9 @@ RoutingResult QmapAstarRouter::route(const RoutingContext &Ctx,
         S.AstarPath.push_back({Nodes[Id].SwapFrom, Nodes[Id].SwapTo});
       std::reverse(S.AstarPath.begin(), S.AstarPath.end());
       for (auto [P1, P2] : S.AstarPath)
-        emitSwap(P1, P2);
+        Out.emitSwap(P1, P2);
       for (size_t C = 0; C < ChunkSize; ++C)
-        emitProgramGate(Chunk[C]);
+        Out.emitGate(Logical.gate(Chunk[C]));
       return true;
     }
     // Budget exhausted: resolve-and-emit each gate immediately (a later
@@ -313,14 +298,8 @@ RoutingResult QmapAstarRouter::route(const RoutingContext &Ctx,
       if (isCancelled())
         return false;
       const Gate &G = Logical.gate(Chunk[C]);
-      unsigned P1 = static_cast<unsigned>(Phi.physOf(G.Qubits[0]));
-      unsigned P2 = static_cast<unsigned>(Phi.physOf(G.Qubits[1]));
-      if (!Hw.areAdjacent(P1, P2)) {
-        std::vector<unsigned> Path = Hw.shortestPath(P1, P2);
-        for (size_t I = 0; I + 2 < Path.size(); ++I)
-          emitSwap(Path[I], Path[I + 1]);
-      }
-      emitProgramGate(Chunk[C]);
+      Out.walkTogether(G);
+      Out.emitGate(G);
     }
     return true;
   };
@@ -354,14 +333,8 @@ RoutingResult QmapAstarRouter::route(const RoutingContext &Ctx,
             break;
           }
           const Gate &G = Logical.gate(GI);
-          unsigned P1 = static_cast<unsigned>(Phi.physOf(G.Qubits[0]));
-          unsigned P2 = static_cast<unsigned>(Phi.physOf(G.Qubits[1]));
-          if (!Hw.areAdjacent(P1, P2)) {
-            std::vector<unsigned> Path = Hw.shortestPath(P1, P2);
-            for (size_t I = 0; I + 2 < Path.size(); ++I)
-              emitSwap(Path[I], Path[I + 1]);
-          }
-          emitProgramGate(GI);
+          Out.walkTogether(G);
+          Out.emitGate(G);
         }
       } else {
         // Joint A* over chunks of at most MaxJointGates disjoint gates
@@ -384,10 +357,8 @@ RoutingResult QmapAstarRouter::route(const RoutingContext &Ctx,
     // Single-qubit gates of the layer execute wherever their qubit sits.
     for (uint32_t GI = Begin; GI < End; ++GI)
       if (!Logical.gate(GI).isTwoQubit())
-        emitProgramGate(GI);
+        Out.emitGate(Logical.gate(GI));
   }
 
-  Result.FinalMapping = Phi;
-  Result.MappingSeconds = Clock.elapsedSeconds();
-  return Result;
+  return Out.finish(Clock.elapsedSeconds());
 }

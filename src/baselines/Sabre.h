@@ -42,7 +42,6 @@ protected:
   double scoreFromSums(double FrontSum, double ExtSum, double FrontMax,
                        double MaxDecay, size_t NumFront,
                        size_t NumExt) const override;
-  bool usesDecay() const override { return true; }
   double decayIncrement() const override { return DecayIncrement; }
   bool randomTieBreak() const override { return true; }
   uint64_t seed() const override { return Seed; }

@@ -74,6 +74,7 @@ size_t Circuit::depth(SwapCostModel Model) const {
 
 Circuit Circuit::withoutNonUnitaries() const {
   Circuit Result(NumQubits, Name);
+  Result.Gates.reserve(Gates.size());
   for (const Gate &G : Gates)
     if (G.Kind != GateKind::Barrier && G.Kind != GateKind::Measure)
       Result.Gates.push_back(G);
@@ -82,6 +83,7 @@ Circuit Circuit::withoutNonUnitaries() const {
 
 Circuit Circuit::decomposeThreeQubitGates() const {
   Circuit Result(NumQubits, Name);
+  Result.Gates.reserve(Gates.size()); // Exact without three-qubit gates.
   for (const Gate &G : Gates) {
     if (G.Kind == GateKind::CCX) {
       int32_t A = G.Qubits[0], B = G.Qubits[1], C = G.Qubits[2];

@@ -62,17 +62,6 @@ CircuitDag::CircuitDag(const Circuit &C) {
   assert(SuccOff[N] == SuccIdx.size() && "successor offsets out of step");
 }
 
-std::vector<uint32_t> CircuitDag::asapLevels() const {
-  size_t N = numGates();
-  std::vector<uint32_t> Level(N, 0);
-  // Gates are stored in a topological order (program order), so one forward
-  // sweep suffices.
-  for (size_t GI = 0; GI < N; ++GI)
-    for (uint32_t Succ : successors(GI))
-      Level[Succ] = std::max(Level[Succ], Level[GI] + 1);
-  return Level;
-}
-
 size_t CircuitDag::memoryBytes() const {
   auto bytesOf = [](const auto &V) {
     return V.capacity() * sizeof(V[0]);

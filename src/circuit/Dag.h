@@ -74,9 +74,6 @@ public:
   /// construction for consumers that no longer hold the circuit).
   bool isTwoQubitGate(size_t Gate) const { return TwoQubit[Gate] != 0; }
 
-  /// ASAP level of each gate (roots at level 0).
-  std::vector<uint32_t> asapLevels() const;
-
   /// Heap and object bytes this DAG holds.
   size_t memoryBytes() const;
 

@@ -4,17 +4,18 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The router facade over the routing kernel (core/RoutingLoop.cpp). When
-// the affine fast path is enabled and the context's period detector found
-// loop structure, a ReplayDriver is attached so repeated loop bodies route
-// by replaying the recorded swap schedule instead of re-scoring candidates
+// The router facade over the shared swap loop (route/SwapLoop.h) run with
+// Qlosure's kernel (core/QlosureKernel.cpp). When the affine fast path is
+// enabled and the context's period detector found loop structure, a
+// ReplayDriver is attached so repeated loop bodies route by replaying the
+// recorded swap schedule instead of re-scoring candidates
 // (route/ReplayPlan.h documents the exactness contract).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Qlosure.h"
 
-#include "core/RoutingLoop.h"
+#include "core/QlosureKernel.h"
 #include "route/ReplayPlan.h"
 #include "support/Fingerprint.h"
 
@@ -61,21 +62,25 @@ RoutingResult QlosureRouter::route(const RoutingContext &Ctx,
                                    RoutingScratch &Scratch,
                                    const CancellationToken *Cancel) {
   checkPreconditions(Ctx, Initial);
-  detail::RoutingLoop Loop(Options, Ctx, Initial, Scratch, Cancel);
+  detail::QlosureLoop Loop(Ctx, Initial, Scratch, Cancel,
+                           {Options.Seed, Options.DecayIncrement,
+                            Options.MaxSwapsWithoutProgress},
+                           name(), Options, Ctx);
   std::optional<ReplayDriver> Driver;
   if (Options.AffineReplay) {
     if (const PeriodStructure *Period = Ctx.periodStructure()) {
-      Driver.emplace(*Period, replayConfigSalt(Options),
+      Driver.emplace(Loop, *Period, replayConfigSalt(Options),
                      Ctx.replayPlanCache());
       Driver->setTraceSink(Scratch.TraceSink);
-      Loop.setReplayDriver(&*Driver);
+      Loop.Replay = &*Driver;
     }
   }
-  RoutingResult Result = Loop.run();
+  // One span around the whole front-layer loop, recorded only when the
+  // serving layer installed a sink.
+  RoutingResult Result = Loop.run("front_layer_loop");
   if (Driver) {
     Result.AffineReplayedPeriods = Driver->replayedPeriods();
     Result.AffineFallbackPeriods = Driver->fallbackPeriods();
   }
-  Result.RouterName = name();
   return Result;
 }

@@ -6,14 +6,13 @@
 
 #include "route/ReplayPlan.h"
 
-#include "core/RoutingLoop.h"
+#include "core/QlosureKernel.h"
 #include "support/Fingerprint.h"
 
 #include <algorithm>
 #include <cassert>
 
 using namespace qlosure;
-using qlosure::detail::RoutingLoop;
 
 //===----------------------------------------------------------------------===//
 // ReplayPlanCache
@@ -52,9 +51,10 @@ size_t ReplayPlanCache::size() const {
 // ReplayDriver
 //===----------------------------------------------------------------------===//
 
-ReplayDriver::ReplayDriver(const PeriodStructure &Structure,
+ReplayDriver::ReplayDriver(detail::QlosureLoop &Loop,
+                           const PeriodStructure &Structure,
                            uint64_t ConfigSalt, ReplayPlanCache &Cache)
-    : P(Structure), ConfigSalt(ConfigSalt), Cache(Cache),
+    : Loop(Loop), P(Structure), ConfigSalt(ConfigSalt), Cache(Cache),
       NextBoundary(Structure.RegionStart) {
   PermPow.resize(Structure.Perm.size());
   for (size_t Q = 0; Q < PermPow.size(); ++Q)
@@ -111,8 +111,7 @@ void ReplayDriver::noteWindow(const std::vector<uint32_t> &Window) {
     MaxReach = std::max(MaxReach, static_cast<int64_t>(G) - RecordBase);
 }
 
-AnchorKey ReplayDriver::computeAnchor(const RoutingLoop &Loop,
-                                      int64_t Base) const {
+AnchorKey ReplayDriver::computeAnchor(int64_t Base) const {
   AnchorKey Key;
   Key.Data.reserve(PermPow.size() + PreExec.size() + 2);
   Key.Data.push_back(static_cast<int64_t>(ConfigSalt));
@@ -120,7 +119,7 @@ AnchorKey ReplayDriver::computeAnchor(const RoutingLoop &Loop,
   // that matching anchors place *corresponding* period gates on identical
   // physical qubits.
   for (int32_t Q : PermPow)
-    Key.Data.push_back(Loop.Phi.physOf(Q));
+    Key.Data.push_back(Loop.Out.physOf(Q));
   Key.Data.push_back(-2); // Separator (never a valid physical index).
   // Gates already executed ahead of the boundary, as period-relative
   // offsets: they are missing from any recorded schedule, so the missing
@@ -133,8 +132,8 @@ AnchorKey ReplayDriver::computeAnchor(const RoutingLoop &Loop,
   return Key;
 }
 
-bool ReplayDriver::replayAllowed(const ReplayPlan &Plan, int64_t Base,
-                                 const RoutingLoop &Loop) const {
+bool ReplayDriver::replayAllowed(const ReplayPlan &Plan,
+                                 int64_t Base) const {
   // Every trace index the replay touches — executed gates and look-ahead
   // reads alike — must stay inside the verified periodic region.
   if (Base + std::max(Plan.MaxReach + 1, P.BodyGates) > P.regionEnd())
@@ -142,8 +141,8 @@ bool ReplayDriver::replayAllowed(const ReplayPlan &Plan, int64_t Base,
   // Dependence weights enter the scores and are generally aperiodic
   // (omega counts *remaining* dependents); replay only where the slices
   // the window can read are exactly equal.
-  if (Loop.Weights) {
-    const std::vector<uint64_t> &W = *Loop.Weights;
+  if (const std::vector<uint64_t> *Weights = Loop.Kernel.weights()) {
+    const std::vector<uint64_t> &W = *Weights;
     for (int64_t D = 0; D <= Plan.MaxReach; ++D)
       if (W[static_cast<size_t>(Plan.RecordBase + D)] !=
           W[static_cast<size_t>(Base + D)])
@@ -153,33 +152,32 @@ bool ReplayDriver::replayAllowed(const ReplayPlan &Plan, int64_t Base,
 }
 
 ReplayDriver::ReplayStatus
-ReplayDriver::executeReplay(RoutingLoop &Loop, const ReplayPlan &Plan,
-                            int64_t Base) {
+ReplayDriver::executeReplay(const ReplayPlan &Plan, int64_t Base) {
   bool PrevWasGate = false;
   size_t OpsSincePoll = 0;
   for (const ReplayOp &Op : Plan.Ops) {
     if (++OpsSincePoll >= 256) {
       OpsSincePoll = 0;
-      if (Loop.Cancel) {
-        if (Loop.Cancel->cancelled())
-          return ReplayStatus::Stopped;
-        Loop.Cancel->reportProgress(Loop.Tracker.numExecuted(),
-                                    Loop.Logical.size());
-      }
+      if (Loop.cancelled())
+        return ReplayStatus::Stopped;
+    }
+    if (Op.K != ReplayOp::Kind::Gate && PrevWasGate) {
+      // The scalar loop resets decay and the escape counter after every
+      // pass that executed gates, before it emits the next swap.
+      Loop.resetProgress();
+      PrevWasGate = false;
     }
     switch (Op.K) {
-    case ReplayOp::Kind::Gate:
-      if (!Loop.replayEmitGate(static_cast<uint32_t>(Base + Op.A)))
+    case ReplayOp::Kind::Gate: {
+      uint32_t G = static_cast<uint32_t>(Base + Op.A);
+      if (G >= Loop.Logical.size() || !Loop.Tracker.isInFront(G) ||
+          !Loop.isExecutable(G))
         return ReplayStatus::Stopped; // Front deviated from the prediction.
+      Loop.executeGate(G);
       PrevWasGate = true;
       break;
+    }
     case ReplayOp::Kind::ScoredSwap: {
-      if (PrevWasGate) {
-        // The scalar kernel resets decay/progress after every pass that
-        // executed gates, before scoring the next swap.
-        Loop.replayResetProgress();
-        PrevWasGate = false;
-      }
       // Speculative tie peek: draw from the live RNG; commit only when the
       // value matches the recorded draw, otherwise restore the generator
       // and stop — the emitted prefix is then exactly the scalar prefix.
@@ -189,22 +187,18 @@ ReplayDriver::executeReplay(RoutingLoop &Loop, const ReplayPlan &Plan,
         Loop.TieBreaker = Saved;
         return ReplayStatus::Stopped;
       }
-      Loop.replayEmitSwap(Op.A, Op.B);
+      Loop.emitSwap(Op.A, Op.B);
       ++Loop.SwapsSinceProgress;
       break;
     }
     case ReplayOp::Kind::ForcedSwap:
-      if (PrevWasGate) {
-        Loop.replayResetProgress();
-        PrevWasGate = false;
-      }
-      Loop.replayEmitSwap(Op.A, Op.B);
+      Loop.emitSwap(Op.A, Op.B);
       Loop.SwapsSinceProgress = 0;
       break;
     }
   }
   if (PrevWasGate)
-    Loop.replayResetProgress();
+    Loop.resetProgress();
   return ReplayStatus::Completed;
 }
 
@@ -257,7 +251,7 @@ void ReplayDriver::advancePeriod() {
     PermPow[Q] = P.Perm[static_cast<size_t>(PermPow[Q])];
 }
 
-bool ReplayDriver::maybeHandleBoundary(RoutingLoop &Loop) {
+bool ReplayDriver::maybeHandleBoundary() {
   if (Done)
     return false;
   bool DidWork = false;
@@ -268,23 +262,23 @@ bool ReplayDriver::maybeHandleBoundary(RoutingLoop &Loop) {
       break;
     }
     int64_t Base = NextBoundary;
-    AnchorKey Key = computeAnchor(Loop, Base);
+    AnchorKey Key = computeAnchor(Base);
     std::shared_ptr<const ReplayPlan> Plan = Cache.lookup(Key);
-    if (Plan && replayAllowed(*Plan, Base, Loop)) {
+    if (Plan && replayAllowed(*Plan, Base)) {
       // Count the period's gates directly against the advanced boundary
       // while the replay executes them.
       advancePeriod();
       ReplayStatus St;
       {
         ScopedSpan Span(TraceSink, "replay_period");
-        St = executeReplay(Loop, *Plan, Base);
+        St = executeReplay(*Plan, Base);
       }
       DidWork = true;
       if (St == ReplayStatus::Completed) {
         ++Replayed;
         continue; // A chained boundary may be reachable immediately.
       }
-      ++Fallback; // Scalar kernel resumes mid-period from exact state.
+      ++Fallback; // The scalar loop resumes mid-period from exact state.
       break;
     }
     startRecording(Base, std::move(Key));
@@ -295,7 +289,7 @@ bool ReplayDriver::maybeHandleBoundary(RoutingLoop &Loop) {
 }
 
 void ReplayDriver::finalize() {
-  // The kernel loop exits without a final boundary check when the trace
+  // The loop exits without a final boundary check when the trace
   // ends exactly at a period boundary; publish that last recording if it
   // completed (a cancelled run leaves it incomplete — drop it silently).
   if (Recording && ExecutedBelow == NextBoundary)

@@ -6,14 +6,15 @@
 ///
 /// \file
 /// The affine fast path: when the period detector finds loop structure
-/// (affine/PeriodDetector.h), the routing kernel routes the loop body
-/// *once* while a ReplayDriver records every emission — program gates,
-/// SWAPs, and the tie-break draw behind each scored SWAP — as a ReplayPlan
-/// keyed by an anchor that captures the complete decision-relevant state at
-/// the period boundary. Later periods (and later route() calls over the
-/// same cached context) whose boundary state matches an anchor replay the
-/// recorded schedule through the kernel's own emission primitives instead
-/// of re-scoring thousands of candidate SWAPs.
+/// (affine/PeriodDetector.h), Qlosure's swap loop (route/SwapLoop.h)
+/// routes the loop body *once* while a ReplayDriver records every
+/// emission — program gates, SWAPs, and the tie-break draw behind each
+/// scored SWAP — as a ReplayPlan keyed by an anchor that captures the
+/// complete decision-relevant state at the period boundary. Later periods
+/// (and later route() calls over the same cached context) whose boundary
+/// state matches an anchor replay the recorded schedule through the
+/// loop's own primitives (executeGate, emitSwap, resetProgress and the
+/// cancellation poll) instead of re-scoring thousands of candidate SWAPs.
 ///
 /// Exactness contract. A replayed prefix is byte-identical to what the
 /// scalar kernel would have emitted, because every free input of the
@@ -31,13 +32,13 @@
 ///    profile usually falls back while the unweighted profile replays).
 ///  - The decay vector and progress counter are deterministic at every
 ///    boundary (gate execution resets them) and are re-evolved through the
-///    real emitSwap during replay.
+///    loop's own emitSwap during replay.
 ///  - The one nondeterministic input — the tie-break RNG — is handled
 ///    speculatively: each scored SWAP op stores the draw it consumed; the
 ///    replay draws from the live RNG and commits only on an equal value,
 ///    otherwise it restores the RNG and stops. A stopped replay leaves
-///    *exactly* the state the scalar kernel would have had at that point,
-///    so the kernel resumes mid-period and the final result is still
+///    *exactly* the state the scalar loop would have had at that point,
+///    so the loop resumes mid-period and the final result is still
 ///    byte-identical to a never-replayed run.
 ///
 /// Degradation is therefore graceful by construction: any deviation —
@@ -61,8 +62,10 @@
 namespace qlosure {
 
 namespace detail {
-class RoutingLoop;
-}
+class QlosureKernel;
+template <typename KernelT> class SwapLoop;
+using QlosureLoop = SwapLoop<QlosureKernel>;
+} // namespace detail
 
 /// The boundary state a plan was recorded under. Plans apply only where
 /// the full Data vector matches: the config salt, the physical position of
@@ -117,32 +120,32 @@ private:
       ByHash;
 };
 
-/// Per-route() driver attached to the routing kernel. Observes emissions
-/// through the kernel's hooks, maintains the period bookkeeping
+/// Per-route() driver bound to one Qlosure swap loop. Observes emissions
+/// through the loop's hooks, maintains the period bookkeeping
 /// (boundaries, pre-executed gates, the accumulated permutation power
 /// pi^j), records plans, and replays them at matching boundaries.
 class ReplayDriver {
 public:
-  /// \p Structure must outlive the driver (it lives on the context);
-  /// \p Cache is the context's shared plan store.
-  ReplayDriver(const PeriodStructure &Structure, uint64_t ConfigSalt,
-               ReplayPlanCache &Cache);
+  /// \p Loop and \p Structure must outlive the driver (the structure
+  /// lives on the context); \p Cache is the context's shared plan store.
+  ReplayDriver(detail::QlosureLoop &Loop, const PeriodStructure &Structure,
+               uint64_t ConfigSalt, ReplayPlanCache &Cache);
 
-  // --- Kernel hooks (cheap; called on every emission) -------------------
+  // --- Loop hooks (cheap; called on every emission) ---------------------
   void noteGateExecuted(uint32_t GateId);
   void noteSwapEmitted(unsigned P1, unsigned P2);
   void noteDecision(size_t Bound, uint64_t Draw);
   void noteWindow(const std::vector<uint32_t> &Window);
 
-  /// Called at the top of the kernel loop. When the trace position sits on
-  /// a period boundary, closes any open recording, then either replays a
+  /// Called at the top of the loop. When the trace position sits on a
+  /// period boundary, closes any open recording, then either replays a
   /// cached plan (possibly chaining across several periods) or starts
   /// recording the period about to be routed. Returns true when gates
-  /// were executed by replay (the kernel then restarts its loop).
-  bool maybeHandleBoundary(detail::RoutingLoop &Loop);
+  /// were executed by replay (the loop then restarts its iteration).
+  bool maybeHandleBoundary();
 
-  /// Called once after the kernel loop exits; publishes the final
-  /// period's recording when it completed.
+  /// Called once after the loop exits; publishes the final period's
+  /// recording when it completed.
   void finalize();
 
   size_t replayedPeriods() const { return Replayed; }
@@ -156,16 +159,14 @@ public:
 private:
   enum class ReplayStatus { Completed, Stopped };
 
-  AnchorKey computeAnchor(const detail::RoutingLoop &Loop,
-                          int64_t Base) const;
-  bool replayAllowed(const ReplayPlan &Plan, int64_t Base,
-                     const detail::RoutingLoop &Loop) const;
-  ReplayStatus executeReplay(detail::RoutingLoop &Loop,
-                             const ReplayPlan &Plan, int64_t Base);
+  AnchorKey computeAnchor(int64_t Base) const;
+  bool replayAllowed(const ReplayPlan &Plan, int64_t Base) const;
+  ReplayStatus executeReplay(const ReplayPlan &Plan, int64_t Base);
   void startRecording(int64_t Base, AnchorKey Key);
   void closeRecording();
   void advancePeriod();
 
+  detail::QlosureLoop &Loop;
   const PeriodStructure &P;
   uint64_t ConfigSalt = 0;
   ReplayPlanCache &Cache;

@@ -77,6 +77,13 @@ struct RoutingResult {
   }
 };
 
+/// The version of the routing semantics. A change that moves a routed byte
+/// of any mapper bumps it: GoldenRouteTest fails on such a change and says
+/// so. The service's result, alias and store keys carry it
+/// (service/RequestKey.h), so a daemon restarted on a store written by
+/// older code routes again instead of serving the old code's routes.
+constexpr uint32_t RoutingSemanticsVersion = 1;
+
 /// Abstract qubit mapper. Implementations must accept any connected
 /// coupling graph and any circuit whose gates are unitary with arity <= 2
 /// and numQubits() <= Hw.numQubits().

@@ -17,10 +17,11 @@
 /// traffic the pre-PR-3 kernel paid on QUEKO-scale circuits.
 ///
 /// The scored-gate records (endpoints plus the per-qubit TouchingGates
-/// lists) are one layout for Qlosure and the greedy baselines. A kernel
-/// builds them on a step that follows executed gates and keeps them across
-/// the swap-only steps after it: each SWAP moves only the records hosted
-/// on its two qubits (swapScored), which equals a rebuild exactly.
+/// lists) are one layout for both kernels of the swap loop
+/// (route/SwapLoop.h): Qlosure and the greedy baselines. The loop has its
+/// kernel build them on a step that follows executed gates and keeps them
+/// across the swap-only steps after it: each SWAP moves only the records
+/// hosted on its two qubits (swapScored), which equals a rebuild exactly.
 ///
 /// Threading/ownership contract: none — a scratch is single-threaded by
 /// design; no member may be touched from two threads, even at different
@@ -296,7 +297,7 @@ public:
   std::vector<uint32_t> WindowLevel; ///< Dependence level per Window entry.
 
   //===--------------------------------------------------------------------===//
-  // Greedy step buffers (GreedyRouterBase and Qlosure)
+  // Swap loop step buffers (route/SwapLoop.h and both of its kernels)
   //===--------------------------------------------------------------------===//
 
   std::vector<uint32_t> Ready;     ///< Executable front gates this pass.
@@ -307,13 +308,13 @@ public:
   std::vector<std::pair<unsigned, unsigned>> Candidates;
   std::vector<double> Scores;
   std::vector<size_t> BestIdx;
-  std::vector<double> Decay; ///< Per-logical-qubit SABRE decay.
-  /// GreedyRouterBase's term per scored record (front then extended, one
+  std::vector<double> Decay; ///< Per-logical-qubit decay (the loop's).
+  /// The greedy kernel's term per scored record (front then extended, one
   /// ordinal space): the current distance between its endpoints.
   std::vector<unsigned> GreedyBaseDists;
 
   //===--------------------------------------------------------------------===//
-  // Scored-gate records (Qlosure and GreedyRouterBase)
+  // Scored-gate records (both kernels; the swap loop patches them)
   //===--------------------------------------------------------------------===//
 
   /// Current physical endpoints of each scored gate, by ordinal (the index
@@ -351,7 +352,7 @@ public:
   std::vector<uint32_t> TouchedNewD; ///< Patched front dists (new values).
 
   //===--------------------------------------------------------------------===//
-  // Qlosure layer structure (core/Qlosure.cpp)
+  // Qlosure layer structure (core/QlosureKernel.cpp)
   //===--------------------------------------------------------------------===//
 
   /// Per dependence level: the window's 2Q-gate count and base term sum.

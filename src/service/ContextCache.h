@@ -9,10 +9,10 @@
 /// LRU cache with a byte budget, instantiated three times —
 ///
 ///  * ContextCache maps (circuit fingerprint, backend fingerprint) to a
-///    shared CachedContext bundle that owns the circuit, the coupling
-///    graph, and the built RoutingContext (distances and DAG; omega and
-///    the loop structure are computed by the first route that reads them
-///    and memoized in the context). A warm request skips the entire
+///    shared CachedContext bundle that shares the imported circuit and the
+///    pooled coupling graph and owns the built RoutingContext (the DAG;
+///    omega and the loop structure are computed by the first route that
+///    reads them and memoized in the context). A warm request skips the entire
 ///    per-(circuit, backend) precomputation the paper's abstraction made
 ///    cheap and this cache makes free.
 ///
@@ -215,29 +215,32 @@ private:
   std::vector<Shard> TheShards;
 };
 
-/// A cached (circuit, backend) precomputation bundle. Owns copies of the
-/// circuit and graph so the RoutingContext's references stay valid for the
-/// entry's whole lifetime, independent of the request that built it.
+/// A cached (circuit, backend) precomputation bundle. Shares ownership of
+/// the circuit and the graph, so the RoutingContext's references stay
+/// valid for the entry's whole lifetime, independent of the request that
+/// built it; every bundle on one backend variant reads one graph.
 class CachedContext {
 public:
-  /// Builds a bundle over copies of \p Circ and \p Hw. Omega is not
-  /// computed here: only weighted Qlosure routes read it, and the first of
-  /// them computes it once for every later reader. \p T, when non-null,
-  /// receives the construction-phase spans (ctx_distances, ctx_dag) of a
-  /// traced cold build.
+  /// Builds a bundle over \p Circ and \p Hw. Omega is not computed here:
+  /// only weighted Qlosure routes read it, and the first of them computes
+  /// it once for every later reader. \p T, when non-null, receives the
+  /// construction-phase spans (ctx_distances, ctx_dag) of a traced cold
+  /// build.
   static std::shared_ptr<const CachedContext>
-  build(const Circuit &Circ, const CouplingGraph &Hw, Trace *T = nullptr);
+  build(std::shared_ptr<const Circuit> Circ,
+        std::shared_ptr<const CouplingGraph> Hw, Trace *T = nullptr);
 
   const RoutingContext &context() const { return *Ctx; }
-  const Circuit &circuit() const { return Circ; }
-  const CouplingGraph &hardware() const { return Hw; }
+  const Circuit &circuit() const { return *Circ; }
+  const CouplingGraph &hardware() const { return *Hw; }
+  /// The circuit, the DAG and omega; the backend is charged to its pool.
   size_t approxBytes() const { return Bytes; }
 
 private:
   CachedContext() = default;
 
-  Circuit Circ;
-  CouplingGraph Hw;
+  std::shared_ptr<const Circuit> Circ;
+  std::shared_ptr<const CouplingGraph> Hw;
   std::optional<RoutingContext> Ctx;
   size_t Bytes = 0;
 };

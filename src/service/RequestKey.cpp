@@ -6,6 +6,8 @@
 
 #include "service/RequestKey.h"
 
+#include "route/Router.h"
+
 #include <cstring>
 
 using namespace qlosure;
@@ -32,10 +34,11 @@ uint64_t service::rawTextFingerprint(const std::string &Qasm) {
 }
 
 uint64_t service::mapperConfigFingerprint(const RouteRequest &Params) {
-  return hashCombine(fingerprintString(Params.Mapper),
-                     (Params.Affine ? 4u : 0u) |
-                         (Params.Bidirectional ? 2u : 0u) |
-                         (Params.ErrorAware ? 1u : 0u));
+  uint64_t Flags = (Params.Affine ? 4u : 0u) |
+                   (Params.Bidirectional ? 2u : 0u) |
+                   (Params.ErrorAware ? 1u : 0u);
+  return hashCombine(hashCombine(fingerprintString(Params.Mapper), Flags),
+                     RoutingSemanticsVersion);
 }
 
 CacheKey service::resultKey(uint64_t CircuitFp, uint64_t BackendFp,

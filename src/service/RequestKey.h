@@ -13,9 +13,11 @@
 ///    it (shardKeyForRequest), and the daemon keys its alias tier by it.
 ///
 ///  * The **result key** combines the imported circuit's fingerprint, the
-///    backend variant's fingerprint and the mapper configuration. The
-///    result cache, the durable store and single-flight coalescing are
-///    all keyed by it.
+///    backend variant's fingerprint and the mapper configuration, which
+///    carries the routing-semantics version (route/Router.h). The result
+///    cache, the durable store and single-flight coalescing are all keyed
+///    by it, so a store written before a change that moved routes is
+///    never read after it.
 ///
 ///  * The **alias key** is the result key with the raw text fingerprint in
 ///    place of the circuit fingerprint. Once the daemon has imported a
@@ -74,10 +76,10 @@ struct CacheKeyHasher {
 /// computes its keys alone, so no two hosts ever compare them).
 uint64_t rawTextFingerprint(const std::string &Qasm);
 
-/// Fingerprint of the mapper configuration: the mapper name and every
-/// flag that changes the routed output (affine, bidirectional,
-/// error-aware). The calibration seed is not here: it shapes the backend
-/// variant, whose fingerprint carries it.
+/// Fingerprint of the mapper configuration: the mapper name, every flag
+/// that changes the routed output (affine, bidirectional, error-aware) and
+/// RoutingSemanticsVersion. The calibration seed is not here: it shapes
+/// the backend variant, whose fingerprint carries it.
 uint64_t mapperConfigFingerprint(const RouteRequest &Params);
 
 /// The key of the result cache, the durable store and single-flight

@@ -423,9 +423,9 @@ bool ResultStore::put(const CacheKey &Key, const CachedResult &Value) {
   // Compact when enough of the file is duplicate/corrupt garbage.
   uint64_t DataBytes = FileSize - FileHeaderSize;
   uint64_t Garbage = DataBytes > LiveBytes ? DataBytes - LiveBytes : 0;
-  if (FileSize >= Options.CompactMinBytes && DataBytes &&
+  if (FileSize >= CompactMinBytes && DataBytes &&
       static_cast<double>(Garbage) >
-          Options.CompactGarbageRatio * static_cast<double>(DataBytes))
+          CompactGarbageRatio * static_cast<double>(DataBytes))
     compactLocked();
   return true;
 }

@@ -86,10 +86,6 @@ struct ResultStoreOptions {
   /// fsync once this many bytes have been appended since the last sync
   /// (0 = fsync every record).
   size_t FsyncBytes = 1 << 20;
-  /// Compact when garbage (duplicate/corrupt bytes) exceeds this fraction
-  /// of the file and the file is at least CompactMinBytes.
-  double CompactGarbageRatio = 0.5;
-  size_t CompactMinBytes = 1 << 20;
 };
 
 /// Aggregate counters, surfaced under "store" in the stats document.
@@ -119,6 +115,12 @@ public:
 
   ResultStore(const ResultStore &) = delete;
   ResultStore &operator=(const ResultStore &) = delete;
+
+  /// put() compacts once garbage (duplicate and corrupt bytes) exceeds
+  /// this fraction of the records' bytes, in a file of at least
+  /// CompactMinBytes.
+  static constexpr double CompactGarbageRatio = 0.5;
+  static constexpr size_t CompactMinBytes = 1 << 20;
 
   /// Looks \p Key up, re-verifying the frame checksum on read (a record
   /// that rotted since the recovery scan is dropped and counted, never

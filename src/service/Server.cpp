@@ -866,7 +866,7 @@ Server::executeRoute(const Triage &Item, const PooledBackend &Backend,
   int CtxSpan = T ? T->begin("context_build") : -1;
   auto Bundle = Contexts.getOrBuild(
       ContextKey,
-      [&] { return CachedContext::build(Logical, *Backend.Graph, T); },
+      [&] { return CachedContext::build(Item.Logical, Backend.Graph, T); },
       &Out.ContextHit);
   if (T)
     T->end(CtxSpan);

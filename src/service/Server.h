@@ -221,7 +221,7 @@ private:
     std::shared_ptr<const CachedResult> Cached;
     const char *ErrorCode = nullptr;
     std::string ErrorMessage;
-    std::shared_ptr<Circuit> Logical;
+    std::shared_ptr<const Circuit> Logical;
     uint64_t CircuitFp = 0;
     CacheKey ResultKey;
   };

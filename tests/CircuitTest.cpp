@@ -212,20 +212,6 @@ TEST(DagTest, NoDuplicateEdgeForSharedPair) {
   EXPECT_EQ(Dag.inDegree(1), 1u);
 }
 
-TEST(DagTest, AsapLevels) {
-  Circuit C(3);
-  C.add1Q(GateKind::H, 0); // L0.
-  C.addCx(0, 1);           // L1.
-  C.addCx(1, 2);           // L2.
-  C.add1Q(GateKind::X, 0); // L2 (after the CX on q0).
-  CircuitDag Dag(C);
-  auto Levels = Dag.asapLevels();
-  EXPECT_EQ(Levels[0], 0u);
-  EXPECT_EQ(Levels[1], 1u);
-  EXPECT_EQ(Levels[2], 2u);
-  EXPECT_EQ(Levels[3], 2u);
-}
-
 TEST(DagTest, ExactTransitiveCountsChain) {
   Circuit C(2);
   for (int I = 0; I < 4; ++I)

@@ -131,7 +131,9 @@ TEST(FingerprintTest, EmptyCircuitKeysAndRoutes) {
   EXPECT_EQ(Fp, fingerprint(Circuit(0, "also-empty")));
 
   CouplingGraph Hw = makeAspen16();
-  auto Bundle = service::CachedContext::build(Empty, Hw);
+  auto Bundle = service::CachedContext::build(
+      std::make_shared<const Circuit>(Empty),
+      std::make_shared<const CouplingGraph>(Hw));
   ASSERT_TRUE(Bundle->context().valid());
   for (const std::string &Name : paperRouterNames()) {
     auto Mapper = makeRouterByName(Name);
@@ -149,7 +151,9 @@ TEST(FingerprintTest, OneQubitCircuitKeysAndRoutes) {
   EXPECT_NE(Fp, fingerprint(Circuit(1, "empty-one")));
 
   CouplingGraph Hw = makeAspen16();
-  auto Bundle = service::CachedContext::build(OneQubit, Hw);
+  auto Bundle = service::CachedContext::build(
+      std::make_shared<const Circuit>(OneQubit),
+      std::make_shared<const CouplingGraph>(Hw));
   ASSERT_TRUE(Bundle->context().valid());
   for (const std::string &Name : paperRouterNames()) {
     auto Mapper = makeRouterByName(Name);

@@ -161,6 +161,24 @@ const GoldenCase GoldenCases[] = {
     {"queko54", "tket", 5752, 2864, 0x56484869fe40a481ull, "ankaa3"},
 };
 
+/// The routing-semantics version the rows above were recorded under, and
+/// a fingerprint of the rows (GoldenRouteTest.RowsMatchTheRecordedVersion).
+constexpr uint32_t GoldenRoutingSemanticsVersion = 1;
+constexpr uint64_t GoldenTableFingerprint = 0x84b3658b31e262c6ull;
+
+uint64_t goldenTableFingerprint() {
+  uint64_t Fp = 0;
+  for (const GoldenCase &Case : GoldenCases) {
+    Fp = hashCombine(Fp, fingerprintString(Case.Input));
+    Fp = hashCombine(Fp, fingerprintString(Case.Mapper));
+    Fp = hashCombine(Fp, Case.Swaps);
+    Fp = hashCombine(Fp, Case.Depth);
+    Fp = hashCombine(Fp, Case.Digest);
+    Fp = hashCombine(Fp, fingerprintString(Case.Backend));
+  }
+  return Fp;
+}
+
 } // namespace
 
 TEST(GoldenRouteTest, RoutedOutputMatchesCommittedDigests) {
@@ -196,6 +214,26 @@ TEST(GoldenRouteTest, RoutedOutputMatchesCommittedDigests) {
     EXPECT_EQ(Depth, Case.Depth) << Actual;
     EXPECT_EQ(Digest, Case.Digest) << Actual;
   }
+}
+
+TEST(GoldenRouteTest, RowsMatchTheRecordedVersion) {
+  // Stored results are keyed by RoutingSemanticsVersion, so a daemon
+  // restarted on an old store serves the old code's routes unless every
+  // change that moves a route bumps it. The moved route shows here first.
+  EXPECT_EQ(GoldenRoutingSemanticsVersion, RoutingSemanticsVersion)
+      << "set GoldenRoutingSemanticsVersion to RoutingSemanticsVersion "
+         "after recording the rows the new version routes";
+  char Recorded[32];
+  std::snprintf(Recorded, sizeof(Recorded), "0x%016" PRIx64 "ull",
+                goldenTableFingerprint());
+  EXPECT_EQ(goldenTableFingerprint(), GoldenTableFingerprint)
+      << "The golden table changed. If an existing row's swaps, depth or "
+         "digest moved, routes moved: bump RoutingSemanticsVersion "
+         "(src/route/Router.h) and GoldenRoutingSemanticsVersion with it, "
+         "so stores written by the old code start cold. If rows were only "
+         "added, the version stays. Either way, record "
+         "GoldenTableFingerprint = "
+      << Recorded;
 }
 
 TEST(GoldenRouteTest, UnstrippedImportPrintsStably) {

@@ -503,16 +503,17 @@ TEST(ContextCacheTest, CachedContextSharesAcrossThreads) {
   Circuit C(3, "t");
   C.addCx(0, 1);
   C.addCx(1, 2);
-  CouplingGraph Hw = makeLine(3);
+  auto Shared = std::make_shared<const Circuit>(C);
+  auto Hw = std::make_shared<const CouplingGraph>(makeLine(3));
   ContextCache Cache(CacheOptions{2, 64 << 20});
-  CacheKey Key{fingerprint(C), fingerprint(Hw), 0};
+  CacheKey Key{fingerprint(C), fingerprint(*Hw), 0};
 
   std::vector<std::shared_ptr<const CachedContext>> Results(8);
   std::vector<std::thread> Threads;
   for (size_t I = 0; I < Results.size(); ++I)
     Threads.emplace_back([&, I] {
       Results[I] = Cache.getOrBuild(Key, [&] {
-        return CachedContext::build(C, Hw);
+        return CachedContext::build(Shared, Hw);
       });
     });
   for (std::thread &T : Threads)
@@ -548,13 +549,27 @@ TEST(ContextCacheTest, CachedContextSharesAcrossThreads) {
   Circuit Longer = C;
   for (int I = 0; I < 40; ++I)
     Longer.addCx(I % 2, 2);
-  auto Big = CachedContext::build(Longer, Hw);
+  auto Big = CachedContext::build(std::make_shared<const Circuit>(Longer), Hw);
   const CircuitDag &SmallDag = Results[0]->context().dag();
   const CircuitDag &BigDag = Big->context().dag();
   EXPECT_GT(BigDag.memoryBytes(), SmallDag.memoryBytes());
   EXPECT_EQ(Big->approxBytes() - Results[0]->approxBytes(),
             (Longer.size() - C.size()) * (sizeof(Gate) + sizeof(uint64_t)) +
                 BigDag.memoryBytes() - SmallDag.memoryBytes());
+
+  // Bundles share their inputs instead of copying them: two circuits on
+  // one backend read one graph object, and a bundle's charge leaves the
+  // backend (its N x N distances above all) to the pool that owns it.
+  EXPECT_EQ(&Results[0]->circuit(), Shared.get());
+  EXPECT_EQ(&Results[0]->hardware(), Hw.get());
+  EXPECT_EQ(&Results[0]->context().hardware(), Hw.get());
+  EXPECT_EQ(&Big->hardware(), &Results[0]->hardware());
+  auto Sherbrooke =
+      std::make_shared<const CouplingGraph>(makeBackendByName("sherbrooke"));
+  auto OnSherbrooke = CachedContext::build(Shared, Sherbrooke);
+  const size_t N = Sherbrooke->numQubits();
+  EXPECT_EQ(OnSherbrooke->approxBytes(), Results[0]->approxBytes());
+  EXPECT_LT(OnSherbrooke->approxBytes(), N * N * sizeof(uint32_t));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1928,6 +1943,64 @@ TEST(ResultStoreServiceTest, WarmResultsSurviveRestart) {
     Daemon.requestStop();
     Waiter.join();
   }
+  std::remove(StorePath.c_str());
+}
+
+TEST(ResultStoreServiceTest, RecordsOfOlderRoutingSemanticsAreNeverServed) {
+  // A store written before the routing-semantics version joined the key:
+  // its record for the sample circuit sits under the key that code
+  // computed, the mapper name and flags alone. Its routes may have moved
+  // since, so a daemon on that store must route the circuit again.
+  std::string StorePath = formatString("/tmp/qls-store-%d-%u.qstore",
+                                       static_cast<int>(getpid()), 1u);
+  std::remove(StorePath.c_str());
+  qasm::ImportResult Imported = qasm::importQasm(sampleQasm(), "request");
+  ASSERT_TRUE(Imported.succeeded()) << Imported.Error;
+  Circuit Logical =
+      Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates();
+  const CacheKey OldKey{fingerprint(Logical),
+                        fingerprint(makeBackendByName("aspen16")),
+                        hashCombine(fingerprintString("qlosure"), 0)};
+  const std::string Sentinel = "// routed by older code\n";
+  {
+    ResultStoreOptions StoreOpts;
+    StoreOpts.Path = StorePath;
+    Status Err;
+    std::unique_ptr<ResultStore> Store = ResultStore::open(StoreOpts, Err);
+    ASSERT_NE(Store, nullptr) << Err.message();
+    CachedResult Old;
+    Old.RoutedQasm = Sentinel;
+    Old.LogicalGates = Logical.size();
+    Old.Verified = true;
+    ASSERT_TRUE(Store->put(OldKey, Old));
+  }
+
+  ServerOptions Opts;
+  Opts.Workers = 2;
+  Opts.DefaultTimeoutSeconds = 30;
+  Opts.StorePath = StorePath;
+  Opts.Listen = testSocketPath();
+  Server Daemon(Opts);
+  Status Started = Daemon.start();
+  ASSERT_TRUE(Started.ok()) << Started.message();
+  std::thread Waiter([&] { Daemon.wait(); });
+  Client Conn;
+  ASSERT_TRUE(Conn.connect(Daemon.boundAddress(), 5.0).ok());
+  std::string First, Repeat;
+  ASSERT_TRUE(Conn.request(routeRequest(sampleQasm()).dump(), First).ok());
+  ASSERT_TRUE(Conn.request(routeRequest(sampleQasm()).dump(), Repeat).ok());
+  json::Value FirstDoc = parseResponse(First);
+  json::Value RepeatDoc = parseResponse(Repeat);
+  ASSERT_TRUE(responseOk(FirstDoc)) << First;
+  ASSERT_TRUE(responseOk(RepeatDoc)) << Repeat;
+  EXPECT_FALSE(FirstDoc.get("result_cache_hit")->asBool())
+      << "a record keyed without the routing-semantics version was served";
+  EXPECT_NE(FirstDoc.get("qasm")->asString(), Sentinel);
+  EXPECT_TRUE(RepeatDoc.get("result_cache_hit")->asBool());
+  EXPECT_EQ(RepeatDoc.get("qasm")->asString(),
+            FirstDoc.get("qasm")->asString());
+  Daemon.requestStop();
+  Waiter.join();
   std::remove(StorePath.c_str());
 }
 
