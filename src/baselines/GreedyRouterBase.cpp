@@ -189,7 +189,10 @@ private:
           --S.DistHist[S.TouchedNewD[T]];
         }
       }
-      S.LaneDecay[CI] = Loop.maxDecay(P1, P2);
+      // With no increment every decay stays 1.0 (Cirq, tket): skip the
+      // two placement lookups.
+      S.LaneDecay[CI] =
+          Loop.Params.DecayIncrement != 0 ? Loop.maxDecay(P1, P2) : 1.0;
     }
 
     S.Scores.resize(NumCand);

@@ -18,13 +18,23 @@ namespace {
 /// dependence DAG's own bytes (a context that failed validation has none)
 /// and the per-gate weights. The weights count even before a route
 /// computes them, so a bundle never outgrows the estimate it was inserted
-/// with. The backend's adjacency, distances and error table are not
-/// charged: the server's backend pool owns them once per variant, and
-/// every bundle on that variant shares them. Close enough for byte-budget
-/// eviction; exactness is not the point.
-size_t estimateBytes(const Circuit &Circ, const RoutingContext &Ctx) {
+/// with. A plain backend's adjacency and distances are not charged: the
+/// server's backend pool keeps every plain variant, and every bundle on it
+/// shares them. A calibrated graph is charged in full, error table
+/// included: the pool drops error-aware variants once it is full, and a
+/// client picks the calibration seed, so a bundle may be the last owner of
+/// its graph. Close enough for byte-budget eviction; exactness is not the
+/// point.
+size_t estimateBytes(const Circuit &Circ, const CouplingGraph &Hw,
+                     const RoutingContext &Ctx) {
   size_t Bytes = sizeof(CachedContext);
   Bytes += Circ.gates().capacity() * sizeof(Gate);
+  if (Hw.hasErrorModel()) {
+    size_t N = Hw.numQubits();
+    Bytes += Hw.numEdges() * 2 * sizeof(unsigned) + N * 32; // Adjacency.
+    Bytes += N * N * sizeof(uint32_t); // Hop distances.
+    Bytes += Hw.errorModelBytes(); // Edge-error rates.
+  }
   if (Ctx.valid())
     Bytes += Ctx.dag().memoryBytes();
   Bytes += Circ.size() * sizeof(uint64_t); // Omega, once a route reads it.
@@ -42,6 +52,6 @@ CachedContext::build(std::shared_ptr<const Circuit> Circ,
   Bundle->Circ = std::move(Circ);
   Bundle->Hw = std::move(Hw);
   Bundle->Ctx.emplace(RoutingContext::build(*Bundle->Circ, *Bundle->Hw, {}, T));
-  Bundle->Bytes = estimateBytes(*Bundle->Circ, *Bundle->Ctx);
+  Bundle->Bytes = estimateBytes(*Bundle->Circ, *Bundle->Hw, *Bundle->Ctx);
   return Bundle;
 }

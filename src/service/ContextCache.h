@@ -233,7 +233,8 @@ public:
   const RoutingContext &context() const { return *Ctx; }
   const Circuit &circuit() const { return *Circ; }
   const CouplingGraph &hardware() const { return *Hw; }
-  /// The circuit, the DAG and omega; the backend is charged to its pool.
+  /// The circuit, the DAG and omega, plus the graph when it is calibrated
+  /// (the pool may drop an error-aware variant; it keeps the plain ones).
   size_t approxBytes() const { return Bytes; }
 
 private:

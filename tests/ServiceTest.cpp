@@ -572,6 +572,29 @@ TEST(ContextCacheTest, CachedContextSharesAcrossThreads) {
   EXPECT_LT(OnSherbrooke->approxBytes(), N * N * sizeof(uint32_t));
 }
 
+TEST(ContextCacheTest, CalibratedBackendIsChargedToTheBundle) {
+  // The backend pool drops error-aware variants once it is full, and the
+  // client picks the calibration seed, so a bundle on a calibrated graph
+  // may be its last owner: it is charged for the N x N distances and the
+  // error table, or routing under fresh seeds would pin graphs no budget
+  // counts.
+  Circuit C(3, "t");
+  C.addCx(0, 1);
+  C.addCx(1, 2);
+  auto Shared = std::make_shared<const Circuit>(C);
+  auto Plain =
+      std::make_shared<const CouplingGraph>(makeBackendByName("sherbrooke"));
+  auto Calibrated =
+      std::make_shared<CouplingGraph>(makeBackendByName("sherbrooke"));
+  applySyntheticErrorModel(*Calibrated, 7);
+  auto OnPlain = CachedContext::build(Shared, Plain);
+  auto OnCalibrated = CachedContext::build(Shared, Calibrated);
+  EXPECT_EQ(&OnCalibrated->hardware(), Calibrated.get());
+  const size_t N = Calibrated->numQubits();
+  EXPECT_GE(OnCalibrated->approxBytes() - OnPlain->approxBytes(),
+            N * N * sizeof(uint32_t) + Calibrated->errorModelBytes());
+}
+
 //===----------------------------------------------------------------------===//
 // Scheduler
 //===----------------------------------------------------------------------===//
