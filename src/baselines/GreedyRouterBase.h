@@ -54,7 +54,8 @@ protected:
   /// lexicographic fold); gates the per-candidate histogram upkeep.
   virtual bool usesFrontMax() const { return false; }
 
-  /// SABRE decay increment per swap; 0 leaves every decay at 1.0.
+  /// SABRE decay increment per swap; 0 leaves every decay at 1.0, and the
+  /// loop then skips the decay work.
   virtual double decayIncrement() const { return 0.0; }
 
   /// Deterministic tie-breaking: first minimal candidate wins when false,

@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The kernel-independent primitives of the swap loop. Every buffer they
-// touch lives in the caller's RoutingScratch.
+// The swap loop's cold paths: construction and the forced escape's gate
+// pick. The per-step primitives are inline in the header.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,61 +27,6 @@ SwapLoopState::SwapLoopState(const RoutingContext &Ctx,
       TieBreaker(Params.Seed), Cancel(Cancel) {
   S.ensurePhys(Hw.numQubits());
   S.Decay.assign(Logical.numQubits(), 1.0);
-}
-
-bool SwapLoopState::cancelled() {
-  if (!Cancel)
-    return false;
-  if (Cancel->cancelled()) {
-    Out.result().Cancelled = true;
-    return true;
-  }
-  Cancel->reportProgress(Tracker.numExecuted(), Logical.size());
-  return false;
-}
-
-bool SwapLoopState::drain() {
-  bool Progress = false;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    // Snapshot: execute() mutates the front.
-    S.Ready.clear();
-    for (uint32_t G : Tracker.front())
-      if (isExecutable(G))
-        S.Ready.push_back(G);
-    std::sort(S.Ready.begin(), S.Ready.end()); // Deterministic order.
-    for (uint32_t G : S.Ready) {
-      executeGate(G);
-      Changed = true;
-      Progress = true;
-    }
-  }
-  if (Progress)
-    resetProgress();
-  return Progress;
-}
-
-void SwapLoopState::resetProgress() {
-  std::fill(S.Decay.begin(), S.Decay.end(), 1.0);
-  SwapsSinceProgress = 0;
-}
-
-bool SwapLoopState::isExecutable(uint32_t GateId) const {
-  const Gate &G = Logical.gate(GateId);
-  if (!G.isTwoQubit())
-    return true;
-  return Hw.areAdjacent(Out.physOf(G.Qubits[0]), Out.physOf(G.Qubits[1]));
-}
-
-void SwapLoopState::bumpDecay(unsigned P1, unsigned P2) {
-  // Decay penalizes the *logical* qubits that moved; the SWAP already
-  // placed them on each other's physical qubit.
-  for (unsigned P : {P1, P2}) {
-    int32_t L = Out.placement().logOf(static_cast<int32_t>(P));
-    if (L >= 0)
-      S.Decay[static_cast<size_t>(L)] += Params.DecayIncrement;
-  }
 }
 
 uint32_t SwapLoopState::oldestBlockedGate() const {

@@ -68,7 +68,9 @@ struct LoopParams {
 /// The loop's state and its kernel-independent primitives. Kernels read
 /// the front, the placement and the scratch from it; the replay driver
 /// drives the primitives directly. Both hold its address, so it never
-/// copies or moves.
+/// copies or moves. The per-step primitives are inline, so each kernel's
+/// loop compiles as one unit. A zero decay increment (Cirq, tket) skips
+/// the decay work: every decay then stays 1.0.
 class SwapLoopState {
 public:
   SwapLoopState(const RoutingContext &Ctx, const QubitMapping &Initial,
@@ -80,17 +82,55 @@ public:
   /// One cancellation poll and progress report. True, with the result
   /// marked cancelled, once the token fired; a null token costs one
   /// branch and never perturbs the decisions.
-  bool cancelled();
+  bool cancelled() {
+    if (!Cancel)
+      return false;
+    if (Cancel->cancelled()) {
+      Out.result().Cancelled = true;
+      return true;
+    }
+    Cancel->reportProgress(Tracker.numExecuted(), Logical.size());
+    return false;
+  }
 
   /// Executes the ready front in sorted order until nothing more is
   /// executable, then resets decay and the escape counter (Algorithm 1
   /// line 9). Returns true when it executed a gate.
-  bool drain();
+  bool drain() {
+    bool Progress = false;
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      // Snapshot: execute() mutates the front.
+      S.Ready.clear();
+      for (uint32_t G : Tracker.front())
+        if (isExecutable(G))
+          S.Ready.push_back(G);
+      std::sort(S.Ready.begin(), S.Ready.end()); // Deterministic order.
+      for (uint32_t G : S.Ready) {
+        executeGate(G);
+        Changed = true;
+        Progress = true;
+      }
+    }
+    if (Progress)
+      resetProgress();
+    return Progress;
+  }
 
   /// The decision state after progress: decay all ones, no SWAPs counted.
-  void resetProgress();
+  void resetProgress() {
+    if (Params.DecayIncrement != 0)
+      std::fill(S.Decay.begin(), S.Decay.end(), 1.0);
+    SwapsSinceProgress = 0;
+  }
 
-  bool isExecutable(uint32_t GateId) const;
+  bool isExecutable(uint32_t GateId) const {
+    const Gate &G = Logical.gate(GateId);
+    if (!G.isTwoQubit())
+      return true;
+    return Hw.areAdjacent(Out.physOf(G.Qubits[0]), Out.physOf(G.Qubits[1]));
+  }
 
   /// Emits front gate \p GateId through the placement and executes it.
   void executeGate(uint32_t GateId) {
@@ -133,8 +173,18 @@ public:
   size_t StepBuiltAt = SIZE_MAX;
 
 protected:
-  /// Bumps the decay of the logical qubits on \p P1 and \p P2.
-  void bumpDecay(unsigned P1, unsigned P2);
+  /// Bumps the decay of the logical qubits on \p P1 and \p P2. Decay
+  /// penalizes the *logical* qubits that moved; the SWAP already placed
+  /// them on each other's physical qubit.
+  void bumpDecay(unsigned P1, unsigned P2) {
+    if (Params.DecayIncrement == 0)
+      return;
+    for (unsigned P : {P1, P2}) {
+      int32_t L = Out.placement().logOf(static_cast<int32_t>(P));
+      if (L >= 0)
+        S.Decay[static_cast<size_t>(L)] += Params.DecayIncrement;
+    }
+  }
 
   /// The oldest two-qubit gate of the front.
   uint32_t oldestBlockedGate() const;
