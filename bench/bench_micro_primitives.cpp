@@ -7,7 +7,8 @@
 /// \file
 /// google-benchmark microbenchmarks for the library's primitives: APSP,
 /// DAG construction, the two omega engines, affine lifting, the symbolic
-/// transitive closure, and end-to-end routing of a mid-size circuit. They
+/// transitive closure, and end-to-end routing of a mid-size circuit and
+/// of loop circuits through each swap-loop kernel. They
 /// locate time inside one primitive; a speedup claim for a route comes
 /// from perfbench (run with --benchmark_filter=... as usual, e.g.
 /// --benchmark_filter='DagBuild|OmegaExact').
@@ -15,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "affine/Lifter.h"
+#include "baselines/RouterRegistry.h"
 #include "circuit/Dag.h"
 #include "core/Qlosure.h"
 #include "deps/TransitiveWeights.h"
@@ -22,6 +24,7 @@
 #include "topology/Backends.h"
 #include "workloads/QasmBench.h"
 #include "workloads/Queko.h"
+#include "workloads/Structured.h"
 
 #include <benchmark/benchmark.h>
 
@@ -115,5 +118,33 @@ static void BM_RouteQlosureQft(benchmark::State &State) {
                           static_cast<int64_t>(C.size()));
 }
 BENCHMARK(BM_RouteQlosureQft)->Arg(16)->Arg(32)->Arg(63);
+
+/// The six loop circuits of perfbench's affine-batch workload, routed on
+/// sherbrooke by \p Mapper without replay. They execute many gates per
+/// SWAP, so the swap loop's per-step overhead weighs more than on QUEKO.
+static void BM_RouteLoopCircuits(benchmark::State &State, const char *Mapper) {
+  CouplingGraph Hw = makeSherbrooke();
+  const std::vector<Circuit> Circs = {
+      qftLikeKernel(16, 1000), qftLikeKernel(8, 200), makeIsing(16, 100),
+      makeQaoa(16, 50),        makeQugan(16, 100),
+      layeredConveyor(makeLine(24), 3, 40, 1)};
+  std::vector<RoutingContext> Ctxs;
+  for (const Circuit &C : Circs)
+    Ctxs.push_back(RoutingContext::build(C, Hw));
+  std::unique_ptr<Router> R = makeRouterByName(Mapper);
+  RoutingScratch Scratch;
+  // One untimed pass computes omega and warms the scratch.
+  for (const RoutingContext &Ctx : Ctxs)
+    R->route(Ctx, Ctx.identityMapping(), Scratch);
+  for (auto _ : State)
+    for (const RoutingContext &Ctx : Ctxs) {
+      RoutingResult Result = R->route(Ctx, Ctx.identityMapping(), Scratch);
+      benchmark::DoNotOptimize(Result.NumSwaps);
+    }
+}
+BENCHMARK_CAPTURE(BM_RouteLoopCircuits, qlosure, "qlosure");
+BENCHMARK_CAPTURE(BM_RouteLoopCircuits, sabre, "sabre");
+BENCHMARK_CAPTURE(BM_RouteLoopCircuits, cirq, "cirq");
+BENCHMARK_CAPTURE(BM_RouteLoopCircuits, tket, "tket");
 
 BENCHMARK_MAIN();
