@@ -11,18 +11,31 @@
 /// claim is near-linear growth; we print the series and a least-squares
 /// linearity diagnostic (R^2 of time vs QOPs).
 ///
+/// A second table routes circuits of about 100k and 300k gates on
+/// Sherbrooke: a QUEKO-54 instance and a qftLikeKernel loop of each size.
+/// Each row splits the time into QASM import, omega (the exact per-wire
+/// sweep) and the routing loop, and prints the process's peak RSS so far
+/// (rows run in ascending size).
+///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
 
 #include "core/Qlosure.h"
+#include "qasm/Importer.h"
+#include "qasm/Printer.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
+#include "support/Timer.h"
 #include "topology/Backends.h"
 #include "workloads/Queko.h"
+#include "workloads/Structured.h"
+
+#include <sys/resource.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace qlosure;
 using namespace qlosure::bench;
@@ -52,6 +65,40 @@ double rSquared(const std::vector<double> &X, const std::vector<double> &Y) {
     SsTot += (Y[I] - MeanY) * (Y[I] - MeanY);
   }
   return SsTot == 0 ? 1.0 : 1.0 - SsRes / SsTot;
+}
+
+double peakRssMb() {
+  struct rusage Usage;
+  getrusage(RUSAGE_SELF, &Usage);
+  return static_cast<double>(Usage.ru_maxrss) / 1024.0; // KiB on Linux.
+}
+
+/// Imports \p Circ's QASM text, computes omega and routes it with
+/// Qlosure on \p Hw, adding one timed row to \p T.
+void addLargeRow(Table &T, const std::string &Name, const Circuit &Circ,
+                 const CouplingGraph &Hw) {
+  std::string Text = qasm::printQasm(Circ);
+  Timer ImportClock;
+  qasm::ImportResult Imported = qasm::importQasm(Text, Name);
+  double ImportSeconds = ImportClock.elapsedSeconds();
+  if (!Imported.succeeded()) {
+    std::fprintf(stderr, "error: %s: %s\n", Name.c_str(),
+                 Imported.Error.c_str());
+    std::exit(1);
+  }
+  const Circuit &Logical = *Imported.Circ;
+  RoutingContext Ctx = RoutingContext::build(Logical, Hw);
+  Timer OmegaClock;
+  Ctx.dependenceWeights();
+  double OmegaSeconds = OmegaClock.elapsedSeconds();
+  QlosureRouter Router;
+  RoutingResult R = Router.routeWithIdentity(Ctx);
+  T.addRow({Name, formatString("%zu", Logical.size()),
+            formatString("%.3f", ImportSeconds),
+            formatString("%.4f", OmegaSeconds),
+            formatString("%.3f", R.MappingSeconds),
+            formatString("%zu", R.NumSwaps),
+            formatString("%.0f", peakRssMb())});
 }
 
 } // namespace
@@ -90,5 +137,25 @@ int main(int Argc, char **Argv) {
     std::printf("linearity R^2(time ~ QOPs) = %.4f  (paper: near-linear)\n",
                 rSquared(Xs, Ys));
   }
+
+  // QUEKO-54 has about 19.3 gates per cycle; qftLikeKernel(16, R) has 32
+  // per repetition.
+  const std::pair<unsigned, int64_t> Legs[] = {{5200, 3125}, {15500, 9375}};
+  CouplingGraph Hw = makeBackendByName("sherbrooke");
+  std::printf("\nPast 30k gates, backend: sherbrooke\n");
+  Table T({"Circuit", "Gates", "Import s", "Omega s", "Loop s", "Swaps",
+           "Peak RSS MB"});
+  for (auto [Depth, Reps] : Legs) {
+    QuekoSpec Spec;
+    Spec.Depth = Depth;
+    Spec.Seed = Config.Seed + Depth;
+    addLargeRow(T, formatString("queko54-d%u", Depth),
+                generateQueko(makeSycamore54(), Spec).Circ, Hw);
+    addLargeRow(T,
+                formatString("qft-kernel-16x%lld",
+                             static_cast<long long>(Reps)),
+                qftLikeKernel(16, Reps), Hw);
+  }
+  std::fputs(T.render().c_str(), stdout);
   return 0;
 }

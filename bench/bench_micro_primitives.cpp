@@ -6,9 +6,9 @@
 ///
 /// \file
 /// google-benchmark microbenchmarks for the library's primitives: APSP,
-/// DAG construction, the two omega engines, affine lifting, the symbolic
-/// transitive closure, and end-to-end routing of a mid-size circuit and
-/// of loop circuits through each swap-loop kernel. They
+/// DAG construction, the omega sweep, affine lifting, and end-to-end
+/// routing of a mid-size circuit and of loop circuits through each
+/// swap-loop kernel. They
 /// locate time inside one primitive; a speedup claim for a route comes
 /// from perfbench (run with --benchmark_filter=... as usual, e.g.
 /// --benchmark_filter='DagBuild|OmegaExact').
@@ -20,7 +20,6 @@
 #include "circuit/Dag.h"
 #include "core/Qlosure.h"
 #include "deps/TransitiveWeights.h"
-#include "presburger/TransitiveClosure.h"
 #include "topology/Backends.h"
 #include "workloads/QasmBench.h"
 #include "workloads/Queko.h"
@@ -29,7 +28,6 @@
 #include <benchmark/benchmark.h>
 
 using namespace qlosure;
-using namespace qlosure::presburger;
 
 static Circuit mediumQueko() {
   QuekoSpec Spec;
@@ -60,24 +58,13 @@ BENCHMARK(BM_DagBuild);
 static void BM_OmegaExact(benchmark::State &State) {
   Circuit C = mediumQueko();
   for (auto _ : State) {
-    WeightResult R = computeDependenceWeights(C, WeightEngine::Exact);
+    WeightResult R = computeDependenceWeights(C);
     benchmark::DoNotOptimize(R.Weights.data());
   }
   State.SetItemsProcessed(State.iterations() *
                           static_cast<int64_t>(C.size()));
 }
 BENCHMARK(BM_OmegaExact);
-
-static void BM_OmegaAffine(benchmark::State &State) {
-  Circuit C = mediumQueko();
-  for (auto _ : State) {
-    WeightResult R = computeDependenceWeights(C, WeightEngine::Affine);
-    benchmark::DoNotOptimize(R.Weights.data());
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(C.size()));
-}
-BENCHMARK(BM_OmegaAffine);
 
 static void BM_AffineLift(benchmark::State &State) {
   Circuit C = mediumQueko();
@@ -89,19 +76,6 @@ static void BM_AffineLift(benchmark::State &State) {
                           static_cast<int64_t>(C.size()));
 }
 BENCHMARK(BM_AffineLift);
-
-static void BM_TranslationClosure(benchmark::State &State) {
-  BasicSet Dom(1);
-  Dom.addBounds(0, 0, 9999);
-  IntegerMap R(BasicMap::translation(Dom, {3}));
-  ClosureOptions Opts;
-  Opts.AllowFiniteFallback = false;
-  for (auto _ : State) {
-    ClosureResult C = transitiveClosure(R, Opts);
-    benchmark::DoNotOptimize(C.IsExact);
-  }
-}
-BENCHMARK(BM_TranslationClosure);
 
 static void BM_RouteQlosureQft(benchmark::State &State) {
   Circuit C = makeQft(static_cast<unsigned>(State.range(0)));

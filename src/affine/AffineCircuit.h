@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The lifted circuit: an ordered list of macro-gates covering the trace.
-/// Provides the polyhedral views the paper builds on (iteration domains,
-/// qubit access relations, schedules, and the Use Map) as presburger
-/// objects, plus O(1) gate <-> (statement, instance) translation.
+/// Each macro-gate carries the paper's affine views in closed form: its
+/// iteration domain [0, TripCount), its qubit access functions and its
+/// schedule (affine/MacroGate.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,17 +17,10 @@
 
 #include "affine/MacroGate.h"
 #include "circuit/Circuit.h"
-#include "presburger/IntegerMap.h"
 
 #include <vector>
 
 namespace qlosure {
-
-/// (statement, instance) coordinates of a trace gate.
-struct GateCoords {
-  uint32_t Statement;
-  int64_t Instance;
-};
 
 /// A circuit lifted into macro-gate (statement) form. Statements are
 /// disjoint, contiguous runs covering the whole trace in order.
@@ -44,23 +37,6 @@ public:
   /// Total number of gate instances across statements.
   int64_t numGates() const { return TotalGates; }
 
-  /// Coordinates of the trace gate at position \p TraceIndex.
-  GateCoords coordsOfGate(int64_t TraceIndex) const;
-
-  /// Iteration domain of statement \p S as a 1-D integer set [0, Trip).
-  presburger::IntegerSet iterationDomain(size_t S) const;
-
-  /// Access relation of operand \p K of statement \p S:
-  /// { [i] -> [q] : q = Scale*i + Offset, 0 <= i < Trip }.
-  presburger::IntegerMap accessRelation(size_t S, unsigned K) const;
-
-  /// Schedule of statement \p S: { [i] -> [t] : t = Start + i }.
-  presburger::IntegerMap schedule(size_t S) const;
-
-  /// The paper's Use Map restricted to two-qubit statements:
-  /// { [t] -> [q1, q2] } for instances of \p S.
-  presburger::IntegerMap useMap(size_t S) const;
-
   /// The average number of gates per statement — the lifter's compression
   /// ratio (higher means more regular structure was found).
   double compressionRatio() const;
@@ -69,8 +45,6 @@ private:
   unsigned NumQubits = 0;
   std::vector<MacroGate> Statements;
   int64_t TotalGates = 0;
-  /// Prefix sums of trip counts for coordsOfGate.
-  std::vector<int64_t> StartOffsets;
 };
 
 } // namespace qlosure

@@ -6,21 +6,7 @@
 
 #include "affine/Lifter.h"
 
-#include "support/StringUtils.h"
-
 using namespace qlosure;
-
-Status qlosure::checkLiftable(const Circuit &Circ) {
-  const auto &Gates = Circ.gates();
-  for (size_t GI = 0; GI < Gates.size(); ++GI)
-    if (Gates[GI].Kind == GateKind::Barrier ||
-        Gates[GI].Kind == GateKind::Measure)
-      return Status::error(formatString(
-          "circuit %s contains a %s at trace index %zu; strip "
-          "non-unitaries before lifting (Circuit::withoutNonUnitaries)",
-          Circ.name().c_str(), gateName(Gates[GI].Kind), GI));
-  return Status::success();
-}
 
 namespace {
 

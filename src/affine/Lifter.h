@@ -17,7 +17,6 @@
 #define QLOSURE_AFFINE_LIFTER_H
 
 #include "affine/AffineCircuit.h"
-#include "support/Error.h"
 
 namespace qlosure {
 
@@ -25,18 +24,10 @@ namespace qlosure {
 /// whose stride is accidental provides no compression benefit).
 constexpr int64_t MinRunLength = 3;
 
-/// Recoverable precheck for circuits that reach the lifter from untrusted
-/// sources (the service path): an error naming the first barrier or
-/// measure in \p Circ, success when every gate is unitary. liftCircuit
-/// itself accepts such gates (see below), so this is for callers that want
-/// to *reject* non-unitary circuits rather than lift them.
-Status checkLiftable(const Circuit &Circ);
-
 /// Lifts \p Circ. The resulting statements cover the trace contiguously.
 /// Barriers and measures do not abort: they lift like any other gate kind
 /// (runs of them compress, stragglers become singleton statements), which
-/// keeps the trace tiling intact; analyses that require unitary-only input
-/// should gate on checkLiftable() first.
+/// keeps the trace tiling intact.
 AffineCircuit liftCircuit(const Circuit &Circ);
 
 } // namespace qlosure

@@ -43,9 +43,6 @@ struct MacroGate {
     return Scale[K] * I + Offset[K];
   }
 
-  /// Trace position of instance \p I.
-  int64_t time(int64_t I) const { return Start + I; }
-
   /// Renders e.g. "cx S[i: 0..9] q[2i+1], q[i]" for debugging.
   std::string toString() const;
 };

@@ -184,7 +184,7 @@ RoutingResult QmapAstarRouter::route(const RoutingContext &Ctx,
     size_t Expansions = 0;
     uint32_t GoalId = UINT32_MAX;
 
-    while (!Heap.empty() && Expansions < Options.NodeBudgetPerLayer) {
+    while (!Heap.empty() && Expansions < NodeBudgetPerLayer) {
       // The unbounded-latency loop of this mapper: poll the token every
       // 64 expansions so a cancel/deadline lands within microseconds.
       if ((Expansions & 63u) == 0 && isCancelled())
@@ -341,9 +341,9 @@ RoutingResult QmapAstarRouter::route(const RoutingContext &Ctx,
         // (MQT QMAP splits large layers the same way to keep the search
         // space tractable).
         for (size_t ChunkBegin = 0; ChunkBegin < S.QmapTwoQ.size();
-             ChunkBegin += Options.MaxJointGates) {
+             ChunkBegin += MaxJointGates) {
           size_t ChunkEnd = std::min(S.QmapTwoQ.size(),
-                                     ChunkBegin + Options.MaxJointGates);
+                                     ChunkBegin + MaxJointGates);
           if (!routeChunk(S.QmapTwoQ.data() + ChunkBegin,
                           ChunkEnd - ChunkBegin)) {
             Result.Cancelled = true;

@@ -25,15 +25,6 @@ namespace qlosure {
 
 /// QMAP-style tuning options.
 struct QmapOptions {
-  /// Maximum A* node expansions per chunk before falling back to greedy
-  /// shortest-path insertion for the remaining blocked gates.
-  size_t NodeBudgetPerLayer = 20000;
-
-  /// Layers are split into chunks of at most this many two-qubit gates
-  /// solved jointly (keeps the A* state space tractable, as MQT QMAP does
-  /// when limiting its search space).
-  size_t MaxJointGates = 4;
-
   /// Overall wall-clock budget; exceeded => RoutingResult::TimedOut.
   double TimeBudgetSeconds = 120.0;
 };
@@ -44,6 +35,15 @@ public:
   explicit QmapAstarRouter(QmapOptions Options = {}) : Options(Options) {}
 
   std::string name() const override { return "QMAP"; }
+
+  /// Maximum A* node expansions per chunk before falling back to greedy
+  /// shortest-path insertion for the remaining blocked gates.
+  static constexpr size_t NodeBudgetPerLayer = 20000;
+
+  /// Layers are split into chunks of at most this many two-qubit gates
+  /// solved jointly (keeps the A* state space tractable, as MQT QMAP does
+  /// when limiting its search space).
+  static constexpr size_t MaxJointGates = 4;
 
   using Router::route;
   RoutingResult route(const RoutingContext &Ctx, const QubitMapping &Initial,

@@ -91,8 +91,6 @@ qlosure::runQuekoSweep(const CouplingGraph &GenDevice,
          ++Instance) {
       QuekoSpec Spec;
       Spec.Depth = Depth;
-      Spec.TwoQubitDensity = Config.TwoQubitDensity;
-      Spec.OneQubitDensity = Config.OneQubitDensity;
       Spec.Seed = Config.SeedBase + Depth * 97 + Instance;
       QuekoInstance Queko = generateQueko(GenDevice, Spec);
       Queko.Circ.setName(formatString("queko-%uq-d%u-i%u",

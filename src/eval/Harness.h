@@ -87,8 +87,6 @@ RunRecord runOnce(Router &Mapper, const Circuit &Circ,
 struct QuekoSweepConfig {
   std::vector<unsigned> Depths;
   unsigned CircuitsPerDepth = 2;
-  double TwoQubitDensity = 0.44;
-  double OneQubitDensity = 0.26;
   uint64_t SeedBase = 1000;
   EvalConfig Eval;
   /// BatchRunner worker threads (0 = hardware concurrency). Results are
@@ -97,12 +95,10 @@ struct QuekoSweepConfig {
   unsigned Threads = 0;
 };
 
-/// Generates QUEKO circuits on \p GenDevice per \p Config, routes each
-/// with every mapper in \p Mappers on \p Backend, and returns all records.
-/// Each instance's context is shared by every mapper and therefore built
-/// with default RoutingContextOptions; mappers configured with a
-/// non-default omega engine should route through their own contexts (see
-/// BatchJob) rather than this convenience sweep.
+/// Generates QUEKO circuits (QuekoSpec's default densities) on
+/// \p GenDevice per \p Config, routes each with every mapper in
+/// \p Mappers on \p Backend, and returns all records. Each instance's
+/// context is shared by every mapper.
 std::vector<RunRecord> runQuekoSweep(const CouplingGraph &GenDevice,
                                      const CouplingGraph &Backend,
                                      const std::vector<Router *> &Mappers,

@@ -82,7 +82,7 @@ struct RoutingResult {
 /// so. The service's result, alias and store keys carry it
 /// (service/RequestKey.h), so a daemon restarted on a store written by
 /// older code routes again instead of serving the old code's routes.
-constexpr uint32_t RoutingSemanticsVersion = 1;
+constexpr uint32_t RoutingSemanticsVersion = 2;
 
 /// Abstract qubit mapper. Implementations must accept any connected
 /// coupling graph and any circuit whose gates are unitary with arity <= 2
@@ -152,8 +152,8 @@ public:
   static Status validate(const RoutingContext &Ctx,
                          const QubitMapping &Initial);
 
-  /// The default context options: no router configures its context.
-  /// perfbench's per-layer pass builds its contexts through this call.
+  /// Inert: perfbench/Layers.cpp builds its contexts through this call on
+  /// the pass that reports ctx.omega_affine_frac and ctx.omega_compression.
   RoutingContextOptions contextOptions() const { return {}; }
 
 protected:

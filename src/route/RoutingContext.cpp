@@ -15,11 +15,10 @@ using namespace qlosure;
 
 RoutingContext RoutingContext::build(const Circuit &Logical,
                                      const CouplingGraph &Hw,
-                                     RoutingContextOptions Options, Trace *T) {
+                                     RoutingContextOptions, Trace *T) {
   RoutingContext Ctx;
   Ctx.Logical = &Logical;
   Ctx.Hw = &Hw;
-  Ctx.Options = Options;
   Ctx.Lazy = std::make_unique<LazyState>();
 
   // Recoverable input validation: a bad (circuit, backend) pair yields an
@@ -75,7 +74,7 @@ RoutingContext RoutingContext::build(const Circuit &Logical,
 
 const std::vector<uint64_t> &RoutingContext::dependenceWeights() const {
   std::call_once(Lazy->WeightsOnce, [this] {
-    Lazy->Weights = computeDependenceWeights(*Logical, Options.Engine);
+    Lazy->Weights = computeDependenceWeights(*Logical);
   });
   return Lazy->Weights.Weights;
 }

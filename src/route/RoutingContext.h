@@ -47,11 +47,8 @@ struct PeriodStructure;
 class ReplayPlanCache;
 class Trace;
 
-/// Knobs for context construction.
-struct RoutingContextOptions {
-  /// omega engine used when a mapper asks for dependenceWeights().
-  WeightEngine Engine = WeightEngine::Auto;
-};
+/// Inert: perfbench/Layers.cpp (ctx.omega_affine_frac, ctx.omega_compression).
+struct RoutingContextOptions {};
 
 /// Immutable per-(circuit, backend) routing state. Movable, not copyable;
 /// share by const reference.
@@ -70,10 +67,11 @@ public:
   ///
   /// When a request trace \p T is supplied, the expensive construction
   /// phases record spans (ctx_distances — the O(V^2) APSP derivation when
-  /// the graph arrives without a distance matrix — and ctx_dag).
+  /// the graph arrives without a distance matrix — and ctx_dag). The
+  /// options are inert: perfbench/Layers.cpp passes them on the pass that
+  /// reports ctx.omega_affine_frac and ctx.omega_compression.
   static RoutingContext build(const Circuit &Logical, const CouplingGraph &Hw,
-                              RoutingContextOptions Options = {},
-                              Trace *T = nullptr);
+                              RoutingContextOptions = {}, Trace *T = nullptr);
 
   RoutingContext(RoutingContext &&) = default;
   RoutingContext &operator=(RoutingContext &&) = default;
@@ -96,12 +94,12 @@ public:
   unsigned defaultLookahead() const { return 2 * MaxDegree + 2; }
 
   /// Transitive-dependence weights omega, one per gate, computed on first
-  /// use with the options the context was built with and memoized for
-  /// every later reader (any mapper, any thread).
+  /// use and memoized for every later reader (any mapper, any thread).
   const std::vector<uint64_t> &dependenceWeights() const;
 
-  /// Engine metadata of the memoized omega computation (valid only after
-  /// the first dependenceWeights() call).
+  /// The memoized omega computation with its inert engine fields, which
+  /// perfbench/Layers.cpp reads for ctx.omega_affine_frac and
+  /// ctx.omega_compression.
   const WeightResult &dependenceWeightResult() const;
 
   /// Detected loop structure of the circuit (affine/PeriodDetector.h), or
@@ -143,7 +141,6 @@ private:
   std::unique_ptr<CouplingGraph> OwnedHw;
   std::unique_ptr<CircuitDag> Dag;
   std::unique_ptr<LazyState> Lazy;
-  RoutingContextOptions Options;
   unsigned MaxDegree = 0;
   Status BuildStatus;
 };

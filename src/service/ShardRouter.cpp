@@ -70,6 +70,9 @@ int HashRing::pick(uint64_t Key, const std::vector<char> &Alive) const {
 
 namespace {
 
+/// Per-shard fetch/ping I/O bound (connect + response) in seconds.
+constexpr double ShardTimeoutSeconds = 5.0;
+
 /// Frame triage for upstream traffic. Response objects are built with
 /// "ok" first and event frames with "event" first (json::Value preserves
 /// insertion order), so a prefix check settles every daemon-built frame;
@@ -831,7 +834,7 @@ void RouterServer::healthLoop() {
       {
         Client Probe;
         if (Probe.connect(Options.Shards[S]).ok()) {
-          Probe.setIoTimeout(Options.ShardTimeoutSeconds);
+          Probe.setIoTimeout(ShardTimeoutSeconds);
           std::string Response;
           if (Probe.request("{\"op\":\"ping\"}", Response).ok())
             Healthy = Response.rfind("{\"ok\":true", 0) == 0;
@@ -918,7 +921,7 @@ std::vector<std::pair<bool, json::Value>> RouterServer::collectShardStats() {
       markShardDown(S);
       continue;
     }
-    Probe.setIoTimeout(Options.ShardTimeoutSeconds);
+    Probe.setIoTimeout(ShardTimeoutSeconds);
     std::string Response;
     if (!Probe.request("{\"op\":\"stats\"}", Response).ok()) {
       markShardDown(S);

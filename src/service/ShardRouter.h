@@ -109,8 +109,6 @@ struct RouterOptions {
   unsigned HealthIntervalMs = 500;
   /// queue_full retries per request before the rejection surfaces.
   unsigned MaxRetries = 8;
-  /// Per-shard fetch/ping I/O bound (connect + response) in seconds.
-  double ShardTimeoutSeconds = 5.0;
   /// Slow-request threshold in milliseconds for the structured log
   /// (support/Log.h): an id-tracked forward whose arrival-to-final
   /// latency reaches it emits one warn-level "slow_request" line (with

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "affine/Lifter.h"
-#include "presburger/Counting.h"
 #include "qasm/Importer.h"
 #include "route/RoutingContext.h"
 #include "topology/Backends.h"
@@ -15,7 +14,6 @@
 #include <sstream>
 
 using namespace qlosure;
-using namespace qlosure::presburger;
 
 namespace {
 
@@ -43,57 +41,6 @@ TEST(LifterTest, PaperExampleLiftsToOneStatement) {
   EXPECT_EQ(S.Offset[0], 0);
   EXPECT_EQ(S.Scale[1], 2);
   EXPECT_EQ(S.Offset[1], 1);
-}
-
-TEST(LifterTest, AccessRelationMatchesGates) {
-  AffineCircuit AC = liftCircuit(paperTrace());
-  IntegerMap Q2 = AC.accessRelation(0, 1);
-  EXPECT_TRUE(Q2.contains({0}, {1}));
-  EXPECT_TRUE(Q2.contains({3}, {7}));
-  EXPECT_FALSE(Q2.contains({1}, {4}));
-  EXPECT_FALSE(Q2.contains({4}, {9})); // Outside the domain.
-}
-
-TEST(LifterTest, IterationDomainCardinality) {
-  AffineCircuit AC = liftCircuit(paperTrace());
-  auto Card = countPoints(AC.iterationDomain(0));
-  ASSERT_TRUE(Card.has_value());
-  EXPECT_EQ(*Card, 4);
-}
-
-TEST(LifterTest, ScheduleIsShiftedIdentity) {
-  Circuit C(4);
-  C.add1Q(GateKind::H, 0); // Statement 0 (singleton).
-  C.addCx(0, 1);
-  C.addCx(1, 2);
-  C.addCx(2, 3);
-  AffineCircuit AC = liftCircuit(C);
-  ASSERT_EQ(AC.numStatements(), 2u);
-  IntegerMap Sched = AC.schedule(1);
-  EXPECT_TRUE(Sched.contains({0}, {1})); // Instance 0 at trace time 1.
-  EXPECT_TRUE(Sched.contains({2}, {3}));
-}
-
-TEST(LifterTest, UseMapBindsTimeToQubits) {
-  AffineCircuit AC = liftCircuit(paperTrace());
-  IntegerMap Use = AC.useMap(0);
-  EXPECT_TRUE(Use.contains({0}, {0, 1}));
-  EXPECT_TRUE(Use.contains({2}, {2, 5}));
-  EXPECT_FALSE(Use.contains({2}, {2, 4}));
-}
-
-TEST(LifterTest, CoordsOfGateRoundTrip) {
-  Circuit C(6);
-  C.add1Q(GateKind::H, 5);  // Singleton.
-  for (int I = 0; I < 5; ++I) // Run of 5.
-    C.addCx(I, I + 1 == 5 ? 0 : I + 1);
-  AffineCircuit AC = liftCircuit(C);
-  EXPECT_EQ(AC.numGates(), 6);
-  for (int64_t T = 0; T < AC.numGates(); ++T) {
-    GateCoords Coords = AC.coordsOfGate(T);
-    const MacroGate &S = AC.statement(Coords.Statement);
-    EXPECT_EQ(S.time(Coords.Instance), T);
-  }
 }
 
 TEST(LifterTest, BreaksRunOnKindChange) {
@@ -147,8 +94,16 @@ TEST(LifterTest, StatementsTileTheTrace) {
   EXPECT_EQ(static_cast<size_t>(AC.numGates()), C.size());
   int64_t Expected = 0;
   for (size_t S = 0; S < AC.numStatements(); ++S) {
-    EXPECT_EQ(AC.statement(S).Start, Expected);
-    Expected += AC.statement(S).TripCount;
+    const MacroGate &M = AC.statement(S);
+    EXPECT_EQ(M.Start, Expected);
+    // Each instance's access functions give its trace gate's operands.
+    for (int64_t I = 0; I < M.TripCount; ++I) {
+      const Gate &G = C.gate(static_cast<size_t>(M.Start + I));
+      EXPECT_EQ(M.Kind, G.Kind);
+      for (unsigned K = 0; K < M.NumOperands; ++K)
+        EXPECT_EQ(M.qubit(K, I), G.Qubits[K]) << "statement " << S;
+    }
+    Expected += M.TripCount;
   }
   EXPECT_EQ(Expected, AC.numGates());
 }
@@ -225,9 +180,7 @@ TEST(LifterTest, NegativeStridesLift) {
   EXPECT_EQ(S.Offset[0], 7);
   EXPECT_EQ(S.Scale[1], -1);
   EXPECT_EQ(S.Offset[1], 6);
-  IntegerMap Q1 = AC.accessRelation(0, 0);
-  EXPECT_TRUE(Q1.contains({3}, {4}));
-  EXPECT_FALSE(Q1.contains({4}, {3})); // Outside the domain.
+  EXPECT_EQ(S.qubit(0, 3), 4);
 }
 
 TEST(LifterTest, InterleavedMultiStatementPeriods) {
@@ -257,34 +210,10 @@ TEST(LifterTest, InterleavedMultiStatementPeriods) {
   EXPECT_EQ(static_cast<size_t>(AC.numGates()), C.size());
 }
 
-TEST(LifterTest, CoordsOfGateRoundTripAcrossStatementBoundaries) {
-  // Alternating multi-gate statements: every trace index must map back
-  // to (statement, instance) whose schedule time is that index, and the
-  // access relations must agree with the concrete gate operands.
-  Circuit C(9);
-  for (int R = 0; R < 4; ++R) {
-    C.addCx(0, 1);
-    C.addCx(3, 4);
-    C.addCx(6, 7);
-    C.add1Q(GateKind::X, R % 2); // Alternates: singleton statements.
-  }
-  AffineCircuit AC = liftCircuit(C);
-  ASSERT_EQ(static_cast<size_t>(AC.numGates()), C.size());
-  for (int64_t T = 0; T < AC.numGates(); ++T) {
-    GateCoords Coords = AC.coordsOfGate(T);
-    const MacroGate &S = AC.statement(Coords.Statement);
-    EXPECT_EQ(S.time(Coords.Instance), T);
-    for (unsigned Op = 0; Op < S.NumOperands; ++Op)
-      EXPECT_EQ(S.qubit(Op, Coords.Instance),
-                C.gate(static_cast<size_t>(T))
-                    .Qubits[Op]);
-  }
-}
-
 TEST(LifterTest, BarrieredQasmIsRejectedRecoverably) {
   // Regression: a barrier/measure in the input used to trip an assert in
-  // the lifter; now checkLiftable reports a recoverable Status (and
-  // liftCircuit itself tolerates the gates).
+  // the lifter; liftCircuit now tolerates the gates, and the routing front
+  // door rejects them recoverably.
   std::ifstream In(QLOSURE_TEST_DATA_DIR "/barriered_ghz.qasm");
   ASSERT_TRUE(In.good());
   std::ostringstream Buffer;
@@ -293,11 +222,6 @@ TEST(LifterTest, BarrieredQasmIsRejectedRecoverably) {
       qasm::importQasm(Buffer.str(), "barriered-ghz");
   ASSERT_TRUE(Imported.succeeded()) << Imported.Error;
   const Circuit &Circ = *Imported.Circ;
-
-  Status Liftable = checkLiftable(Circ);
-  EXPECT_FALSE(Liftable.ok());
-  EXPECT_NE(Liftable.message().find("barrier"), std::string::npos)
-      << Liftable.message();
 
   // liftCircuit no longer asserts: the trace still tiles completely.
   AffineCircuit AC = liftCircuit(Circ);
@@ -308,8 +232,7 @@ TEST(LifterTest, BarrieredQasmIsRejectedRecoverably) {
   RoutingContext Ctx = RoutingContext::build(Circ, Hw);
   EXPECT_FALSE(Ctx.valid());
 
-  // Stripping non-unitaries makes both paths accept.
+  // Stripping non-unitaries makes the routing path accept.
   Circuit Stripped = Circ.withoutNonUnitaries();
-  EXPECT_TRUE(checkLiftable(Stripped).ok());
   EXPECT_TRUE(RoutingContext::build(Stripped, Hw).valid());
 }

@@ -216,7 +216,7 @@ TEST(DagTest, ExactTransitiveCountsChain) {
   Circuit C(2);
   for (int I = 0; I < 4; ++I)
     C.addCx(0, 1);
-  auto Counts = computeDependenceWeights(C, WeightEngine::Exact).Weights;
+  auto Counts = computeDependenceWeights(C).Weights;
   EXPECT_EQ(Counts, (std::vector<uint64_t>{3, 2, 1, 0}));
 }
 
@@ -227,7 +227,7 @@ TEST(DagTest, ExactTransitiveCountsDiamond) {
   C.addCx(0, 2); // G1 (dep on G0 via q0).
   C.addCx(1, 3); // G2 (dep on G0 via q1).
   C.addCx(2, 3); // G3 (dep on G1 via q2, G2 via q3).
-  auto Counts = computeDependenceWeights(C, WeightEngine::Exact).Weights;
+  auto Counts = computeDependenceWeights(C).Weights;
   EXPECT_EQ(Counts[0], 3u);
   EXPECT_EQ(Counts[1], 1u);
   EXPECT_EQ(Counts[2], 1u);
@@ -242,7 +242,7 @@ TEST(DagTest, ExactCountsOnPaperExample) {
   C.addCx(3, 5);
   C.addCx(0, 2);
   C.addCx(1, 5);
-  auto Counts = computeDependenceWeights(C, WeightEngine::Exact).Weights;
+  auto Counts = computeDependenceWeights(C).Weights;
   // G2 unlocks G4 and G5; G0 unlocks G2, G4, G5.
   EXPECT_EQ(Counts[2], 2u);
   EXPECT_EQ(Counts[0], 3u);

@@ -209,23 +209,6 @@ TEST(QlosureSpecificTest, AblationVariantsAllRouteCorrectly) {
   }
 }
 
-TEST(QlosureSpecificTest, WeightEngineChoiceDoesNotBreakRouting) {
-  CouplingGraph Hw = makeAspen16();
-  Circuit C = makeAdder(14);
-  QlosureRouter Router;
-  for (WeightEngine Engine :
-       {WeightEngine::Exact, WeightEngine::Affine, WeightEngine::Auto}) {
-    RoutingContextOptions Opts;
-    Opts.Engine = Engine;
-    RoutingContext Ctx = RoutingContext::build(C, Hw, Opts);
-    RoutingResult R = Router.routeWithIdentity(Ctx);
-    EXPECT_TRUE(verifyRouting(C, Hw, R).Ok);
-    EXPECT_EQ(Ctx.dependenceWeightResult().UsedEngine,
-              Engine == WeightEngine::Affine ? WeightEngine::Affine
-                                             : WeightEngine::Exact);
-  }
-}
-
 TEST(QlosureSpecificTest, LookaheadConstantOverride) {
   CouplingGraph Hw = makeLine(6);
   Circuit C = makeQft(6);

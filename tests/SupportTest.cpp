@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/DynamicBitset.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
@@ -50,18 +49,6 @@ TEST(RngTest, BoundedCoversAllResidues) {
   EXPECT_EQ(Seen.size(), 7u);
 }
 
-TEST(RngTest, RangeInclusive) {
-  Rng R(11);
-  std::set<int64_t> Seen;
-  for (int I = 0; I < 500; ++I) {
-    int64_t V = R.nextInRange(-3, 3);
-    EXPECT_GE(V, -3);
-    EXPECT_LE(V, 3);
-    Seen.insert(V);
-  }
-  EXPECT_EQ(Seen.size(), 7u);
-}
-
 TEST(RngTest, DoubleInUnitInterval) {
   Rng R(13);
   for (int I = 0; I < 1000; ++I) {
@@ -95,96 +82,6 @@ TEST(RngTest, ReseedRestartsSequence) {
   R.next();
   R.reseed(23);
   EXPECT_EQ(R.next(), First);
-}
-
-//===----------------------------------------------------------------------===//
-// DynamicBitset
-//===----------------------------------------------------------------------===//
-
-TEST(DynamicBitsetTest, SetTestReset) {
-  DynamicBitset B(100);
-  EXPECT_FALSE(B.test(37));
-  B.set(37);
-  EXPECT_TRUE(B.test(37));
-  B.reset(37);
-  EXPECT_FALSE(B.test(37));
-}
-
-TEST(DynamicBitsetTest, CountAndAny) {
-  DynamicBitset B(130);
-  EXPECT_EQ(B.count(), 0u);
-  EXPECT_FALSE(B.any());
-  B.set(0);
-  B.set(64);
-  B.set(129);
-  EXPECT_EQ(B.count(), 3u);
-  EXPECT_TRUE(B.any());
-}
-
-TEST(DynamicBitsetTest, SetAllRespectsSize) {
-  DynamicBitset B(70);
-  B.setAll();
-  EXPECT_EQ(B.count(), 70u);
-}
-
-TEST(DynamicBitsetTest, OrAssign) {
-  DynamicBitset A(64), B(64);
-  A.set(1);
-  B.set(2);
-  A |= B;
-  EXPECT_TRUE(A.test(1));
-  EXPECT_TRUE(A.test(2));
-  EXPECT_EQ(A.count(), 2u);
-}
-
-TEST(DynamicBitsetTest, AndAssign) {
-  DynamicBitset A(64), B(64);
-  A.set(1);
-  A.set(2);
-  B.set(2);
-  B.set(3);
-  A &= B;
-  EXPECT_EQ(A.count(), 1u);
-  EXPECT_TRUE(A.test(2));
-}
-
-TEST(DynamicBitsetTest, Intersects) {
-  DynamicBitset A(200), B(200);
-  A.set(150);
-  EXPECT_FALSE(A.intersects(B));
-  B.set(150);
-  EXPECT_TRUE(A.intersects(B));
-}
-
-TEST(DynamicBitsetTest, FindFirstAndNext) {
-  DynamicBitset B(200);
-  EXPECT_EQ(B.findFirst(), 200u);
-  B.set(5);
-  B.set(66);
-  B.set(199);
-  EXPECT_EQ(B.findFirst(), 5u);
-  EXPECT_EQ(B.findNext(5), 66u);
-  EXPECT_EQ(B.findNext(66), 199u);
-  EXPECT_EQ(B.findNext(199), 200u);
-}
-
-TEST(DynamicBitsetTest, ForEachSetBitInOrder) {
-  DynamicBitset B(100);
-  B.set(3);
-  B.set(64);
-  B.set(99);
-  std::vector<size_t> Bits;
-  B.forEachSetBit([&Bits](size_t I) { Bits.push_back(I); });
-  EXPECT_EQ(Bits, (std::vector<size_t>{3, 64, 99}));
-}
-
-TEST(DynamicBitsetTest, ResizeClearsNewBits) {
-  DynamicBitset B(10);
-  B.set(9);
-  B.resize(80);
-  EXPECT_TRUE(B.test(9));
-  for (size_t I = 10; I < 80; ++I)
-    EXPECT_FALSE(B.test(I));
 }
 
 //===----------------------------------------------------------------------===//
