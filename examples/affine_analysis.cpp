@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Walks through the paper's affine abstraction on its own examples:
-/// lifts the Sec. III-C QASM trace to macro-gates, detects the loop
-/// structure of a repeated kernel (what the replay fast path reads), and
-/// evaluates the dependence weights omega of the Fig. 1 circuit that drive
-/// the Qlosure cost function.
+/// lifts the Sec. III-C QASM trace to macro-gates, prints its iteration
+/// domain and Use Map, detects the loop structure of a repeated kernel
+/// (what the replay fast path reads), and evaluates the dependence weights
+/// omega of the Fig. 1 circuit that drive the Qlosure cost function.
 ///
 /// Build & run:  ./build/examples/affine_analysis
 ///
@@ -41,6 +41,15 @@ int main() {
     std::printf("  %s\n", Lifted.statement(S).toString().c_str());
   std::printf("  (paper: q1 = [i] -> [i], q2 = [i] -> [2i + 1], "
               "domain 0 <= i <= 3)\n\n");
+
+  // The polyhedral views.
+  presburger::IntegerSet Domain = Lifted.iterationDomain(0);
+  std::printf("iteration domain: %s, |D| = %" PRId64 "\n",
+              Domain.toString().c_str(), *Domain.cardinality());
+  presburger::IntegerMap Use = Lifted.useMap(0);
+  auto Image = Use.imageOfPoint({2});
+  std::printf("use map at t=2 -> q[%" PRId64 "], q[%" PRId64 "]\n\n",
+              (*Image)[0][0], (*Image)[0][1]);
 
   // --- Part 2: loop structure of a repeated kernel. --------------------
   Circuit Kernel = qftLikeKernel(8, 50);

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The lifted circuit: an ordered list of macro-gates covering the trace.
-/// Each macro-gate carries the paper's affine views in closed form: its
-/// iteration domain [0, TripCount), its qubit access functions and its
-/// schedule (affine/MacroGate.h).
+/// Provides the polyhedral views the paper builds on (iteration domains,
+/// qubit access relations, schedules, and the Use Map) as presburger
+/// objects.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,7 @@
 
 #include "affine/MacroGate.h"
 #include "circuit/Circuit.h"
+#include "presburger/IntegerMap.h"
 
 #include <vector>
 
@@ -36,6 +37,20 @@ public:
 
   /// Total number of gate instances across statements.
   int64_t numGates() const { return TotalGates; }
+
+  /// Iteration domain of statement \p S as a 1-D integer set [0, Trip).
+  presburger::IntegerSet iterationDomain(size_t S) const;
+
+  /// Access relation of operand \p K of statement \p S:
+  /// { [i] -> [q] : q = Scale*i + Offset, 0 <= i < Trip }.
+  presburger::IntegerMap accessRelation(size_t S, unsigned K) const;
+
+  /// Schedule of statement \p S: { [i] -> [t] : t = Start + i }.
+  presburger::IntegerMap schedule(size_t S) const;
+
+  /// The paper's Use Map restricted to two-qubit statements:
+  /// { [t] -> [q1, q2] } for instances of \p S.
+  presburger::IntegerMap useMap(size_t S) const;
 
   /// The average number of gates per statement — the lifter's compression
   /// ratio (higher means more regular structure was found).

@@ -7,8 +7,9 @@
 /// \file
 /// Integer relations (mirroring isl_map): finite unions of BasicMaps, where
 /// a BasicMap is a BasicSet over the concatenated [in, out] space. Supports
-/// the operations the dependence analysis needs: apply, compose, reverse,
-/// domain/range, union, and point images.
+/// apply, compose, reverse, domain/range, union, and point images; the
+/// lifted circuit's access relations, schedules and Use Map are built
+/// from them (affine/AffineCircuit.h).
 ///
 //===----------------------------------------------------------------------===//
 

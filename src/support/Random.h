@@ -38,6 +38,9 @@ public:
   /// nonzero. Uses rejection sampling to avoid modulo bias.
   uint64_t nextBounded(uint64_t Bound);
 
+  /// Returns a uniformly distributed integer in [Lo, Hi] inclusive.
+  int64_t nextInRange(int64_t Lo, int64_t Hi);
+
   /// Returns a double uniformly distributed in [0, 1).
   double nextDouble();
 

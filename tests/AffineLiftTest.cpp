@@ -14,6 +14,7 @@
 #include <sstream>
 
 using namespace qlosure;
+using namespace qlosure::presburger;
 
 namespace {
 
@@ -41,6 +42,43 @@ TEST(LifterTest, PaperExampleLiftsToOneStatement) {
   EXPECT_EQ(S.Offset[0], 0);
   EXPECT_EQ(S.Scale[1], 2);
   EXPECT_EQ(S.Offset[1], 1);
+}
+
+TEST(LifterTest, AccessRelationMatchesGates) {
+  AffineCircuit AC = liftCircuit(paperTrace());
+  IntegerMap Q2 = AC.accessRelation(0, 1);
+  EXPECT_TRUE(Q2.contains({0}, {1}));
+  EXPECT_TRUE(Q2.contains({3}, {7}));
+  EXPECT_FALSE(Q2.contains({1}, {4}));
+  EXPECT_FALSE(Q2.contains({4}, {9})); // Outside the domain.
+}
+
+TEST(LifterTest, IterationDomainCardinality) {
+  AffineCircuit AC = liftCircuit(paperTrace());
+  auto Card = AC.iterationDomain(0).cardinality();
+  ASSERT_TRUE(Card.has_value());
+  EXPECT_EQ(*Card, 4);
+}
+
+TEST(LifterTest, ScheduleIsShiftedIdentity) {
+  Circuit C(4);
+  C.add1Q(GateKind::H, 0); // Statement 0 (singleton).
+  C.addCx(0, 1);
+  C.addCx(1, 2);
+  C.addCx(2, 3);
+  AffineCircuit AC = liftCircuit(C);
+  ASSERT_EQ(AC.numStatements(), 2u);
+  IntegerMap Sched = AC.schedule(1);
+  EXPECT_TRUE(Sched.contains({0}, {1})); // Instance 0 at trace time 1.
+  EXPECT_TRUE(Sched.contains({2}, {3}));
+}
+
+TEST(LifterTest, UseMapBindsTimeToQubits) {
+  AffineCircuit AC = liftCircuit(paperTrace());
+  IntegerMap Use = AC.useMap(0);
+  EXPECT_TRUE(Use.contains({0}, {0, 1}));
+  EXPECT_TRUE(Use.contains({2}, {2, 5}));
+  EXPECT_FALSE(Use.contains({2}, {2, 4}));
 }
 
 TEST(LifterTest, BreaksRunOnKindChange) {
@@ -181,6 +219,9 @@ TEST(LifterTest, NegativeStridesLift) {
   EXPECT_EQ(S.Scale[1], -1);
   EXPECT_EQ(S.Offset[1], 6);
   EXPECT_EQ(S.qubit(0, 3), 4);
+  IntegerMap Q1 = AC.accessRelation(0, 0);
+  EXPECT_TRUE(Q1.contains({3}, {4}));
+  EXPECT_FALSE(Q1.contains({4}, {3})); // Outside the domain.
 }
 
 TEST(LifterTest, InterleavedMultiStatementPeriods) {

@@ -7,6 +7,7 @@
 #include "affine/Lifter.h"
 #include "circuit/Dag.h"
 #include "eval/Harness.h"
+#include "presburger/IntegerSet.h"
 #include "qasm/Importer.h"
 #include "qasm/Printer.h"
 #include "route/FrontLayer.h"
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 using namespace qlosure;
+using namespace qlosure::presburger;
 
 //===----------------------------------------------------------------------===//
 // QASM frontend corners
@@ -97,6 +99,40 @@ TEST(FrontLayerWindowTest, TwoQubitCountingSkipsOneQGates) {
     NumTwoQ += Dag.isTwoQubitGate(G);
   EXPECT_EQ(NumTwoQ, 2u);
   EXPECT_GT(TwoQ.size(), 2u); // The traversed 1Q gates come along.
+}
+
+//===----------------------------------------------------------------------===//
+// Presburger odds and ends
+//===----------------------------------------------------------------------===//
+
+TEST(PresburgerCornerTest, SimplifyDropsEmptyPieces) {
+  IntegerSet S(1);
+  BasicSet Contradiction(1);
+  Contradiction.addConstraint(makeGe(AffineExpr::constant(1, -1),
+                                     AffineExpr::constant(1, 0)));
+  S.addPiece(Contradiction);
+  BasicSet Fine(1);
+  Fine.addBounds(0, 0, 3);
+  S.addPiece(Fine);
+  S.simplify();
+  EXPECT_EQ(S.pieces().size(), 1u);
+}
+
+TEST(PresburgerCornerTest, ToStringIsInformative) {
+  BasicSet B(1);
+  B.addBounds(0, 0, 3);
+  std::string Text = B.toString();
+  EXPECT_NE(Text.find("x0"), std::string::npos);
+  IntegerSet Empty(2);
+  EXPECT_EQ(Empty.toString(), "{ }");
+}
+
+TEST(PresburgerCornerTest, ZeroDimensionalSets) {
+  BasicSet Unit(0);
+  EXPECT_TRUE(Unit.contains({}));
+  auto Points = Unit.enumeratePoints();
+  ASSERT_TRUE(Points.has_value());
+  EXPECT_EQ(Points->size(), 1u); // The empty tuple.
 }
 
 //===----------------------------------------------------------------------===//

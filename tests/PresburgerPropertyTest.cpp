@@ -7,12 +7,11 @@
 /// \file
 /// Property-based tests of the presburger substrate on seeded random
 /// inputs: set algebra agrees with pointwise semantics, Fourier-Motzkin
-/// projection is sound, relation composition/reversal obey their laws, and
-/// transitive closures contain the relation and are transitively closed.
+/// projection is sound, and relation composition/reversal obey their laws.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "presburger/TransitiveClosure.h"
+#include "presburger/IntegerMap.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -134,59 +133,6 @@ TEST_P(PresburgerPropertyTest, CompositionMatchesPointwise) {
       EXPECT_EQ(AB.contains({X}, {Z}), Expect)
           << X << " -> " << Z;
     }
-}
-
-TEST_P(PresburgerPropertyTest, ClosureContainsRelationAndIsTransitive) {
-  Rng Generator(GetParam() * 211 + 5);
-  IntegerMap R(1, 1);
-  unsigned NumPairs = 2 + static_cast<unsigned>(Generator.nextBounded(6));
-  for (unsigned I = 0; I < NumPairs; ++I)
-    R.addPiece(BasicMap::singlePair({Generator.nextInRange(0, 6)},
-                                    {Generator.nextInRange(0, 6)}));
-  ClosureResult C = transitiveClosure(R);
-  ASSERT_TRUE(C.IsExact);
-  // R subseteq R+.
-  auto Pairs = R.enumeratePairs();
-  ASSERT_TRUE(Pairs.has_value());
-  for (const auto &[In, Out] : *Pairs)
-    EXPECT_TRUE(C.Closure.contains(In, Out));
-  // R+ transitively closed: R+(x,y) and R+(y,z) => R+(x,z).
-  for (int64_t X = 0; X <= 6; ++X)
-    for (int64_t Y = 0; Y <= 6; ++Y) {
-      if (!C.Closure.contains({X}, {Y}))
-        continue;
-      for (int64_t Z = 0; Z <= 6; ++Z) {
-        if (!C.Closure.contains({Y}, {Z}))
-          continue;
-        EXPECT_TRUE(C.Closure.contains({X}, {Z}))
-            << X << "->" << Y << "->" << Z;
-      }
-    }
-}
-
-TEST_P(PresburgerPropertyTest, TranslationClosureMatchesIteratedCompose) {
-  Rng Generator(GetParam() * 997 + 41);
-  int64_t Stride = Generator.nextInRange(1, 3);
-  int64_t Hi = Generator.nextInRange(6, 14);
-  BasicSet Dom(1);
-  Dom.addBounds(0, 0, Hi);
-  IntegerMap R(BasicMap::translation(Dom, {Stride}));
-  ClosureOptions Opts;
-  Opts.AllowFiniteFallback = false;
-  ClosureResult Symbolic = transitiveClosure(R, Opts);
-  ASSERT_TRUE(Symbolic.IsExact);
-  // Iterated composition R u R.R u R.R.R ... must equal the closure.
-  IntegerMap Power = R;
-  IntegerMap UnionAll = R;
-  for (int I = 0; I < 20; ++I) {
-    Power = Power.composeWith(R);
-    UnionAll = UnionAll.unionWith(Power);
-  }
-  for (int64_t X = 0; X <= Hi; ++X)
-    for (int64_t Y = 0; Y <= Hi + Stride; ++Y)
-      EXPECT_EQ(Symbolic.Closure.contains({X}, {Y}),
-                UnionAll.contains({X}, {Y}))
-          << X << " -> " << Y << " (stride " << Stride << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PresburgerPropertyTest,

@@ -6,14 +6,10 @@
 
 #include "presburger/AffineExpr.h"
 #include "presburger/BasicSet.h"
-#include "presburger/Counting.h"
 #include "presburger/IntegerMap.h"
 #include "presburger/IntegerSet.h"
-#include "presburger/TransitiveClosure.h"
 
 #include <gtest/gtest.h>
-
-#include <set>
 
 using namespace qlosure;
 using namespace qlosure::presburger;
@@ -372,150 +368,3 @@ TEST(IntegerMapTest, IdentityMap) {
   EXPECT_TRUE(Id.contains({3}, {3}));
   EXPECT_FALSE(Id.contains({3}, {4}));
 }
-
-//===----------------------------------------------------------------------===//
-// Transitive closure
-//===----------------------------------------------------------------------===//
-
-TEST(ClosureTest, SingleTranslationExact) {
-  // { i -> i+2 : 0 <= i <= 9 }: closure reaches i + 2k while in [0, 11]...
-  // domain restricts starts to [0, 9] and each hop's source must be in
-  // domain, so from 1 the closure gives {3, 5, 7, 9, 11}.
-  BasicSet Dom(1);
-  Dom.addBounds(0, 0, 9);
-  IntegerMap R(BasicMap::translation(Dom, {2}));
-  ClosureOptions Opts;
-  Opts.AllowFiniteFallback = false; // Force the symbolic tier.
-  ClosureResult C = transitiveClosure(R, Opts);
-  EXPECT_TRUE(C.IsExact);
-  EXPECT_TRUE(C.Closure.contains({1}, {3}));
-  EXPECT_TRUE(C.Closure.contains({1}, {11}));
-  EXPECT_FALSE(C.Closure.contains({1}, {13}));
-  EXPECT_FALSE(C.Closure.contains({1}, {4})); // Parity mismatch.
-}
-
-TEST(ClosureTest, SymbolicMatchesFiniteEnumeration) {
-  BasicSet Dom(1);
-  Dom.addBounds(0, 0, 19);
-  IntegerMap R(BasicMap::translation(Dom, {3}));
-  ClosureOptions Symbolic;
-  Symbolic.AllowFiniteFallback = false;
-  ClosureResult CSym = transitiveClosure(R, Symbolic);
-  // Brute force over the explicit relation.
-  auto Pairs = R.enumeratePairs();
-  ASSERT_TRUE(Pairs.has_value());
-  std::set<std::pair<Point, Point>> Expect;
-  for (auto [In, Out] : *Pairs) {
-    // Walk the chain.
-    Point Cur = Out;
-    Expect.insert({In, Cur});
-    while (Cur[0] + 3 <= 19 + 3 && Cur[0] <= 19) {
-      Point Next{Cur[0] + 3};
-      Expect.insert({In, Next});
-      Cur = Next;
-    }
-  }
-  for (const auto &[In, Out] : Expect)
-    EXPECT_TRUE(CSym.Closure.contains(In, Out))
-        << In[0] << " -> " << Out[0];
-}
-
-TEST(ClosureTest, FiniteFallbackExactOnSparseRelation) {
-  IntegerMap R(BasicMap::singlePair({0}, {1}));
-  R.addPiece(BasicMap::singlePair({1}, {5}));
-  R.addPiece(BasicMap::singlePair({5}, {7}));
-  ClosureResult C = transitiveClosure(R);
-  EXPECT_TRUE(C.IsExact);
-  EXPECT_TRUE(C.Closure.contains({0}, {1}));
-  EXPECT_TRUE(C.Closure.contains({0}, {5}));
-  EXPECT_TRUE(C.Closure.contains({0}, {7}));
-  EXPECT_TRUE(C.Closure.contains({1}, {7}));
-  EXPECT_FALSE(C.Closure.contains({5}, {1}));
-}
-
-TEST(ClosureTest, EmptyRelationClosureIsEmpty) {
-  IntegerMap R(1, 1);
-  ClosureResult C = transitiveClosure(R);
-  EXPECT_TRUE(C.IsExact);
-  EXPECT_TRUE(C.Closure.isEmptyUnion());
-}
-
-TEST(ClosureTest, OverApproximationIsSound) {
-  // Two translation pieces with different strides; disable the finite
-  // fallback to force the over-approximation tier, then check it covers
-  // the true closure computed by enumeration.
-  BasicSet Dom(1);
-  Dom.addBounds(0, 0, 11);
-  IntegerMap R(BasicMap::translation(Dom, {2}));
-  R.addPiece(BasicMap::translation(Dom, {3}));
-  ClosureOptions NoFallback;
-  NoFallback.AllowFiniteFallback = false;
-  ClosureResult Approx = transitiveClosure(R, NoFallback);
-  ClosureResult Exact = transitiveClosure(R); // Finite tier.
-  ASSERT_TRUE(Exact.IsExact);
-  auto ExactPairs = Exact.Closure.enumeratePairs();
-  ASSERT_TRUE(ExactPairs.has_value());
-  for (const auto &[In, Out] : *ExactPairs)
-    EXPECT_TRUE(Approx.Closure.contains(In, Out))
-        << In[0] << " -> " << Out[0];
-}
-
-//===----------------------------------------------------------------------===//
-// Counting
-//===----------------------------------------------------------------------===//
-
-TEST(CountingTest, CountBox) {
-  auto Card = countPoints(IntegerSet::box({{0, 4}, {0, 2}}));
-  ASSERT_TRUE(Card.has_value());
-  EXPECT_EQ(*Card, 15);
-}
-
-TEST(CountingTest, CountImageOfClosure) {
-  BasicSet Dom(1);
-  Dom.addBounds(0, 0, 9);
-  IntegerMap R(BasicMap::translation(Dom, {2}));
-  ClosureOptions Opts;
-  Opts.AllowFiniteFallback = false;
-  ClosureResult C = transitiveClosure(R, Opts);
-  auto N = countImage(C.Closure, {1});
-  ASSERT_TRUE(N.has_value());
-  EXPECT_EQ(*N, 5); // 3, 5, 7, 9, 11.
-}
-
-TEST(CountingTest, PiecewiseQuasiAffineEvaluate) {
-  PiecewiseQuasiAffine F;
-  F.addPiece({0, 7, 7, -1, 2}); // floor((7 - i)/2) on [0, 7].
-  EXPECT_EQ(F.evaluate(0), 3);
-  EXPECT_EQ(F.evaluate(1), 3);
-  EXPECT_EQ(F.evaluate(7), 0);
-  EXPECT_EQ(F.evaluate(8), 0); // Outside.
-  EXPECT_EQ(F.sumOver(0, 7), 3 + 3 + 2 + 2 + 1 + 1 + 0 + 0);
-}
-
-class ClosureCount1DTest
-    : public ::testing::TestWithParam<std::tuple<int64_t, int64_t, int64_t>> {
-};
-
-TEST_P(ClosureCount1DTest, MatchesEnumeration) {
-  auto [Lo, Hi, Stride] = GetParam();
-  PiecewiseQuasiAffine F = closureImageCount1D(Lo, Hi, Stride);
-  for (int64_t I = Lo; I <= Hi; ++I) {
-    int64_t Expected = 0;
-    for (int64_t L = 1;; ++L) {
-      int64_t Target = I + L * Stride;
-      if (Target < Lo || Target > Hi)
-        break;
-      ++Expected;
-    }
-    EXPECT_EQ(F.evaluate(I), Expected)
-        << "Lo=" << Lo << " Hi=" << Hi << " s=" << Stride << " i=" << I;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Strides, ClosureCount1DTest,
-    ::testing::Values(std::make_tuple(0, 10, 1), std::make_tuple(0, 10, 2),
-                      std::make_tuple(0, 10, 3), std::make_tuple(0, 10, 7),
-                      std::make_tuple(0, 10, 11), std::make_tuple(-5, 5, 2),
-                      std::make_tuple(0, 10, -1), std::make_tuple(0, 10, -3),
-                      std::make_tuple(-4, 9, -2), std::make_tuple(3, 3, 1)));
