@@ -9,7 +9,10 @@
 /// of the number of quantum operations (QOPs) on the QUEKO 54-qubit set,
 /// for the Sherbrooke, Ankaa-3 and Sherbrooke-2X backends. The paper's
 /// claim is near-linear growth; we print the series and a least-squares
-/// linearity diagnostic (R^2 of time vs QOPs).
+/// linearity diagnostic (R^2 of time vs QOPs). Each point is routed five
+/// times (the routes must insert the same swaps); the table prints the
+/// median time with its min-max, and R^2 is fit to the medians, so one
+/// noisy run does not move it.
 ///
 /// A second table routes circuits of about 100k and 300k gates on
 /// Sherbrooke: a QUEKO-54 instance and a qftLikeKernel loop of each size.
@@ -24,6 +27,7 @@
 #include "core/Qlosure.h"
 #include "qasm/Importer.h"
 #include "qasm/Printer.h"
+#include "support/Statistics.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
 #include "support/Timer.h"
@@ -41,6 +45,9 @@ using namespace qlosure;
 using namespace qlosure::bench;
 
 namespace {
+
+/// Routes per QUEKO point; the series reports their median.
+constexpr int RunsPerPoint = 5;
 
 /// R^2 of the least-squares line through (X, Y).
 double rSquared(const std::vector<double> &X, const std::vector<double> &Y) {
@@ -116,25 +123,41 @@ int main(int Argc, char **Argv) {
     CouplingGraph Hw = makeBackendByName(Backend);
     CouplingGraph Gen = makeSycamore54();
     std::printf("\nBackend: %s\n", Backend);
-    Table T({"QOPs", "2Q gates", "Mapping seconds", "us per QOP"});
+    Table T({"QOPs", "2Q gates", "Median s", "Min-max s", "us per QOP"});
     std::vector<double> Xs, Ys;
     for (unsigned Depth : Depths) {
       QuekoSpec Spec;
       Spec.Depth = Depth;
       Spec.Seed = Config.Seed + Depth;
       QuekoInstance I = generateQueko(Gen, Spec);
-      QlosureRouter Router;
-      RoutingResult R = Router.routeWithIdentity(I.Circ, Hw);
+      std::vector<double> Seconds;
+      size_t Swaps = 0;
+      for (int Run = 0; Run < RunsPerPoint; ++Run) {
+        QlosureRouter Router;
+        RoutingResult R = Router.routeWithIdentity(I.Circ, Hw);
+        if (Run > 0 && R.NumSwaps != Swaps) {
+          std::fprintf(stderr,
+                       "error: %s depth %u: run %d inserted %zu swaps, "
+                       "run 0 %zu\n",
+                       Backend, Depth, Run, R.NumSwaps, Swaps);
+          return 1;
+        }
+        Swaps = R.NumSwaps;
+        Seconds.push_back(R.MappingSeconds);
+      }
       double Qops = static_cast<double>(I.Circ.numQuantumOps());
+      double Median = median(Seconds);
       Xs.push_back(Qops);
-      Ys.push_back(R.MappingSeconds);
+      Ys.push_back(Median);
       T.addRow({formatString("%.0f", Qops),
                 formatString("%zu", I.Circ.numTwoQubitGates()),
-                formatString("%.4f", R.MappingSeconds),
-                formatString("%.2f", R.MappingSeconds * 1e6 / Qops)});
+                formatString("%.4f", Median),
+                formatString("%.4f-%.4f", minOf(Seconds), maxOf(Seconds)),
+                formatString("%.2f", Median * 1e6 / Qops)});
     }
     std::fputs(T.render().c_str(), stdout);
-    std::printf("linearity R^2(time ~ QOPs) = %.4f  (paper: near-linear)\n",
+    std::printf("linearity R^2(median time ~ QOPs) = %.4f  "
+                "(paper: near-linear)\n",
                 rSquared(Xs, Ys));
   }
 

@@ -9,7 +9,10 @@
 /// (post-mapping depth / provably-optimal depth) per mapper, split into
 /// medium (< 550) and large (>= 550) initial depths, on the Sherbrooke,
 /// Ankaa-3 and Sherbrooke-2X backends. Lower is better; the expected shape
-/// is Qlosure lowest everywhere and QMAP timing out on Sherbrooke-2X.
+/// is Qlosure lowest everywhere and QMAP timing out on Sherbrooke-2X. The
+/// bench checks the first (cells with timed-out instances are skipped) and
+/// exits 1 when it fails; QMAP's timeouts follow the machine's speed and
+/// are only printed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,15 +48,22 @@ int main(int Argc, char **Argv) {
                                {"Pytket", {37.21, 30.93}},
                                {"Qlosure", {14.94, 13.45}}};
 
+  bool QlosureLowest = true;
   for (const QuekoGridSpec &Grid : paperQuekoGrids(Config)) {
     std::vector<RunRecord> Records = runQuekoGrid(Grid, Config);
     auto Summary = depthFactorSummary(Records);
     printMediumLargeTable("Backend: " + Grid.BackendName,
                           Summary, Reference[Grid.BackendName]);
+    const MediumLargeSummary &Ours = Summary.at("Qlosure");
+    for (const auto &[Mapper, S] : Summary) {
+      if (!S.MediumTimedOut && S.Medium > 0 && S.Medium < Ours.Medium)
+        QlosureLowest = false;
+      if (!S.LargeTimedOut && S.Large > 0 && S.Large < Ours.Large)
+        QlosureLowest = false;
+    }
   }
-
-  std::printf("\nShape checks: Qlosure should have the lowest depth-factor "
-              "in every column;\nQMAP should report timeouts on "
-              "sherbrooke2x (as in the paper).\n");
-  return 0;
+  std::printf("\nShape check: Qlosure lowest in every column (timed-out "
+              "cells skipped) -> %s\n",
+              QlosureLowest ? "PASS" : "MIXED");
+  return QlosureLowest ? 0 : 1;
 }

@@ -42,14 +42,15 @@ int main() {
   std::printf("  (paper: q1 = [i] -> [i], q2 = [i] -> [2i + 1], "
               "domain 0 <= i <= 3)\n\n");
 
-  // The polyhedral views.
+  // The polyhedral views. The Use Map sends trace time t to the operands
+  // of instance i = t - Start.
   presburger::IntegerSet Domain = Lifted.iterationDomain(0);
   std::printf("iteration domain: %s, |D| = %" PRId64 "\n",
               Domain.toString().c_str(), *Domain.cardinality());
-  presburger::IntegerMap Use = Lifted.useMap(0);
-  auto Image = Use.imageOfPoint({2});
+  const MacroGate &Stmt = Lifted.statement(0);
+  int64_t AtT2 = 2 - Stmt.Start;
   std::printf("use map at t=2 -> q[%" PRId64 "], q[%" PRId64 "]\n\n",
-              (*Image)[0][0], (*Image)[0][1]);
+              Stmt.qubit(0, AtT2), Stmt.qubit(1, AtT2));
 
   // --- Part 2: loop structure of a repeated kernel. --------------------
   Circuit Kernel = qftLikeKernel(8, 50);

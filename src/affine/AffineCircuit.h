@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The lifted circuit: an ordered list of macro-gates covering the trace.
-/// Provides the polyhedral views the paper builds on (iteration domains,
-/// qubit access relations, schedules, and the Use Map) as presburger
-/// objects.
+/// Each statement's iteration domain is a presburger integer set; its
+/// access functions, schedule and Use Map are read off the macro-gate
+/// itself (MacroGate::qubit and Start).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,7 @@
 
 #include "affine/MacroGate.h"
 #include "circuit/Circuit.h"
-#include "presburger/IntegerMap.h"
+#include "presburger/IntegerSet.h"
 
 #include <vector>
 
@@ -40,17 +40,6 @@ public:
 
   /// Iteration domain of statement \p S as a 1-D integer set [0, Trip).
   presburger::IntegerSet iterationDomain(size_t S) const;
-
-  /// Access relation of operand \p K of statement \p S:
-  /// { [i] -> [q] : q = Scale*i + Offset, 0 <= i < Trip }.
-  presburger::IntegerMap accessRelation(size_t S, unsigned K) const;
-
-  /// Schedule of statement \p S: { [i] -> [t] : t = Start + i }.
-  presburger::IntegerMap schedule(size_t S) const;
-
-  /// The paper's Use Map restricted to two-qubit statements:
-  /// { [t] -> [q1, q2] } for instances of \p S.
-  presburger::IntegerMap useMap(size_t S) const;
 
   /// The average number of gates per statement — the lifter's compression
   /// ratio (higher means more regular structure was found).

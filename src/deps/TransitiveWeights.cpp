@@ -18,8 +18,9 @@ using namespace qlosure;
 /// vector holds, per wire, the count of the suffix it and its dependents
 /// cover; counts fall as the suffix starts later, so the union over g's
 /// direct successors (the next gate on each of g's wires) is their
-/// elementwise maximum. A vector lives while its gate is the next gate on
-/// some wire, so at most numQubits + 1 vectors are live at once.
+/// elementwise maximum, taken over a copy of the first successor's vector.
+/// A vector lives while its gate is the next gate on some wire, so at most
+/// numQubits + 1 vectors are live at once.
 WeightResult qlosure::computeDependenceWeights(const Circuit &Circ) {
   assert(std::none_of(Circ.gates().begin(), Circ.gates().end(),
                       [](const Gate &G) {
@@ -50,15 +51,22 @@ WeightResult qlosure::computeDependenceWeights(const Circuit &Circ) {
     uint32_t Slot = FreeSlots.back();
     FreeSlots.pop_back();
     uint32_t *Reach = Pool.data() + static_cast<size_t>(Slot) * Q;
-    std::fill_n(Reach, Q, 0);
+    bool HasSucc = false;
     for (unsigned K = 0; K < NQ; ++K) {
       uint32_t Next = NextSlot[static_cast<size_t>(G.Qubits[K])];
       if (Next == None)
         continue;
       const uint32_t *Succ = Pool.data() + static_cast<size_t>(Next) * Q;
+      if (!HasSucc) {
+        std::copy_n(Succ, Q, Reach);
+        HasSucc = true;
+        continue;
+      }
       for (size_t W = 0; W < Q; ++W)
         Reach[W] = std::max(Reach[W], Succ[W]);
     }
+    if (!HasSucc)
+      std::fill_n(Reach, Q, 0);
     uint64_t Omega = 0;
     for (size_t W = 0; W < Q; ++W)
       Omega += Reach[W];

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Affine (linear + constant) expressions over a fixed-size variable space.
-/// These are the atoms of the Presburger substrate: constraints, access
-/// relations and schedules are all built from them. The variable space is
-/// positional; the enclosing set or map assigns meaning to each position.
+/// These are the atoms of the Presburger substrate: the constraints of every
+/// set are built from them. The variable space is positional; the enclosing
+/// set assigns meaning to each position.
 ///
 //===----------------------------------------------------------------------===//
 

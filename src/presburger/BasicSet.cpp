@@ -361,44 +361,6 @@ BasicSet BasicSet::intersect(const BasicSet &Other) const {
   return Result;
 }
 
-BasicSet BasicSet::projectOutTrailing(unsigned Count) const {
-  assert(Count <= NumDims && "cannot project more dims than available");
-  BasicSet Result = *this;
-  Result.NumDims = NumDims - Count;
-  Result.NumExists = NumExists + Count;
-  return Result;
-}
-
-BasicSet BasicSet::permuteDims(const std::vector<unsigned> &Permutation) const {
-  assert(Permutation.size() == NumDims && "permutation size mismatch");
-  std::vector<unsigned> Mapping(numTotalVars());
-  // Old visible var Permutation[J] lands at new position J.
-  for (unsigned J = 0; J < NumDims; ++J) {
-    assert(Permutation[J] < NumDims && "permutation entry out of range");
-    Mapping[Permutation[J]] = J;
-  }
-  for (unsigned X = 0; X < NumExists; ++X)
-    Mapping[NumDims + X] = NumDims + X;
-  BasicSet Result(NumDims, NumExists);
-  for (const Constraint &C : Conss)
-    Result.addConstraint(
-        Constraint(C.Expr.remapVars(Mapping, numTotalVars()), C.Kind));
-  return Result;
-}
-
-BasicSet BasicSet::appendDims(unsigned Count) const {
-  BasicSet Result(NumDims + Count, NumExists);
-  std::vector<unsigned> Mapping(numTotalVars());
-  for (unsigned V = 0; V < NumDims; ++V)
-    Mapping[V] = V;
-  for (unsigned X = 0; X < NumExists; ++X)
-    Mapping[NumDims + X] = NumDims + Count + X;
-  for (const Constraint &C : Conss)
-    Result.addConstraint(
-        Constraint(C.Expr.remapVars(Mapping, Result.numTotalVars()), C.Kind));
-  return Result;
-}
-
 BasicSet BasicSet::fixAndRemoveDim(unsigned Var, int64_t Value) const {
   assert(Var < NumDims && "can only fix visible variables");
   BasicSet Result(NumDims - 1, NumExists);

@@ -83,18 +83,6 @@ public:
   /// variables of both operands are concatenated.
   BasicSet intersect(const BasicSet &Other) const;
 
-  /// Converts the last \p Count visible variables into existentials
-  /// (i.e. projects them out of the visible space).
-  BasicSet projectOutTrailing(unsigned Count) const;
-
-  /// Reorders/renames visible variables: new visible var J is the old
-  /// visible var Permutation[J]. Existentials are kept.
-  BasicSet permuteDims(const std::vector<unsigned> &Permutation) const;
-
-  /// Appends \p Count fresh unconstrained visible variables placed after the
-  /// current visible variables (existentials stay last).
-  BasicSet appendDims(unsigned Count) const;
-
   /// Substitutes visible variable \p Var := Value and removes the variable
   /// from the visible space.
   BasicSet fixAndRemoveDim(unsigned Var, int64_t Value) const;

@@ -6,7 +6,6 @@
 
 #include "presburger/AffineExpr.h"
 #include "presburger/BasicSet.h"
-#include "presburger/IntegerMap.h"
 #include "presburger/IntegerSet.h"
 
 #include <gtest/gtest.h>
@@ -163,20 +162,6 @@ TEST(BasicSetTest, IntersectConjoins) {
   EXPECT_EQ(Points->size(), 6u); // 5..10.
 }
 
-TEST(BasicSetTest, ProjectOutTrailing) {
-  // { (x, y) : 0 <= x <= 2, y == x + 5 } projected on x is [0, 2].
-  BasicSet S(2);
-  S.addBounds(0, 0, 2);
-  S.addConstraint(makeEqExpr(AffineExpr::variable(2, 1),
-                             AffineExpr::variable(2, 0) +
-                                 AffineExpr::constant(2, 5)));
-  BasicSet P = S.projectOutTrailing(1);
-  EXPECT_EQ(P.numDims(), 1u);
-  EXPECT_TRUE(P.contains({0}));
-  EXPECT_TRUE(P.contains({2}));
-  EXPECT_FALSE(P.contains({3}));
-}
-
 TEST(BasicSetTest, ExistentialStride) {
   // { x : exists e . x == 3*e, 0 <= x <= 10 } = {0, 3, 6, 9}.
   BasicSet S(1, 1);
@@ -205,15 +190,6 @@ TEST(BasicSetTest, FixAndRemoveDim) {
   EXPECT_EQ(F.numDims(), 1u);
   EXPECT_TRUE(F.contains({3}));
   EXPECT_FALSE(F.contains({4}));
-}
-
-TEST(BasicSetTest, PermuteDims) {
-  BasicSet S(2);
-  S.addBounds(0, 0, 1);
-  S.addBounds(1, 5, 6);
-  BasicSet P = S.permuteDims({1, 0});
-  EXPECT_TRUE(P.contains({5, 0}));
-  EXPECT_FALSE(P.contains({0, 5}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -284,87 +260,4 @@ TEST(IntegerSetTest, EmptyDetection) {
   IntegerSet B = IntegerSet::box({{5, 9}});
   EXPECT_TRUE(A.intersect(B).isEmpty());
   EXPECT_FALSE(A.isEmpty());
-}
-
-//===----------------------------------------------------------------------===//
-// IntegerMap / BasicMap
-//===----------------------------------------------------------------------===//
-
-TEST(IntegerMapTest, TranslationImage) {
-  BasicSet Dom(1);
-  Dom.addBounds(0, 0, 9);
-  IntegerMap Shift(BasicMap::translation(Dom, {3}));
-  auto Image = Shift.imageOfPoint({4});
-  ASSERT_TRUE(Image.has_value());
-  ASSERT_EQ(Image->size(), 1u);
-  EXPECT_EQ((*Image)[0], Point{7});
-  EXPECT_TRUE(Shift.contains({0}, {3}));
-  EXPECT_FALSE(Shift.contains({10}, {13})); // 10 outside domain.
-}
-
-TEST(IntegerMapTest, DomainAndRange) {
-  BasicSet Dom(1);
-  Dom.addBounds(0, 2, 5);
-  IntegerMap Shift(BasicMap::translation(Dom, {10}));
-  auto DomPoints = Shift.domain().enumeratePoints();
-  auto RanPoints = Shift.range().enumeratePoints();
-  ASSERT_TRUE(DomPoints && RanPoints);
-  EXPECT_EQ(DomPoints->size(), 4u);
-  EXPECT_EQ(RanPoints->front(), Point{12});
-  EXPECT_EQ(RanPoints->back(), Point{15});
-}
-
-TEST(IntegerMapTest, ReverseSwapsRoles) {
-  BasicSet Dom(1);
-  Dom.addBounds(0, 0, 3);
-  IntegerMap Shift(BasicMap::translation(Dom, {1}));
-  IntegerMap Rev = Shift.reverse();
-  EXPECT_TRUE(Rev.contains({1}, {0}));
-  EXPECT_FALSE(Rev.contains({0}, {1}));
-}
-
-TEST(IntegerMapTest, ComposeTranslations) {
-  BasicSet Dom(1);
-  Dom.addBounds(0, 0, 100);
-  IntegerMap A(BasicMap::translation(Dom, {2}));
-  IntegerMap B(BasicMap::translation(Dom, {5}));
-  IntegerMap C = A.composeWith(B);
-  EXPECT_TRUE(C.contains({1}, {8}));
-  EXPECT_FALSE(C.contains({1}, {7}));
-}
-
-TEST(IntegerMapTest, SinglePairAndCardinality) {
-  IntegerMap M(BasicMap::singlePair({1, 2}, {3, 4}));
-  M.addPiece(BasicMap::singlePair({0, 0}, {1, 1}));
-  auto Card = M.cardinality();
-  ASSERT_TRUE(Card.has_value());
-  EXPECT_EQ(*Card, 2);
-  EXPECT_TRUE(M.contains({1, 2}, {3, 4}));
-}
-
-TEST(IntegerMapTest, AsTranslationDetects) {
-  BasicSet Dom(2);
-  Dom.addBounds(0, 0, 4);
-  Dom.addBounds(1, 0, 4);
-  BasicMap T = BasicMap::translation(Dom, {1, -2});
-  auto Delta = T.asTranslation();
-  ASSERT_TRUE(Delta.has_value());
-  EXPECT_EQ(*Delta, (std::vector<int64_t>{1, -2}));
-}
-
-TEST(IntegerMapTest, AsTranslationRejectsScaling) {
-  // { [i] -> [2i] } is not a translation.
-  BasicSet Set(2);
-  Set.addConstraint(makeEqExpr(AffineExpr::variable(2, 1),
-                               AffineExpr::variable(2, 0) * 2));
-  BasicMap M(1, 1, Set);
-  EXPECT_FALSE(M.asTranslation().has_value());
-}
-
-TEST(IntegerMapTest, IdentityMap) {
-  BasicSet Dom(1);
-  Dom.addBounds(0, 0, 5);
-  BasicMap Id = BasicMap::identity(Dom);
-  EXPECT_TRUE(Id.contains({3}, {3}));
-  EXPECT_FALSE(Id.contains({3}, {4}));
 }
