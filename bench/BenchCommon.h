@@ -30,7 +30,8 @@ struct BenchConfig {
   /// --full: paper-scale sweeps (slower); default is a scaled-down grid
   /// that preserves every axis of the experiment.
   bool Full = false;
-  /// --seed N: base RNG seed for workload generation.
+  /// --seed N: base RNG seed for workload generation (the Fig. 8
+  /// ablation routes fixed instances and ignores it).
   uint64_t Seed = 2026;
   /// --no-verify: skip routing verification (it is cheap; on by default).
   bool Verify = true;

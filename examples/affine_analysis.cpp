@@ -7,9 +7,10 @@
 /// \file
 /// Walks through the paper's affine abstraction on its own examples:
 /// lifts the Sec. III-C QASM trace to macro-gates, prints its iteration
-/// domain and Use Map, detects the loop structure of a repeated kernel
-/// (what the replay fast path reads), and evaluates the dependence weights
-/// omega of the Fig. 1 circuit that drive the Qlosure cost function.
+/// domain and Use Map as read off the macro-gate, detects the loop
+/// structure of a repeated kernel (what the replay fast path reads), and
+/// evaluates the dependence weights omega of the Fig. 1 circuit that
+/// drive the Qlosure cost function.
 ///
 /// Build & run:  ./build/examples/affine_analysis
 ///
@@ -42,12 +43,12 @@ int main() {
   std::printf("  (paper: q1 = [i] -> [i], q2 = [i] -> [2i + 1], "
               "domain 0 <= i <= 3)\n\n");
 
-  // The polyhedral views. The Use Map sends trace time t to the operands
-  // of instance i = t - Start.
-  presburger::IntegerSet Domain = Lifted.iterationDomain(0);
-  std::printf("iteration domain: %s, |D| = %" PRId64 "\n",
-              Domain.toString().c_str(), *Domain.cardinality());
+  // The polyhedral views, read off the macro-gate: the domain is
+  // 0 <= i <= TripCount - 1, and the Use Map sends trace time t to the
+  // operands of instance i = t - Start.
   const MacroGate &Stmt = Lifted.statement(0);
+  std::printf("iteration domain: 0 <= i <= %" PRId64 ", |D| = %" PRId64 "\n",
+              Stmt.TripCount - 1, Stmt.TripCount);
   int64_t AtT2 = 2 - Stmt.Start;
   std::printf("use map at t=2 -> q[%" PRId64 "], q[%" PRId64 "]\n\n",
               Stmt.qubit(0, AtT2), Stmt.qubit(1, AtT2));

@@ -11,7 +11,6 @@
 #include <cassert>
 
 using namespace qlosure;
-using namespace qlosure::presburger;
 
 std::string MacroGate::toString() const {
   std::string Out = gateName(Kind);
@@ -40,13 +39,6 @@ AffineCircuit::AffineCircuit(unsigned NumQubits,
     assert(S.Start == TotalGates && "statements must tile the trace");
     TotalGates += S.TripCount;
   }
-}
-
-IntegerSet AffineCircuit::iterationDomain(size_t S) const {
-  const MacroGate &M = Statements[S];
-  BasicSet Domain(1);
-  Domain.addBounds(0, 0, M.TripCount - 1);
-  return IntegerSet(std::move(Domain));
 }
 
 double AffineCircuit::compressionRatio() const {

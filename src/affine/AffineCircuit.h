@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The lifted circuit: an ordered list of macro-gates covering the trace.
-/// Each statement's iteration domain is a presburger integer set; its
-/// access functions, schedule and Use Map are read off the macro-gate
-/// itself (MacroGate::qubit and Start).
+/// Each statement's iteration domain (0 <= i < TripCount), access
+/// functions, schedule and Use Map are read off the macro-gate itself
+/// (MacroGate::TripCount, qubit and Start).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,6 @@
 
 #include "affine/MacroGate.h"
 #include "circuit/Circuit.h"
-#include "presburger/IntegerSet.h"
 
 #include <vector>
 
@@ -37,9 +36,6 @@ public:
 
   /// Total number of gate instances across statements.
   int64_t numGates() const { return TotalGates; }
-
-  /// Iteration domain of statement \p S as a 1-D integer set [0, Trip).
-  presburger::IntegerSet iterationDomain(size_t S) const;
 
   /// The average number of gates per statement — the lifter's compression
   /// ratio (higher means more regular structure was found).

@@ -48,7 +48,6 @@ uint64_t replayConfigSalt(const QlosureOptions &O) {
   Salt = hashCombine(Salt, O.UseDependencyWeights ? 1 : 0);
   Salt = hashCombine(Salt, O.UseLayerStructure ? 1 : 0);
   Salt = hashCombine(Salt, DecayBits);
-  Salt = hashCombine(Salt, O.LookaheadConstant);
   Salt = hashCombine(Salt, O.ErrorAware ? 1 : 0);
   Salt = hashCombine(Salt, O.Seed);
   Salt = hashCombine(Salt, O.MaxSwapsWithoutProgress);

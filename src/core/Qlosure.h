@@ -46,11 +46,6 @@ struct QlosureOptions {
   /// trade-offs in this implementation and is the default.
   double DecayIncrement = 0.005;
 
-  /// Look-ahead constant c in k = c * n_f. 0 picks 2 * maxDegree(R_hw) + 2,
-  /// which satisfies the paper's "exceed the maximum degree" rule and
-  /// measured best in our sweeps (see bench_fig8_ablation).
-  unsigned LookaheadConstant = 0;
-
   /// Error-aware extension (the paper's future work): among candidate
   /// SWAPs whose Eq. 2 scores tie exactly, prefer the one on the least
   /// noisy coupler. Scoring itself stays the hop metric of Eq. 2. Takes

@@ -29,9 +29,8 @@ QlosureKernel::QlosureKernel(SwapLoopState &Loop,
                              const QlosureOptions &Options,
                              const RoutingContext &Ctx)
     : Loop(Loop), Options(Options), Logical(Loop.Logical), Hw(Loop.Hw),
-      S(Loop.S), Tracker(Loop.Tracker), Phi(Loop.Out.placement()) {
-  LookaheadC = Options.LookaheadConstant ? Options.LookaheadConstant
-                                         : Ctx.defaultLookahead();
+      S(Loop.S), Tracker(Loop.Tracker), Phi(Loop.Out.placement()),
+      LookaheadC(Ctx.defaultLookahead()) {
   BreakTiesByEdgeError = Options.ErrorAware && Hw.hasErrorModel();
   if (Options.UseDependencyWeights) {
     // Computed by the context's first reader and memoized for the rest:

@@ -74,6 +74,7 @@ private:
   const FrontLayerTracker &Tracker;
   const QubitMapping &Phi;
   const std::vector<uint64_t> *Weights = nullptr;
+  /// Look-ahead constant c in k = c * n_f: 2 * maxDegree(R_hw) + 2.
   unsigned LookaheadC = 0;
   /// Error-aware mode on a calibrated graph: among exactly tied best
   /// candidates, keep only those on the least noisy coupler.

@@ -89,7 +89,7 @@ public:
   /// Cached CouplingGraph::maxDegree().
   unsigned maxDegree() const { return MaxDegree; }
 
-  /// The paper's default look-ahead constant c = 2 * maxDegree + 2
+  /// Qlosure's look-ahead constant c = 2 * maxDegree + 2
   /// (strictly exceeds the maximum degree, as Sec. IV requires).
   unsigned defaultLookahead() const { return 2 * MaxDegree + 2; }
 

@@ -50,14 +50,6 @@ uint64_t Rng::nextBounded(uint64_t Bound) {
   }
 }
 
-int64_t Rng::nextInRange(int64_t Lo, int64_t Hi) {
-  assert(Lo <= Hi && "empty range");
-  uint64_t Span = static_cast<uint64_t>(Hi - Lo) + 1;
-  if (Span == 0) // Full 64-bit range.
-    return static_cast<int64_t>(next());
-  return Lo + static_cast<int64_t>(nextBounded(Span));
-}
-
 double Rng::nextDouble() {
   // 53 uniformly random mantissa bits.
   return static_cast<double>(next() >> 11) * 0x1.0p-53;

@@ -43,13 +43,6 @@ TEST(LifterTest, PaperExampleLiftsToOneStatement) {
   EXPECT_EQ(S.Offset[1], 1);
 }
 
-TEST(LifterTest, IterationDomainCardinality) {
-  AffineCircuit AC = liftCircuit(paperTrace());
-  auto Card = AC.iterationDomain(0).cardinality();
-  ASSERT_TRUE(Card.has_value());
-  EXPECT_EQ(*Card, 4);
-}
-
 TEST(LifterTest, BreaksRunOnKindChange) {
   Circuit C(8);
   C.addCx(0, 1);

@@ -209,18 +209,6 @@ TEST(QlosureSpecificTest, AblationVariantsAllRouteCorrectly) {
   }
 }
 
-TEST(QlosureSpecificTest, LookaheadConstantOverride) {
-  CouplingGraph Hw = makeLine(6);
-  Circuit C = makeQft(6);
-  for (unsigned K : {1u, 3u, 8u}) {
-    QlosureOptions Opts;
-    Opts.LookaheadConstant = K;
-    QlosureRouter Router(Opts);
-    RoutingResult R = Router.routeWithIdentity(C, Hw);
-    EXPECT_TRUE(verifyRouting(C, Hw, R).Ok) << "c=" << K;
-  }
-}
-
 TEST(QlosureSpecificTest, RunsFromNonTrivialInitialMapping) {
   CouplingGraph Hw = makeGrid(3, 3);
   Circuit C = makeQft(7);

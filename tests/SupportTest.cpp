@@ -49,18 +49,6 @@ TEST(RngTest, BoundedCoversAllResidues) {
   EXPECT_EQ(Seen.size(), 7u);
 }
 
-TEST(RngTest, RangeInclusive) {
-  Rng R(11);
-  std::set<int64_t> Seen;
-  for (int I = 0; I < 500; ++I) {
-    int64_t V = R.nextInRange(-3, 3);
-    EXPECT_GE(V, -3);
-    EXPECT_LE(V, 3);
-    Seen.insert(V);
-  }
-  EXPECT_EQ(Seen.size(), 7u);
-}
-
 TEST(RngTest, DoubleInUnitInterval) {
   Rng R(13);
   for (int I = 0; I < 1000; ++I) {
