@@ -43,6 +43,22 @@ TEST(LifterTest, PaperExampleLiftsToOneStatement) {
   EXPECT_EQ(S.Offset[1], 1);
 }
 
+TEST(LifterTest, IterationDomainCardinality) {
+  // Statement 0's iteration domain is 0 <= i <= TripCount - 1: four
+  // points, one per trace gate, each scheduled at Start + i.
+  Circuit C = paperTrace();
+  AffineCircuit AC = liftCircuit(C);
+  ASSERT_EQ(AC.numStatements(), 1u);
+  const MacroGate &S = AC.statement(0);
+  EXPECT_EQ(S.TripCount, 4);
+  EXPECT_EQ(S.TripCount, AC.numGates());
+  for (int64_t I = 0; I < S.TripCount; ++I) {
+    const Gate &G = C.gate(static_cast<size_t>(S.Start + I));
+    EXPECT_EQ(S.qubit(0, I), G.Qubits[0]) << "i=" << I;
+    EXPECT_EQ(S.qubit(1, I), G.Qubits[1]) << "i=" << I;
+  }
+}
+
 TEST(LifterTest, BreaksRunOnKindChange) {
   Circuit C(8);
   C.addCx(0, 1);
@@ -235,4 +251,50 @@ TEST(LifterTest, BarrieredQasmIsRejectedRecoverably) {
   // Stripping non-unitaries makes the routing path accept.
   Circuit Stripped = Circ.withoutNonUnitaries();
   EXPECT_TRUE(RoutingContext::build(Stripped, Hw).valid());
+}
+
+//===----------------------------------------------------------------------===//
+// Access functions: the affine expressions q_k(i) = Scale[k] * i + Offset[k]
+//===----------------------------------------------------------------------===//
+
+TEST(AffineExprTest, EvaluateLinear) {
+  MacroGate M;
+  M.Kind = GateKind::CX;
+  M.NumOperands = 2;
+  M.TripCount = 5;
+  M.Scale[0] = 3;
+  M.Offset[0] = 1;
+  M.Scale[1] = -2;
+  M.Offset[1] = 9;
+  EXPECT_EQ(M.qubit(0, 0), 1);
+  EXPECT_EQ(M.qubit(1, 0), 9);
+  EXPECT_EQ(M.qubit(0, 4), 13);
+  EXPECT_EQ(M.qubit(1, 4), 1);
+  // One step of i moves each operand by its scale.
+  for (int64_t I = 0; I + 1 < M.TripCount; ++I) {
+    EXPECT_EQ(M.qubit(0, I + 1) - M.qubit(0, I), 3);
+    EXPECT_EQ(M.qubit(1, I + 1) - M.qubit(1, I), -2);
+  }
+}
+
+TEST(AffineExprTest, ToStringReadable) {
+  // The paper's example: q1 = [i] -> [i], q2 = [i] -> [2i + 1].
+  AffineCircuit AC = liftCircuit(paperTrace());
+  ASSERT_EQ(AC.numStatements(), 1u);
+  EXPECT_EQ(AC.statement(0).toString(), "cx S[i: 0..3] q[i], q[2*i+1] @t=0+i");
+
+  // Constant, pure-scale and negative-offset access functions.
+  MacroGate M;
+  M.Kind = GateKind::CZ;
+  M.NumOperands = 2;
+  M.TripCount = 3;
+  M.Start = 7;
+  M.Scale[0] = 0;
+  M.Offset[0] = 5;
+  M.Scale[1] = -1;
+  M.Offset[1] = -2;
+  EXPECT_EQ(M.toString(), "cz S[i: 0..2] q[5], q[-1*i-2] @t=7+i");
+  M.Offset[1] = 0;
+  M.Scale[1] = 3;
+  EXPECT_EQ(M.toString(), "cz S[i: 0..2] q[5], q[3*i] @t=7+i");
 }

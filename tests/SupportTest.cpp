@@ -49,6 +49,23 @@ TEST(RngTest, BoundedCoversAllResidues) {
   EXPECT_EQ(Seen.size(), 7u);
 }
 
+TEST(RngTest, RangeInclusive) {
+  // An inclusive range [Lo, Hi] is drawn as Lo + nextBounded(Hi - Lo + 1),
+  // as the workload generators do: both ends occur, nothing outside.
+  Rng R(11);
+  std::set<int64_t> Seen;
+  for (int I = 0; I < 500; ++I) {
+    int64_t V = -3 + static_cast<int64_t>(R.nextBounded(7));
+    EXPECT_GE(V, -3);
+    EXPECT_LE(V, 3);
+    Seen.insert(V);
+  }
+  EXPECT_EQ(Seen.size(), 7u);
+  // A one-value range always yields its only value.
+  for (int I = 0; I < 50; ++I)
+    EXPECT_EQ(R.nextBounded(1), 0u);
+}
+
 TEST(RngTest, DoubleInUnitInterval) {
   Rng R(13);
   for (int I = 0; I < 1000; ++I) {
