@@ -17,9 +17,10 @@
 /// variant (window = front), a two-swap escape threshold (forced
 /// shortest-path chains), a bidirectionally derived placement (Fig. 8
 /// variant (d)) and ankaa3's 82 qubits. The qaoa64 row pins weighted
-/// Qlosure on a circuit of 46,564 gates. QMAP runs with an unlimited
-/// wall-clock budget, so its rows cannot depend on machine load; the
-/// daemon's QMAP, which stops on a budget, is not pinned here.
+/// Qlosure on a circuit of 46,564 gates, and the kings16x16-d100 row QMAP
+/// on Table II's Sherbrooke-2X medium instance. QMAP runs with an
+/// unlimited wall-clock budget, so its rows cannot depend on machine load;
+/// the daemon's QMAP, which stops on a budget, is not pinned here.
 ///
 /// The printer renders angles with std::to_chars (general, precision 17);
 /// the last test checks that this matches printf's "%.17g" on a seeded
@@ -49,6 +50,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 using namespace qlosure;
@@ -76,6 +78,12 @@ std::string goldenInput(const std::string &Name) {
   }
   if (Name == "qaoa64")
     return qasm::printQasm(makeQaoa(64, 300));
+  if (Name == "kings16x16-d100") { // Table II's Sherbrooke-2X medium item.
+    QuekoSpec Spec;
+    Spec.Depth = 100;
+    Spec.Seed = 11726;
+    return qasm::printQasm(generateQueko(makeKings16x16(), Spec).Circ);
+  }
   return qasm::printQasm(makeQaoa(16, 10));
 }
 
@@ -83,12 +91,13 @@ std::string goldenInput(const std::string &Name) {
 /// are qlosure as the daemon builds it for an `"affine":true` and an
 /// `"error_aware":true` request, and "qmap" never stops on its
 /// wall-clock budget. "qlosure-distance-only" is Fig. 8 variant (a) as
-/// bench_fig8_ablation builds it, "qlosure-forced" forces a shortest-path
-/// chain after every two swaps without progress, and
-/// "qlosure-bidirectional" is default qlosure routed from the placement
-/// deriveBidirectionalMapping derives (Fig. 8 variant (d)).
+/// bench_fig8_ablation builds it, and "qlosure-forced" forces a
+/// shortest-path chain after every two swaps without progress. A mapper
+/// named "<mapper>-bidirectional" routes from the placement
+/// deriveBidirectionalMapping derives ("qlosure-bidirectional" is Fig. 8
+/// variant (d)).
 std::unique_ptr<Router> goldenMapper(const std::string &Name) {
-  if (Name == "qmap") {
+  if (Name == "qmap" || Name == "qmap-bidirectional") {
     QmapOptions Opts;
     Opts.TimeBudgetSeconds = 1e9;
     return std::make_unique<QmapAstarRouter>(Opts);
@@ -163,11 +172,17 @@ const GoldenCase GoldenCases[] = {
     {"queko54", "cirq", 6036, 3586, 0xdc162e4c0c9da9b0ull, "ankaa3"},
     {"queko54", "tket", 5752, 2864, 0x56484869fe40a481ull, "ankaa3"},
     {"qaoa64", "qlosure", 29452, 7101, 0x5a542bdad4864badull},
+    {"queko54", "qmap", 13466, 4053, 0x186a9603a94c77b6ull, "ankaa3"},
+    {"queko16", "qmap-bidirectional", 78, 60, 0x1fa5ea8acd097ab8ull},
+    {"qft-kernel", "qmap-bidirectional", 4036, 5116, 0x4f031b6199880506ull},
+    {"qaoa", "qmap-bidirectional", 381, 293, 0x9a5d33c25acb7902ull},
+    {"kings16x16-d100", "qmap", 58510, 9799, 0x414ed5337721a801ull,
+     "sherbrooke2x"},
 };
 
 /// A fingerprint of the rows above and the routing-semantics version they
 /// were recorded under (GoldenRouteTest.RowsMatchTheRecordedVersion).
-constexpr uint64_t GoldenTableFingerprint = 0x666b62a397055123ull;
+constexpr uint64_t GoldenTableFingerprint = 0x662f7390c6760b4bull;
 
 uint64_t goldenTableFingerprint() {
   uint64_t Fp = 0;
@@ -185,10 +200,9 @@ uint64_t goldenTableFingerprint() {
 } // namespace
 
 TEST(GoldenRouteTest, RoutedOutputMatchesCommittedDigests) {
-  CouplingGraph Sherbrooke = makeBackendByName("sherbrooke");
-  CouplingGraph Calibrated = Sherbrooke;
+  CouplingGraph Calibrated = makeBackendByName("sherbrooke");
   applySyntheticErrorModel(Calibrated, /*Seed=*/1);
-  CouplingGraph Ankaa3 = makeBackendByName("ankaa3");
+  std::map<std::string, CouplingGraph> Devices;
   for (const GoldenCase &Case : GoldenCases) {
     qasm::ImportResult Imported =
         qasm::importQasm(goldenInput(Case.Input), "golden");
@@ -196,13 +210,18 @@ TEST(GoldenRouteTest, RoutedOutputMatchesCommittedDigests) {
     Circuit Logical =
         Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates();
     std::unique_ptr<Router> Mapper = goldenMapper(Case.Mapper);
-    bool OnAnkaa3 = std::strcmp(Case.Backend, "ankaa3") == 0;
+    bool OnSherbrooke = std::strcmp(Case.Backend, "sherbrooke") == 0;
     bool ErrorAware = std::strcmp(Case.Mapper, "qlosure-error-aware") == 0;
+    auto Device = Devices.find(Case.Backend);
+    if (Device == Devices.end())
+      Device =
+          Devices.emplace(Case.Backend, makeBackendByName(Case.Backend)).first;
     RoutingContext Ctx = RoutingContext::build(
-        Logical, OnAnkaa3 ? Ankaa3 : ErrorAware ? Calibrated : Sherbrooke);
+        Logical, ErrorAware ? Calibrated : Device->second);
     ASSERT_TRUE(Ctx.valid()) << Case.Input;
+    bool Bidirectional = std::strstr(Case.Mapper, "-bidirectional") != nullptr;
     RoutingResult Result =
-        std::strcmp(Case.Mapper, "qlosure-bidirectional") == 0
+        Bidirectional
             ? Mapper->route(Ctx, deriveBidirectionalMapping(*Mapper, Ctx))
             : Mapper->routeWithIdentity(Ctx);
     size_t Depth = Result.Routed.depth();
@@ -211,8 +230,8 @@ TEST(GoldenRouteTest, RoutedOutputMatchesCommittedDigests) {
     std::snprintf(Actual, sizeof(Actual),
                   "{\"%s\", \"%s\", %zu, %zu, 0x%016" PRIx64 "ull%s%s%s},",
                   Case.Input, Case.Mapper, Result.NumSwaps, Depth, Digest,
-                  OnAnkaa3 ? ", \"" : "", OnAnkaa3 ? Case.Backend : "",
-                  OnAnkaa3 ? "\"" : "");
+                  OnSherbrooke ? "" : ", \"", OnSherbrooke ? "" : Case.Backend,
+                  OnSherbrooke ? "" : "\"");
     EXPECT_EQ(Result.NumSwaps, Case.Swaps) << Actual;
     EXPECT_EQ(Depth, Case.Depth) << Actual;
     EXPECT_EQ(Digest, Case.Digest) << Actual;
