@@ -6,11 +6,7 @@
 
 #include "bench/BenchCommon.h"
 
-#include "baselines/CirqGreedy.h"
-#include "baselines/QmapAstar.h"
-#include "baselines/Sabre.h"
-#include "baselines/TketBounded.h"
-#include "core/Qlosure.h"
+#include "baselines/RouterRegistry.h"
 #include "support/StringUtils.h"
 #include "topology/Backends.h"
 #include "support/Table.h"
@@ -46,19 +42,6 @@ BenchConfig qlosure::bench::parseArgs(int Argc, char **Argv) {
     }
   }
   return Config;
-}
-
-std::vector<std::unique_ptr<Router>>
-qlosure::bench::makePaperMappers(double QmapBudgetSeconds) {
-  std::vector<std::unique_ptr<Router>> Mappers;
-  Mappers.push_back(std::make_unique<SabreRouter>());
-  QmapOptions Qmap;
-  Qmap.TimeBudgetSeconds = QmapBudgetSeconds;
-  Mappers.push_back(std::make_unique<QmapAstarRouter>(Qmap));
-  Mappers.push_back(std::make_unique<CirqGreedyRouter>());
-  Mappers.push_back(std::make_unique<TketBoundedRouter>());
-  Mappers.push_back(std::make_unique<QlosureRouter>());
-  return Mappers;
 }
 
 std::vector<unsigned>
@@ -98,10 +81,13 @@ void qlosure::bench::printMediumLargeTable(
         Mapper, cell(It->second.Medium, It->second.MediumTimedOut),
         cell(It->second.Large, It->second.LargeTimedOut)};
     if (!Reference.empty()) {
+      auto paperCell = [Fmt](double V) {
+        return V == 0 ? std::string("timeout") : formatString(Fmt, V);
+      };
       auto RefIt = Reference.find(Mapper);
       if (RefIt != Reference.end()) {
-        Row.push_back(formatString(Fmt, RefIt->second.first));
-        Row.push_back(formatString(Fmt, RefIt->second.second));
+        Row.push_back(paperCell(RefIt->second.first));
+        Row.push_back(paperCell(RefIt->second.second));
       } else {
         Row.push_back("-");
         Row.push_back("-");
@@ -111,7 +97,7 @@ void qlosure::bench::printMediumLargeTable(
   }
   std::fputs(T.render().c_str(), stdout);
   if (!Reference.empty())
-    std::printf("(* = some instances hit the mapper's time budget and were "
+    std::printf("(* = some instances hit QMAP's expansion budget and were "
                 "excluded from the average)\n");
 }
 
@@ -119,7 +105,7 @@ std::vector<RunRecord>
 qlosure::bench::runQuekoGrid(const QuekoGridSpec &Spec,
                              const BenchConfig &Config) {
   CouplingGraph Backend = makeBackendByName(Spec.BackendName);
-  auto Mappers = makePaperMappers(Spec.QmapBudgetSeconds);
+  auto Mappers = makePaperRouters();
   std::vector<Router *> MapperPtrs;
   for (auto &M : Mappers)
     MapperPtrs.push_back(M.get());
@@ -146,22 +132,28 @@ qlosure::bench::paperQuekoGrids(const BenchConfig &Config) {
   Grids.push_back({"sherbrooke",
                    {"aspen16", "sycamore54", "kings9x9"},
                    Depths,
-                   Config.Full ? 2u : 1u,
-                   60.0});
+                   Config.Full ? 2u : 1u});
   Grids.push_back({"ankaa3",
                    {"aspen16", "sycamore54", "kings9x9"},
                    Depths,
-                   Config.Full ? 2u : 1u,
-                   60.0});
-  // Sherbrooke-2X receives the 16x16 king's-graph circuits; QMAP's budget
-  // is deliberately modest so the oversized device records the paper's
-  // timeout behaviour.
+                   Config.Full ? 2u : 1u});
+  // Sherbrooke-2X receives the 16x16 king's-graph circuits, on which
+  // QMAP's expansion budget trips, as the paper's QMAP timed out there.
   Grids.push_back({"sherbrooke2x",
                    {"kings16x16"},
                    Config.Full ? Depths : std::vector<unsigned>{100, 600},
-                   1u,
-                   20.0});
+                   1u});
   return Grids;
+}
+
+bool qlosure::bench::qmapTimeoutsHold(const QuekoGridSpec &Grid,
+                                      const std::vector<RunRecord> &Records) {
+  if (Grid.BackendName != "sherbrooke2x")
+    return true;
+  for (const RunRecord &R : Records)
+    if (R.Mapper == "QMAP" && !R.TimedOut)
+      return false;
+  return true;
 }
 
 void qlosure::bench::printBanner(const std::string &Name,

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Helpers shared by the table/figure reproduction binaries: command-line
-/// scaling flags, the five-mapper lineup, and rendering of medium/large
-/// summary tables with the paper's reference values alongside.
+/// scaling flags, the QUEKO grids, and rendering of medium/large summary
+/// tables with the paper's reference values alongside.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,10 +15,8 @@
 #define QLOSURE_BENCH_BENCHCOMMON_H
 
 #include "eval/Harness.h"
-#include "route/Router.h"
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,21 +34,14 @@ struct BenchConfig {
   /// --no-verify: skip routing verification (it is cheap; on by default).
   bool Verify = true;
   /// --threads N: BatchRunner workers (0 = hardware concurrency).
-  /// Results are identical for every thread count, except where QMAP's
-  /// wall-clock budget trips under load (see BatchRunner.h). Benches
-  /// whose inner loop is inherently serial (the ablation and error-aware
-  /// studies) accept but ignore the flag.
+  /// Results are identical for every thread count. Benches whose inner
+  /// loop is inherently serial (the ablation and error-aware studies)
+  /// accept but ignore the flag.
   unsigned Threads = 0;
 };
 
 /// Parses argv (exits with a usage message on unknown flags).
 BenchConfig parseArgs(int Argc, char **Argv);
-
-/// The paper's five mappers in table order (SABRE, QMAP, Cirq, Pytket,
-/// Qlosure). \p QmapBudgetSeconds bounds the QMAP A* wall clock so that
-/// oversized inputs record a timeout, as in the paper.
-std::vector<std::unique_ptr<Router>>
-makePaperMappers(double QmapBudgetSeconds);
 
 /// QUEKO depth grids: medium (< 550) and large (>= 550) per the paper's
 /// grouping. Scaled-down by default; --full widens toward paper scale.
@@ -58,7 +49,8 @@ std::vector<unsigned> quekoDepths(const BenchConfig &Config);
 
 /// Renders one medium/large summary table. \p Reference optionally maps
 /// mapper name -> (medium, large) paper values printed alongside; pass an
-/// empty map to omit. \p Fmt controls numeric formatting (e.g. "%.2f").
+/// empty map to omit. A paper value of 0 marks a paper timeout and prints
+/// as `timeout`. \p Fmt controls numeric formatting (e.g. "%.2f").
 void printMediumLargeTable(
     const std::string &Title,
     const std::map<std::string, MediumLargeSummary> &Summary,
@@ -75,7 +67,6 @@ struct QuekoGridSpec {
   std::vector<std::string> GenNames;
   std::vector<unsigned> Depths;
   unsigned CircuitsPerDepth = 1;
-  double QmapBudgetSeconds = 60.0;
 };
 
 /// Runs one grid and returns all records.
@@ -85,6 +76,12 @@ std::vector<RunRecord> runQuekoGrid(const QuekoGridSpec &Spec,
 /// The paper's three backend columns (Sherbrooke / Ankaa-3 / Sherbrooke-2X
 /// with their respective generation devices), sized per \p Config.
 std::vector<QuekoGridSpec> paperQuekoGrids(const BenchConfig &Config);
+
+/// The paper's QMAP timed out on every Sherbrooke-2X instance (Table II).
+/// False when \p Records, routed on \p Grid, hold a QMAP run on
+/// sherbrooke2x that finished within its expansion budget.
+bool qmapTimeoutsHold(const QuekoGridSpec &Grid,
+                      const std::vector<RunRecord> &Records);
 
 } // namespace bench
 } // namespace qlosure

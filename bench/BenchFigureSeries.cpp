@@ -42,7 +42,6 @@ int qlosure::bench::runFigureSeries(int Argc, char **Argv,
     Grid.GenNames = {Set.GenName};
     Grid.Depths = Depths;
     Grid.CircuitsPerDepth = 1;
-    Grid.QmapBudgetSeconds = 60.0;
     std::vector<RunRecord> Records = runQuekoGrid(Grid, Config);
 
     // Index: depth -> mapper -> record.

@@ -6,6 +6,7 @@
 
 #include "bench/BenchQasmBenchTable.h"
 
+#include "baselines/RouterRegistry.h"
 #include "bench/BenchCommon.h"
 #include "eval/BatchRunner.h"
 #include "support/Statistics.h"
@@ -43,7 +44,7 @@ int qlosure::bench::runQasmBenchTable(int Argc, char **Argv,
     bool Valid = false;
   };
   std::map<std::string, std::map<std::string, CellValue>> Results;
-  auto Mappers = makePaperMappers(120.0);
+  auto Mappers = makePaperRouters();
   // One shared context per circuit, five mapper jobs each, fanned across
   // the batch engine.
   std::vector<RoutingContext> Contexts;

@@ -16,6 +16,7 @@
 
 #include "bench/BenchCommon.h"
 
+#include "baselines/RouterRegistry.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
 #include "topology/Backends.h"
@@ -60,7 +61,7 @@ int main(int Argc, char **Argv) {
                   It.Circ.name().c_str(), Backend, It.InitialDepth,
                   It.Circ.numTwoQubitGates());
       Table T({"Mapper", "SWAPs", "Delta depth"});
-      auto Mappers = makePaperMappers(120.0);
+      auto Mappers = makePaperRouters();
       for (auto &Mapper : Mappers) {
         EvalConfig Eval;
         Eval.Verify = Config.Verify;

@@ -54,7 +54,6 @@ int main(int Argc, char **Argv) {
     Grid.GenNames = {"sycamore54"};
     Grid.Depths = quekoDepths(Config);
     Grid.CircuitsPerDepth = Config.Full ? 3 : 1;
-    Grid.QmapBudgetSeconds = 300.0; // Let QMAP finish: this table is time.
     std::vector<RunRecord> Records = runQuekoGrid(Grid, Config);
     auto Summary = mappingTimeSummary(Records);
     printMediumLargeTable(

@@ -68,6 +68,7 @@ RoutingResult QmapAstarRouter::route(const RoutingContext &Ctx,
 
   RouteWriter Out(Logical, Hw, Initial, name());
   RoutingResult &Result = Out.result();
+  size_t RouteExpansions = 0; // Against ExpansionBudget.
 
   // Time-sliced layer partition: a gate joins the current layer unless one
   // of its qubits is already busy there. Gates enter layers in index
@@ -279,6 +280,7 @@ RoutingResult QmapAstarRouter::route(const RoutingContext &Ctx,
         Inv[Pos[J]] = UINT32_MAX;
     }
 
+    RouteExpansions += Expansions;
     if (GoalId != UINT32_MAX) {
       // Reconstruct the swap sequence root -> goal via parent links.
       S.AstarPath.clear();
@@ -320,12 +322,11 @@ RoutingResult QmapAstarRouter::route(const RoutingContext &Ctx,
       if (Logical.gate(GI).isTwoQubit())
         S.QmapTwoQ.push_back(GI);
 
-    bool TimedOut = Clock.elapsedSeconds() > Options.TimeBudgetSeconds;
-    if (TimedOut)
+    if (RouteExpansions >= ExpansionBudget)
       Result.TimedOut = true;
 
     if (!S.QmapTwoQ.empty()) {
-      if (TimedOut) {
+      if (Result.TimedOut) {
         // Greedy completion so callers still receive a valid circuit.
         for (uint32_t GI : S.QmapTwoQ) {
           if (isCancelled()) {

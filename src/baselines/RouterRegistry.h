@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Factory for the five mappers of the paper's evaluation (Qlosure plus
-/// the four baselines), used by the evaluation harness and the examples.
+/// the four baselines). It owns the one list of mapper names that the
+/// daemon, the command-line tools, the harness and the examples accept.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +22,19 @@
 
 namespace qlosure {
 
-/// Creates a mapper by name: "qlosure", "sabre", "qmap", "cirq", "tket".
-/// Aborts on unknown names.
+/// True for the names makeRouterByName accepts: "qlosure", "sabre",
+/// "qmap", "cirq", "tket".
+bool isRouterName(const std::string &Name);
+
+/// Creates a mapper by name. Aborts on names isRouterName rejects.
 std::unique_ptr<Router> makeRouterByName(const std::string &Name);
+
+/// The mapper a route request names: qlosure in its error-aware and
+/// affine-replay modes as asked, the baselines as makeRouterByName makes
+/// them (they have neither mode, and route a calibrated graph with plain
+/// distances). Aborts on names isRouterName rejects.
+std::unique_ptr<Router> makeServiceRouter(const std::string &Name,
+                                          bool ErrorAware, bool Affine);
 
 /// The evaluation order used throughout the paper's tables:
 /// SABRE, QMAP, Cirq, Pytket, Qlosure.

@@ -12,10 +12,7 @@
 /// list are byte-identical. Determinism holds because every stochastic
 /// choice is derived from per-job state (the router's fixed seed, the
 /// workload generator's per-instance seed computed from the run index) —
-/// never from RNG state shared across jobs. The one caveat is wall-clock
-/// budgeted mappers (QMAP): whether their budget trips depends on machine
-/// load — under any thread count, including 1 — so their records are
-/// reproducible only while the budget is comfortably clear.
+/// never from RNG state shared across jobs; no mapper stops on a clock.
 ///
 /// A job with an invalid context (or an inconsistent initial mapping)
 /// produces a RunRecord with Failed set and the diagnostic in Error; the

@@ -90,8 +90,7 @@ struct QuekoSweepConfig {
   uint64_t SeedBase = 1000;
   EvalConfig Eval;
   /// BatchRunner worker threads (0 = hardware concurrency). Results are
-  /// identical for every thread count (see the BatchRunner.h caveat on
-  /// wall-clock budgeted mappers).
+  /// identical for every thread count.
   unsigned Threads = 0;
 };
 

@@ -82,7 +82,7 @@ struct RoutingResult {
 /// so. The service's result, alias and store keys carry it
 /// (service/RequestKey.h), so a daemon restarted on a store written by
 /// older code routes again instead of serving the old code's routes.
-constexpr uint32_t RoutingSemanticsVersion = 2;
+constexpr uint32_t RoutingSemanticsVersion = 3;
 
 /// Abstract qubit mapper. Implementations must accept any connected
 /// coupling graph and any circuit whose gates are unitary with arity <= 2

@@ -7,7 +7,6 @@
 #include "service/Server.h"
 
 #include "baselines/RouterRegistry.h"
-#include "core/Qlosure.h"
 #include "qasm/Importer.h"
 #include "qasm/Printer.h"
 #include "route/Fidelity.h"
@@ -25,44 +24,11 @@ using namespace qlosure::service;
 
 namespace {
 
-const char *const KnownBackends[] = {
-    "sherbrooke", "ankaa3",  "sherbrooke2x", "kings9x9",
-    "kings16x16", "aspen16", "sycamore54"};
-
-const char *const KnownMappers[] = {"qlosure", "sabre", "qmap", "cirq",
-                                    "tket"};
-
 /// Byte budget of the raw-text alias cache. An alias costs ~200 bytes
 /// and pays only while its result is cached, so this holds ~20k texts:
 /// more than the default result cache keeps for all but the smallest
 /// circuits.
 constexpr size_t AliasCacheBytes = 4ull << 20;
-
-bool isKnown(const char *const *Names, size_t Count,
-             const std::string &Name) {
-  for (size_t I = 0; I < Count; ++I)
-    if (Name == Names[I])
-      return true;
-  return false;
-}
-
-std::unique_ptr<Router> makeServiceRouter(const std::string &Name,
-                                          bool ErrorAware, bool Affine) {
-  if (Name == "qlosure") {
-    QlosureOptions Opts;
-    Opts.ErrorAware = ErrorAware;
-    Opts.AffineReplay = Affine;
-    // Replay is only exact under the unweighted scoring profile (omega
-    // is aperiodic even on periodic traces, so weighted anchors rarely
-    // recur); requesting affine selects that profile.
-    if (Affine)
-      Opts.UseDependencyWeights = false;
-    return std::make_unique<QlosureRouter>(Opts);
-  }
-  // Baselines have no error-aware or affine mode; they route on the
-  // calibrated graph with plain distances (mirrors tools/qlosure-route).
-  return makeRouterByName(Name);
-}
 
 json::Value cacheStatsJson(const CacheStats &S, size_t ByteBudget) {
   json::Value Obj = json::Value::object();
@@ -465,8 +431,7 @@ Server::lookupResult(const CacheKey &Key) {
 std::shared_ptr<const Server::PooledBackend>
 Server::lookupBackend(const std::string &Name, bool ErrorAware,
                       uint64_t CalibrationSeed) {
-  if (!isKnown(KnownBackends,
-               sizeof(KnownBackends) / sizeof(KnownBackends[0]), Name))
+  if (!isBackendName(Name))
     return nullptr;
   std::string VariantKey =
       ErrorAware ? formatString("%s|ea%llu", Name.c_str(),
@@ -513,8 +478,7 @@ Server::admit(Connection &Conn, const char *Op, const Request &Req) {
                            Req.Id.c_str()));
     return nullptr;
   }
-  if (!isKnown(KnownMappers, sizeof(KnownMappers) / sizeof(KnownMappers[0]),
-               Route.Mapper)) {
+  if (!isRouterName(Route.Mapper)) {
     sendError(Conn, Op, Req.Id, errc::UnknownMapper,
               formatString("unknown mapper \"%s\"", Route.Mapper.c_str()));
     return nullptr;

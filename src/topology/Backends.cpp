@@ -221,20 +221,38 @@ CouplingGraph qlosure::makeSycamore54() {
   return G;
 }
 
+namespace {
+
+const struct {
+  const char *Name;
+  CouplingGraph (*Make)();
+} NamedBackends[] = {{"sherbrooke", makeSherbrooke},
+                     {"ankaa3", makeAnkaa3},
+                     {"sherbrooke2x", makeSherbrooke2X},
+                     {"kings9x9", makeKings9x9},
+                     {"kings16x16", makeKings16x16},
+                     {"aspen16", makeAspen16},
+                     {"sycamore54", makeSycamore54}};
+
+} // namespace
+
+std::vector<std::string> qlosure::backendNames() {
+  std::vector<std::string> Names;
+  for (const auto &Backend : NamedBackends)
+    Names.push_back(Backend.Name);
+  return Names;
+}
+
+bool qlosure::isBackendName(const std::string &Name) {
+  for (const auto &Backend : NamedBackends)
+    if (Name == Backend.Name)
+      return true;
+  return false;
+}
+
 CouplingGraph qlosure::makeBackendByName(const std::string &Name) {
-  if (Name == "sherbrooke")
-    return makeSherbrooke();
-  if (Name == "ankaa3")
-    return makeAnkaa3();
-  if (Name == "sherbrooke2x")
-    return makeSherbrooke2X();
-  if (Name == "kings9x9")
-    return makeKings9x9();
-  if (Name == "kings16x16")
-    return makeKings16x16();
-  if (Name == "aspen16")
-    return makeAspen16();
-  if (Name == "sycamore54")
-    return makeSycamore54();
+  for (const auto &Backend : NamedBackends)
+    if (Name == Backend.Name)
+      return Backend.Make();
   reportFatalError("unknown backend name: " + Name);
 }

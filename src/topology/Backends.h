@@ -65,9 +65,15 @@ CouplingGraph makeAspen16();
 /// the generation device for queko-bss-54qbt.
 CouplingGraph makeSycamore54();
 
-/// Looks up a backend by name ("sherbrooke", "ankaa3", "sherbrooke2x",
-/// "kings9x9", "kings16x16", "aspen16", "sycamore54"); aborts on unknown
-/// names.
+/// The names makeBackendByName accepts: "sherbrooke", "ankaa3",
+/// "sherbrooke2x", "kings9x9", "kings16x16", "aspen16", "sycamore54".
+/// This is the one list the daemon and the command-line tools check.
+std::vector<std::string> backendNames();
+
+/// True when \p Name is one of backendNames().
+bool isBackendName(const std::string &Name);
+
+/// Looks up a backend by name; aborts on names isBackendName rejects.
 CouplingGraph makeBackendByName(const std::string &Name);
 
 } // namespace qlosure

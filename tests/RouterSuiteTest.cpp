@@ -244,12 +244,15 @@ TEST(QlosureSpecificTest, DependencyWeightsReduceSwapsOnQueko) {
   EXPECT_LE(SwapsFull, SwapsDistance + SwapsDistance / 10);
 }
 
-TEST(QmapSpecificTest, TimeoutFlagOnTinyBudget) {
-  QmapOptions Opts;
-  Opts.TimeBudgetSeconds = 0.0; // Everything times out.
-  QmapAstarRouter Router(Opts);
-  CouplingGraph Hw = makeLine(6);
-  Circuit C = makeQft(6);
+TEST(QmapSpecificTest, ExpansionBudgetTripsOnSherbrooke2X) {
+  // Table II's Sherbrooke-2X medium instance needs about 3.2M A*
+  // expansions, past QmapAstarRouter::ExpansionBudget.
+  QuekoSpec Spec;
+  Spec.Depth = 100;
+  Spec.Seed = 11726;
+  Circuit C = generateQueko(makeKings16x16(), Spec).Circ;
+  CouplingGraph Hw = makeSherbrooke2X();
+  QmapAstarRouter Router;
   RoutingResult R = Router.routeWithIdentity(C, Hw);
   EXPECT_TRUE(R.TimedOut);
   // Even timed out, the greedy completion must stay correct.

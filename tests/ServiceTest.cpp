@@ -1682,8 +1682,7 @@ TEST(ServerTest, RouteAnswersLikeAOneItemBatch) {
     return Stats.dump();
   };
 
-  // QMAP is left out: its wall-clock budget makes its output load-bound.
-  for (const char *Mapper : {"qlosure", "sabre", "cirq", "tket"}) {
+  for (const char *Mapper : {"qlosure", "sabre", "qmap", "cirq", "tket"}) {
     auto [Route, Item] = AnswerBothWays(Text.str(), Mapper);
     ASSERT_TRUE(responseOk(Route)) << Route.dump();
     ASSERT_NE(Item.get("stats"), nullptr) << Item.dump();

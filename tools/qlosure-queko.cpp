@@ -76,6 +76,15 @@ int main(int Argc, char **Argv) {
   }
   if (Spec.Depth == 0)
     return usage(Argv[0]);
+  if (!isBackendName(Device)) {
+    std::string Known;
+    for (const std::string &Name : backendNames())
+      Known += " " + Name;
+    std::fprintf(stderr, "qlosure-queko: error: unknown device \"%s\"; "
+                         "known:%s\n",
+                 Device.c_str(), Known.c_str());
+    return 2;
+  }
 
   CouplingGraph GenDevice = makeBackendByName(Device);
   QuekoInstance Inst = generateQueko(GenDevice, Spec);

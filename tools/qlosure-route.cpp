@@ -25,14 +25,14 @@
 ///                        "stats" object (docs/PROTOCOL.md); the routed
 ///                        program is then only written with --output FILE
 ///
-/// Exits nonzero when the routed circuit fails independent verification
-/// (with --json, the stats object is still printed, with
-/// "verified": false).
+/// Exits 2 on a usage error, an unknown mapper or backend name included,
+/// and 1 when the input cannot be routed or the routed circuit fails
+/// independent verification (with --json, the stats object is still
+/// printed, with "verified": false).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "baselines/RouterRegistry.h"
-#include "core/Qlosure.h"
 #include "qasm/Importer.h"
 #include "qasm/Printer.h"
 #include "route/Fidelity.h"
@@ -48,6 +48,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace qlosure;
 
@@ -71,6 +72,17 @@ int usage(const char *Argv0) {
                "[--bidirectional] [--error-aware] [--calibration N] "
                "[--output FILE] [--stats-only] [--json] [input.qasm]\n",
                Argv0);
+  return 2;
+}
+
+/// Reports a --mapper or --backend name outside \p Known as a usage error.
+int unknownName(const char *Kind, const std::string &Name,
+                const std::vector<std::string> &Known) {
+  std::string List;
+  for (const std::string &K : Known)
+    List += " " + K;
+  std::fprintf(stderr, "error: unknown %s \"%s\"; known:%s\n", Kind,
+               Name.c_str(), List.c_str());
   return 2;
 }
 
@@ -101,6 +113,10 @@ int main(int Argc, char **Argv) {
       Opts.InputPath = Argv[I];
     }
   }
+  if (!isRouterName(Opts.Mapper))
+    return unknownName("mapper", Opts.Mapper, paperRouterNames());
+  if (!isBackendName(Opts.Backend))
+    return unknownName("backend", Opts.Backend, backendNames());
 
   // Read the program.
   std::string Source;
@@ -138,14 +154,8 @@ int main(int Argc, char **Argv) {
   if (Opts.ErrorAware)
     applySyntheticErrorModel(Device, Opts.CalibrationSeed);
 
-  std::unique_ptr<Router> Mapper;
-  if (Opts.Mapper == "qlosure") {
-    QlosureOptions QOpts;
-    QOpts.ErrorAware = Opts.ErrorAware;
-    Mapper = std::make_unique<QlosureRouter>(QOpts);
-  } else {
-    Mapper = makeRouterByName(Opts.Mapper);
-  }
+  std::unique_ptr<Router> Mapper =
+      makeServiceRouter(Opts.Mapper, Opts.ErrorAware, /*Affine=*/false);
 
   // One context carries every precomputed structure (distances, DAG,
   // dependence weights) through the bidirectional passes and the final
