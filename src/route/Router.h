@@ -52,8 +52,8 @@ struct RoutingResult {
 
   size_t NumSwaps = 0;        ///< Inserted SWAPs only.
   double MappingSeconds = 0;  ///< Wall-clock routing time.
-  /// Set by budgeted routers (QMAP-style) whose search exceeded its
-  /// wall-clock budget and fell back to greedy completion.
+  /// Set by QMAP when its search spent QmapAstarRouter::ExpansionBudget
+  /// and completed the remaining layers greedily.
   bool TimedOut = false;
   /// Set when the route aborted because its CancellationToken fired
   /// (explicit cancel or deadline). Routed then holds only the prefix
